@@ -69,39 +69,6 @@ bool is_class_uniform(const ProblemInput& input) {
   return is_class_uniform_processing(input.instance);
 }
 
-/// Surfaces the exact subsystem's result contract: a node/time-budget abort
-/// is visible (proven_optimal false, positive gap) instead of masquerading
-/// as ground truth, and the search effort counters ride along.
-SolverStats exact_stats(const ExactResult& result) {
-  SolverStats stats;
-  stats.lp_solves = result.lp_bounds_used;
-  stats.lp_iterations = result.lp_iterations;
-  stats.lp_dual_solves = result.lp_dual_solves;
-  stats.nodes = result.nodes;
-  stats.lp_bounds_used = result.lp_bounds_used;
-  stats.fixed_vars = result.fixed_vars;
-  stats.lp_audits_suspect = result.lp_audits_suspect;
-  stats.lp_recoveries = result.lp_recoveries;
-  stats.lp_oracle_fallbacks = result.lp_oracle_fallbacks;
-  stats.cg_columns = result.cg_columns;
-  stats.cg_pricing_rounds = result.cg_pricing_rounds;
-  stats.cg_fallbacks = result.cg_fallbacks;
-  stats.proven_optimal = result.proven_optimal;
-  stats.gap = result.gap;
-  return stats;
-}
-
-SolverStats rounding_stats(const RoundingResult& result) {
-  SolverStats stats;
-  stats.lp_solves = result.lp_solves;
-  stats.lp_iterations = result.lp_iterations;
-  stats.lp_dual_solves = result.lp_dual_solves;
-  stats.lp_audits_suspect = result.lp_audits_suspect;
-  stats.lp_recoveries = result.lp_recoveries;
-  stats.lp_oracle_fallbacks = result.lp_oracle_fallbacks;
-  return stats;
-}
-
 /// Fault injection without the audit guard would just propagate corruption;
 /// arming the plan therefore forces the warm-chain audit cadence to "every
 /// solve" no matter what the caller configured.
@@ -113,16 +80,65 @@ const lp::FaultPlan* armed_plan(const SolverContext& context) {
   return context.fault_plan.any() ? &context.fault_plan : nullptr;
 }
 
+/// Simplex knobs shared by every LP-based solver: the context's algorithm
+/// and pricing, the armed fault plan, and the residual-audit guard whenever
+/// audits are on.
+lp::SimplexOptions simplex_options(const SolverContext& context) {
+  lp::SimplexOptions simplex;
+  simplex.algorithm = context.lp_algorithm;
+  simplex.pricing = context.lp_pricing;
+  simplex.fault_plan = armed_plan(context);
+  simplex.guard = effective_audit_interval(context) > 0;
+  return simplex;
+}
+
+/// The assignment-LP warm chain guards every audit_interval-th solve itself,
+/// so its base simplex options leave the guard off.
+AssignmentLpOptions assignment_lp_options(const SolverContext& context) {
+  AssignmentLpOptions options;
+  options.simplex = simplex_options(context);
+  options.simplex.guard = false;
+  options.audit_interval = effective_audit_interval(context);
+  return options;
+}
+
 RoundingOptions rounding_options(const SolverContext& context) {
   RoundingOptions options;
   options.seed = context.seed;
   options.search_precision = context.precision;
-  options.lp.simplex.algorithm = context.lp_algorithm;
-  options.lp.simplex.pricing = context.lp_pricing;
-  options.lp.simplex.fault_plan = armed_plan(context);
-  options.lp.audit_interval = effective_audit_interval(context);
+  options.lp = assignment_lp_options(context);
   options.pool = context.pool;
   return options;
+}
+
+/// Stats carrying a solver result's effort counters.
+SolverStats effort_stats(const EffortCounters& effort) {
+  SolverStats stats;
+  stats.effort() = effort;
+  return stats;
+}
+
+/// One exact registry entry per (mode, bound) pair. Surfaces the exact
+/// subsystem's result contract: a node/time-budget abort is visible
+/// (proven_optimal false, positive gap) instead of masquerading as ground
+/// truth, and the search effort counters ride along.
+template <ExactMode kMode, BoundMode kBound>
+ScheduleResult solve_exact_entry(const ProblemInput& input,
+                                 const SolverContext& context) {
+  ExactOptions options;
+  options.mode = kMode;
+  options.bound = kBound;
+  options.time_limit_s = context.time_limit_s;
+  options.initial_upper_bound = unrelated_upper_bound(input.instance);
+  options.lp_algorithm = context.lp_algorithm;
+  options.lp_pricing = context.lp_pricing;
+  options.fault_plan = armed_plan(context);
+  options.deadline = context.deadline;
+  const ExactResult result = solve_exact(input.instance, options);
+  SolverStats stats = effort_stats(result);
+  stats.proven_optimal = result.proven_optimal;
+  stats.gap = result.gap;
+  return finish(input.instance, result.schedule, stats);
 }
 
 void register_builtin_solvers(SolverRegistry& registry) {
@@ -169,13 +185,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
   // -- Unrelated machines (Section 3.1) ------------------------------------
   add("assignment-lp", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
-        AssignmentLpOptions options;
-        options.simplex.algorithm = context.lp_algorithm;
-        options.simplex.pricing = context.lp_pricing;
-        options.simplex.fault_plan = armed_plan(context);
-        options.audit_interval = effective_audit_interval(context);
-        ScheduleResult result =
-            argmax_rounding(input.instance, context.precision, options);
+        ScheduleResult result = argmax_rounding(
+            input.instance, context.precision, assignment_lp_options(context));
         return finish(input.instance, std::move(result.schedule),
                       result.stats);
       });
@@ -183,114 +194,48 @@ void register_builtin_solvers(SolverRegistry& registry) {
       [](const ProblemInput& input, const SolverContext& context) {
         const RoundingResult result =
             randomized_rounding(input.instance, rounding_options(context));
-        return finish(input.instance, result.schedule,
-                      rounding_stats(result));
+        return finish(input.instance, result.schedule, effort_stats(result));
       });
   add("colgen", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
         ConfigLpOptions config;
         config.pool = context.pool;
-        config.simplex.algorithm = context.lp_algorithm;
-        config.simplex.pricing = context.lp_pricing;
-        config.simplex.fault_plan = armed_plan(context);
-        config.simplex.guard = effective_audit_interval(context) > 0;
+        config.simplex = simplex_options(context);
         const RoundingResult result = randomized_rounding_config(
             input.instance, rounding_options(context), config);
-        return finish(input.instance, result.schedule,
-                      rounding_stats(result));
+        return finish(input.instance, result.schedule, effort_stats(result));
       });
 
   // -- Special structures (Section 3.3) ------------------------------------
   add("restricted-2approx", is_restricted,
       [](const ProblemInput& input, const SolverContext& context) {
-        lp::SimplexOptions simplex;
-        simplex.algorithm = context.lp_algorithm;
-        simplex.pricing = context.lp_pricing;
-        simplex.fault_plan = armed_plan(context);
-        simplex.guard = effective_audit_interval(context) > 0;
-        const ConstantApproxResult result =
-            two_approx_restricted(input.instance, context.precision, simplex);
-        SolverStats stats;
-        stats.lp_solves = result.lp_solves;
-        stats.lp_iterations = result.lp_iterations;
-        return finish(input.instance, result.schedule, stats);
+        const ConstantApproxResult result = two_approx_restricted(
+            input.instance, context.precision, simplex_options(context));
+        return finish(input.instance, result.schedule, effort_stats(result));
       });
   add("classuniform-3approx", is_class_uniform,
       [](const ProblemInput& input, const SolverContext& context) {
-        lp::SimplexOptions simplex;
-        simplex.algorithm = context.lp_algorithm;
-        simplex.pricing = context.lp_pricing;
-        simplex.fault_plan = armed_plan(context);
-        simplex.guard = effective_audit_interval(context) > 0;
         const ConstantApproxResult result = three_approx_class_uniform(
-            input.instance, context.precision, simplex);
-        SolverStats stats;
-        stats.lp_solves = result.lp_solves;
-        stats.lp_iterations = result.lp_iterations;
-        return finish(input.instance, result.schedule, stats);
+            input.instance, context.precision, simplex_options(context));
+        return finish(input.instance, result.schedule, effort_stats(result));
       });
 
   // -- Exact and improvement -----------------------------------------------
   add("exact", nullptr,
-      [](const ProblemInput& input, const SolverContext& context) {
-        ExactOptions options;
-        options.time_limit_s = context.time_limit_s;
-        options.initial_upper_bound = unrelated_upper_bound(input.instance);
-        options.lp_algorithm = context.lp_algorithm;
-        options.lp_pricing = context.lp_pricing;
-        options.fault_plan = armed_plan(context);
-        options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
-      });
+      solve_exact_entry<ExactMode::kProve, BoundMode::kAssignment>);
+  // Configuration-LP bounds (exact/config_bound.h) on top of the assignment
+  // probes, riding the dive-then-prove chain: the dive's incumbent tightens
+  // the cutoff the config-LP root bisection works against, and the
+  // fine-grid root pass pushes the certified bound past what the assignment
+  // LP can see. kAuto demotes the per-node pricing back to assignment-only
+  // when it is not earning its keep, so the solver is never worse than
+  // `dive-then-prove` by more than the root bisection's cost.
   add("branch-and-price", nullptr,
-      [](const ProblemInput& input, const SolverContext& context) {
-        ExactOptions options;
-        // Configuration-LP bounds (exact/config_bound.h) on top of the
-        // assignment probes, riding the dive-then-prove chain: the dive's
-        // incumbent tightens the cutoff the config-LP root bisection works
-        // against, and the fine-grid root pass pushes the certified bound
-        // past what the assignment LP can see. kAuto demotes the per-node
-        // pricing back to assignment-only when it is not earning its keep,
-        // so the solver is never worse than `dive-then-prove` by more than
-        // the root bisection's cost.
-        options.mode = ExactMode::kDiveThenProve;
-        options.bound = BoundMode::kAuto;
-        options.time_limit_s = context.time_limit_s;
-        options.initial_upper_bound = unrelated_upper_bound(input.instance);
-        options.lp_algorithm = context.lp_algorithm;
-        options.lp_pricing = context.lp_pricing;
-        options.fault_plan = armed_plan(context);
-        options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
-      });
+      solve_exact_entry<ExactMode::kDiveThenProve, BoundMode::kAuto>);
   add("exact-dive", nullptr,
-      [](const ProblemInput& input, const SolverContext& context) {
-        ExactOptions options;
-        options.mode = ExactMode::kDive;
-        options.time_limit_s = context.time_limit_s;
-        options.initial_upper_bound = unrelated_upper_bound(input.instance);
-        options.lp_algorithm = context.lp_algorithm;
-        options.lp_pricing = context.lp_pricing;
-        options.fault_plan = armed_plan(context);
-        options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
-      });
+      solve_exact_entry<ExactMode::kDive, BoundMode::kAssignment>);
   add("dive-then-prove", nullptr,
-      [](const ProblemInput& input, const SolverContext& context) {
-        ExactOptions options;
-        options.mode = ExactMode::kDiveThenProve;
-        options.time_limit_s = context.time_limit_s;
-        options.initial_upper_bound = unrelated_upper_bound(input.instance);
-        options.lp_algorithm = context.lp_algorithm;
-        options.lp_pricing = context.lp_pricing;
-        options.fault_plan = armed_plan(context);
-        options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
-      });
+      solve_exact_entry<ExactMode::kDiveThenProve, BoundMode::kAssignment>);
   add("local-search", nullptr,
       [](const ProblemInput& input, const SolverContext&) {
         const ScheduleResult start = greedy_min_load(input.instance);

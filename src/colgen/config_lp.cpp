@@ -253,7 +253,8 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     if (!rmp_basis.empty()) simplex.warm_start = &rmp_basis;
     const lp::Solution sol = lp::solve(rmp, simplex);
     ++out.lp_solves;
-    out.simplex_iterations += sol.iterations;
+    out.lp_iterations += sol.iterations;
+    sol.add_guard_counters(out);
     check(sol.optimal(), "RMP solve failed");
     if (!sol.basis.empty()) rmp_basis = sol.basis;
     out.coverage = sol.objective;
@@ -321,20 +322,16 @@ RoundingResult randomized_rounding_config(const Instance& instance,
 
   // The grid is conservative: an integral schedule's makespan may be
   // rejected; widen hi until the config LP accepts.
-  // lp_solves/lp_iterations report the actual RMP work: every outer
-  // solve_config_lp call accumulates its inner per-round counters (an
-  // earlier version counted outer calls as one solve each, so the registry
-  // path dropped the colgen effort entirely).
+  // The effort counters report the actual RMP work: every outer
+  // solve_config_lp call adds its inner per-round counters.
   ConfigLpResult at_hi = solve_config_lp(instance, hi, config);
-  out.lp_solves = at_hi.lp_solves;
-  out.lp_iterations = at_hi.simplex_iterations;
+  out += at_hi;
   std::size_t widenings = 0;
   while (at_hi.status != ConfigLpStatus::kFeasible && widenings < 8) {
     hi *= 1.3;
     ++widenings;
     at_hi = solve_config_lp(instance, hi, config);
-    out.lp_solves += at_hi.lp_solves;
-    out.lp_iterations += at_hi.simplex_iterations;
+    out += at_hi;
   }
   check(at_hi.status == ConfigLpStatus::kFeasible,
         "config LP did not accept any upper bound");
@@ -343,8 +340,7 @@ RoundingResult randomized_rounding_config(const Instance& instance,
   while (hi / lo > 1.0 + rounding.search_precision) {
     const double mid = std::sqrt(lo * hi);
     ConfigLpResult probe = solve_config_lp(instance, mid, config);
-    out.lp_solves += probe.lp_solves;
-    out.lp_iterations += probe.simplex_iterations;
+    out += probe;
     if (probe.status == ConfigLpStatus::kFeasible) {
       hi = mid;
       best = std::move(probe.fractional);

@@ -40,14 +40,14 @@ enum class ConfigLpStatus {
   kIterationLimit,
 };
 
-struct ConfigLpResult {
+/// The effort counters report the RMP work: lp_solves (== rounds run),
+/// lp_iterations, and the guard counters, summed over all RMP solves.
+struct ConfigLpResult : EffortCounters {
   ConfigLpStatus status = ConfigLpStatus::kIterationLimit;
   FractionalAssignment fractional;  ///< valid iff kFeasible
   double coverage = 0.0;            ///< final RMP objective (<= n)
   std::size_t columns = 0;
   std::size_t iterations = 0;
-  std::size_t lp_solves = 0;          ///< RMP solves (== rounds run)
-  std::size_t simplex_iterations = 0; ///< summed over all RMP solves
 };
 
 [[nodiscard]] ConfigLpResult solve_config_lp(const Instance& instance, double T,

@@ -1,0 +1,101 @@
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <string_view>
+
+namespace setsched {
+
+/// The effort counters every solver reports, declared once. Each row is
+/// X(field, label, optional):
+///   field     the struct field and the JSONL/CSV key;
+///   label     the column header of the expt summary table;
+///   optional  true when JSONL written before the counter existed may omit
+///             the key (it then parses as 0).
+/// Rows are in JSONL/CSV column order. The struct, the record I/O and the
+/// aggregates are all generated from this list, so a new counter is one
+/// row here plus its docs/BENCH_SCHEMA.md entry.
+///
+///   lp_solves            LP solves.
+///   lp_iterations        Simplex iterations across those solves.
+///   lp_dual_solves       Solves the dual simplex re-optimized (warm bases
+///                        turned primal-infeasible, or explicit kDual runs).
+///   fixed_vars           Job-machine pairs excluded by reduced-cost fixing
+///                        at search nodes (exact solvers with LP bounds).
+///   lp_audits_suspect    LP guard (lp/guard.h): post-solve audits that
+///                        contested a solve. 0 when the guard is off.
+///   lp_recoveries        LP guard: contested solves recovered by the
+///                        refactorize-warm / cold re-solve rungs.
+///   lp_oracle_fallbacks  LP guard: contested solves escalated to the dense
+///                        tableau oracle (the ladder's last rung).
+///   cg_columns           Branch-and-price (exact/config_bound.h): columns
+///                        priced into the restricted master.
+///   cg_pricing_rounds    Branch-and-price: pricing rounds (one RMP solve
+///                        plus one all-machines knapsack pass each).
+///   cg_fallbacks         Branch-and-price: config-LP probes demoted to the
+///                        assignment bound.
+///   nodes                Search-tree nodes expanded (exact solvers).
+///   lp_bounds_used       LP relaxation probes spent on search bounding.
+#define SETSCHED_EFFORT_COUNTERS(X)            \
+  X(lp_solves, "lp_solves", false)             \
+  X(lp_iterations, "lp_iters", false)          \
+  X(lp_dual_solves, "lp_dual", false)          \
+  X(fixed_vars, "fixed", false)                \
+  X(lp_audits_suspect, "suspect", true)        \
+  X(lp_recoveries, "recov", true)              \
+  X(lp_oracle_fallbacks, "oracle", true)       \
+  X(cg_columns, "cg_cols", true)               \
+  X(cg_pricing_rounds, "cg_rounds", true)      \
+  X(cg_fallbacks, "cg_fb", true)               \
+  X(nodes, "nodes", false)                     \
+  X(lp_bounds_used, "lp_bounds", false)
+
+/// Solver effort, zero for solvers without the corresponding machinery.
+/// Result types inherit it, so `result.lp_solves` reads the counter
+/// directly and `a.effort() = b.effort()` copies every counter at once.
+struct EffortCounters {
+#define SETSCHED_COUNTER_FIELD(field, label, optional) std::size_t field = 0;
+  SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_FIELD)
+#undef SETSCHED_COUNTER_FIELD
+
+  [[nodiscard]] EffortCounters& effort() noexcept { return *this; }
+  [[nodiscard]] const EffortCounters& effort() const noexcept { return *this; }
+
+  EffortCounters& operator+=(const EffortCounters& other) noexcept {
+#define SETSCHED_COUNTER_ADD(field, label, optional) field += other.field;
+    SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_ADD)
+#undef SETSCHED_COUNTER_ADD
+    return *this;
+  }
+
+  [[nodiscard]] bool operator==(const EffortCounters&) const = default;
+};
+
+/// Index of each counter in kCounters and in per-counter arrays, e.g.
+/// `summary.counter_mean[counter::nodes]`.
+namespace counter {
+enum Index : std::size_t {
+#define SETSCHED_COUNTER_INDEX(field, label, optional) field,
+  SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_INDEX)
+#undef SETSCHED_COUNTER_INDEX
+};
+}  // namespace counter
+
+/// One row of the counter table, for the serializers to loop over.
+struct CounterInfo {
+  std::string_view name;   ///< JSONL/CSV key
+  std::string_view label;  ///< summary-table column
+  bool optional;           ///< may be missing on JSONL read
+  std::size_t EffortCounters::*field;
+};
+
+inline constexpr std::array kCounters = {
+#define SETSCHED_COUNTER_INFO(field, label, optional) \
+  CounterInfo{#field, label, optional, &EffortCounters::field},
+    SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_INFO)
+#undef SETSCHED_COUNTER_INFO
+};
+
+inline constexpr std::size_t kCounterCount = kCounters.size();
+
+}  // namespace setsched

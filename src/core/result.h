@@ -1,50 +1,16 @@
 #pragma once
 
-#include <cstddef>
-
+#include "core/counters.h"
 #include "core/schedule.h"
 #include "obs/phase.h"
 
 namespace setsched {
 
-/// Solver-level effort counters and certificates, reported alongside a
-/// schedule so perf work can compare algorithms by what they did (LP solves,
-/// simplex iterations, search nodes) and quality tables can distinguish
-/// proven optima from budget-exhausted incumbents. Effort fields are zero
-/// for solvers without the corresponding machinery.
-struct SolverStats {
-  std::size_t lp_solves = 0;
-  std::size_t lp_iterations = 0;
-  /// LP solves the dual simplex re-optimized (warm bases turned
-  /// primal-infeasible by a re-parameterization, or explicit kDual runs);
-  /// the complement of lp_solves went through the primal path.
-  std::size_t lp_dual_solves = 0;
-  /// Search-tree nodes expanded (exact branch-and-bound / dive solvers).
-  std::size_t nodes = 0;
-  /// LP relaxation probes spent on search-tree bounding.
-  std::size_t lp_bounds_used = 0;
-  /// Job-machine variables excluded by reduced-cost fixing at search nodes
-  /// (exact solvers with LP bounds; 0 elsewhere).
-  std::size_t fixed_vars = 0;
-  /// LP guard (lp/guard.h): post-solve residual audits that contested a
-  /// solve (verdict suspect or failed). 0 when the guard is off.
-  std::size_t lp_audits_suspect = 0;
-  /// LP guard: contested solves recovered by the escalation ladder's
-  /// refactorize-warm / cold re-solve rungs.
-  std::size_t lp_recoveries = 0;
-  /// LP guard: contested solves escalated all the way to the dense tableau
-  /// oracle (the ladder's last rung).
-  std::size_t lp_oracle_fallbacks = 0;
-  /// Branch-and-price (exact/config_bound.h; 0 for every other solver):
-  /// configuration columns priced into the restricted master across the
-  /// whole search.
-  std::size_t cg_columns = 0;
-  /// Branch-and-price: pricing rounds across all configuration-LP probes
-  /// (each runs one RMP solve plus one all-machines knapsack pass).
-  std::size_t cg_pricing_rounds = 0;
-  /// Branch-and-price: config-LP probes demoted to the assignment bound —
-  /// contested RMP solves, pricing stalls, and kAuto's permanent demotion.
-  std::size_t cg_fallbacks = 0;
+/// Solver-level effort counters (core/counters.h) and certificates,
+/// reported alongside a schedule so perf work can compare algorithms by what
+/// they did (LP solves, simplex iterations, search nodes) and quality tables
+/// can distinguish proven optima from budget-exhausted incumbents.
+struct SolverStats : EffortCounters {
   /// True only when the solver certified its schedule optimal. A search
   /// solver that ran out of budget MUST leave this false — consumers treat
   /// proven results as ground truth.

@@ -70,8 +70,7 @@ class ProveSolver {
       bounder_.emplace(inst_, prune_at_, simplex);
       if (bounder_->available()) {
         lower_bound_ = std::max(
-            lower_bound_, bounder_->root_lower_bound(lower_bound_, prune_at_,
-                                                     opt_.root_bound_precision));
+            lower_bound_, bounder_->root_lower_bound(lower_bound_, prune_at_));
         // Root reduced-cost fixing: pairs the root relaxation proves
         // incompatible with beating the cutoff are excluded for the whole
         // search (never undone). The snapshot keeps the root solve's
@@ -165,16 +164,8 @@ class ProveSolver {
     ExactResult out;
     out.schedule = best_schedule_;
     out.makespan = makespan(inst_, best_schedule_);
+    if (bounder_) out.effort() = bounder_->effort();
     out.nodes = nodes_;
-    if (bounder_) {
-      out.lp_bounds_used = bounder_->probes();
-      out.lp_dual_solves = bounder_->dual_solves();
-      out.lp_iterations = bounder_->iterations();
-      out.fixed_vars = bounder_->fixed_vars();
-      out.lp_audits_suspect = bounder_->audits_suspect();
-      out.lp_recoveries = bounder_->recoveries();
-      out.lp_oracle_fallbacks = bounder_->oracle_fallbacks();
-    }
     if (cg_bounder_) {
       out.cg_columns = cg_bounder_->columns() + cg_extra_columns_;
       out.cg_pricing_rounds =

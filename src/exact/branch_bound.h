@@ -94,12 +94,6 @@ struct ExactOptions {
   /// exceeds the incumbent gap, shrinking the branching factor of the whole
   /// subtree. Requires use_lp_bounds.
   bool reduced_cost_fixing = true;
-  /// Kept for API compatibility with the PR 4 geometric root-bound
-  /// bisection; the min-makespan LP certifies the root bound exactly, so
-  /// this knob is no longer read.
-  double root_bound_precision =
-      1e-4;  // lint: allow-tolerance (unused legacy option default, kept for
-             // API compatibility; not a live numerical tolerance)
   /// Dominance memo: states kept per depth (0 disables the memo).
   std::size_t memo_limit = 256;
   /// kDive: beam width per level.
@@ -155,8 +149,12 @@ struct ExactOptions {
 /// Result contract of the exact subsystem. `proven_optimal` distinguishes
 /// ground truth from budget-exhausted incumbents; consumers (registry,
 /// experiment harness) must propagate it instead of treating every result
-/// as an optimum.
-struct ExactResult {
+/// as an optimum. The effort counters include `nodes` (DFS nodes or beam
+/// states), `lp_bounds_used` == `lp_solves` (assignment-LP probes: root
+/// search plus per-node feasibility probes), `fixed_vars` (cumulative; a
+/// subtree-local fix counts once per application), and the cg_* counters
+/// (BoundMode kConfig/kAuto; 0 under kAssignment).
+struct ExactResult : EffortCounters {
   Schedule schedule;
   double makespan = 0.0;
   /// Best certified lower bound on OPT: the combinatorial bound of
@@ -167,30 +165,6 @@ struct ExactResult {
   /// Exactly 0 iff proven_optimal.
   double gap = 0.0;
   bool proven_optimal = false;
-  /// Search-tree nodes expanded (DFS nodes or beam states).
-  std::size_t nodes = 0;
-  /// Assignment-LP relaxation probes spent on bounding (root search plus
-  /// per-node feasibility probes).
-  std::size_t lp_bounds_used = 0;
-  /// Probes the dual simplex re-optimized (vs cold/primal solves).
-  std::size_t lp_dual_solves = 0;
-  /// Simplex iterations across those probes.
-  std::size_t lp_iterations = 0;
-  /// Job-machine pairs excluded by reduced-cost fixing (cumulative across
-  /// the search; subtree-local fixes count once per application).
-  std::size_t fixed_vars = 0;
-  /// LP guard counters across all probes (see SolverStats for semantics).
-  std::size_t lp_audits_suspect = 0;
-  std::size_t lp_recoveries = 0;
-  std::size_t lp_oracle_fallbacks = 0;
-  /// Branch-and-price effort (BoundMode kConfig/kAuto; 0 under kAssignment):
-  /// configuration columns priced into the RMP, pricing rounds across all
-  /// config-LP probes, and probes demoted to the assignment bound
-  /// (contested RMP solves, pricing stalls, and kAuto's permanent
-  /// demotion). See SolverStats for the record-pipeline echo.
-  std::size_t cg_columns = 0;
-  std::size_t cg_pricing_rounds = 0;
-  std::size_t cg_fallbacks = 0;
 };
 
 /// Exact / ground-truth solver over job -> machine assignments.

@@ -38,17 +38,7 @@ ExactResult dive_then_prove(const Instance& inst, const ExactOptions& opt) {
 
   // One RunRecord for the whole chain: effort counters are the sum of both
   // phases, and the certificate keeps the stronger of the two lower bounds.
-  out.nodes += dive.nodes;
-  out.lp_bounds_used += dive.lp_bounds_used;
-  out.lp_dual_solves += dive.lp_dual_solves;
-  out.lp_iterations += dive.lp_iterations;
-  out.fixed_vars += dive.fixed_vars;
-  out.lp_audits_suspect += dive.lp_audits_suspect;
-  out.lp_recoveries += dive.lp_recoveries;
-  out.lp_oracle_fallbacks += dive.lp_oracle_fallbacks;
-  out.cg_columns += dive.cg_columns;
-  out.cg_pricing_rounds += dive.cg_pricing_rounds;
-  out.cg_fallbacks += dive.cg_fallbacks;
+  out += dive;
   if (!out.proven_optimal && dive.lower_bound > out.lower_bound) {
     certify(&out, dive.lower_bound, /*search_complete=*/false);
   }

@@ -99,8 +99,7 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
     bounder.emplace(inst, prune_at, simplex);
     if (bounder->available()) {
       lower_bound = std::max(
-          lower_bound, bounder->root_lower_bound(lower_bound, prune_at,
-                                                 opt.root_bound_precision));
+          lower_bound, bounder->root_lower_bound(lower_bound, prune_at));
       // Root reduced-cost fixing at the real cutoff (incumbent and external
       // bound, not just the trivial incumbent): pairs that provably cannot
       // beat it never enter the beam, cutting the branching factor of
@@ -220,16 +219,8 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
 
   out.schedule = std::move(best_schedule);
   out.makespan = makespan(inst, out.schedule);
+  if (bounder) out.effort() = bounder->effort();
   out.nodes = nodes;
-  if (bounder) {
-    out.lp_bounds_used = bounder->probes();
-    out.lp_dual_solves = bounder->dual_solves();
-    out.lp_iterations = bounder->iterations();
-    out.fixed_vars = bounder->fixed_vars();
-    out.lp_audits_suspect = bounder->audits_suspect();
-    out.lp_recoveries = bounder->recoveries();
-    out.lp_oracle_fallbacks = bounder->oracle_fallbacks();
-  }
   // If no state was ever dropped for width or time, the beam covered every
   // state that could beat the incumbent/cutoff (up to sound symmetry/
   // dominance/cutoff skips) and the dive degenerates to an exhaustive

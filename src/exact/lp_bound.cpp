@@ -35,9 +35,7 @@ bool LpBounder::feasible(double T) {
   return feasible;
 }
 
-double LpBounder::root_lower_bound(double lo, double hi,
-                                   double precision) {
-  (void)precision;  // the LP optimum needs no bisection
+double LpBounder::root_lower_bound(double lo, double hi, double) {
   if (!lp_ || hi <= 0.0 || lo >= hi) return lo;
   const std::optional<double> value = lp_->min_makespan(hi);
   if (!value.has_value()) return lo;  // impossible pins cannot happen at root

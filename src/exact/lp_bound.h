@@ -60,11 +60,11 @@ class LpBounder {
   /// Certified lower bound on OPT from the unpinned relaxation: the LP
   /// minimum fractional makespan, never below `lo` (itself a valid bound).
   /// Call before any pins are set. `hi` caps the eligibility filters (any
-  /// schedule of interest has makespan <= hi); `precision` is kept for API
-  /// compatibility with the PR 4 bisection and is unused — the LP optimum is
-  /// exact.
+  /// schedule of interest has makespan <= hi). The LP optimum is exact, so
+  /// the third argument (a bisection precision once) is ignored; it stays
+  /// only so existing three-argument callers compile.
   [[nodiscard]] double root_lower_bound(double lo, double hi,
-                                        double precision);
+                                        double /*unused*/ = 0.0);
 
   /// Reduced-cost fixing against the most recent probe (feasible() /
   /// root_lower_bound()): fixes every free pair that provably cannot appear
@@ -98,31 +98,19 @@ class LpBounder {
     return lp_ && lp_->pair_fixed(j, i);
   }
 
-  /// LP probes issued (root search + node probes).
-  [[nodiscard]] std::size_t probes() const noexcept {
-    return lp_ ? lp_->lp_solves() : 0;
-  }
-  /// Probes the dual simplex re-optimized.
-  [[nodiscard]] std::size_t dual_solves() const noexcept {
-    return lp_ ? lp_->dual_solves() : 0;
+  /// Probe effort: lp_solves == lp_bounds_used (root search + node probes),
+  /// lp_iterations, lp_dual_solves, the guard counters, and fixed_vars
+  /// (total pairs ever fixed by fix_dominated, cumulative before undos).
+  [[nodiscard]] EffortCounters effort() const noexcept {
+    EffortCounters out;
+    if (lp_) out = lp_->effort();
+    out.lp_bounds_used = out.lp_solves;
+    out.fixed_vars = fixed_;
+    return out;
   }
   /// Simplex iterations across all probes.
   [[nodiscard]] std::size_t iterations() const noexcept {
-    return lp_ ? lp_->simplex_iterations() : 0;
-  }
-  /// Total pairs ever fixed by fix_dominated (cumulative, before undos).
-  [[nodiscard]] std::size_t fixed_vars() const noexcept { return fixed_; }
-  /// Probes whose post-solve residual audit was contested.
-  [[nodiscard]] std::size_t audits_suspect() const noexcept {
-    return lp_ ? lp_->audits_suspect() : 0;
-  }
-  /// Contested probes the guard's ladder recovered (warm/cold re-solve).
-  [[nodiscard]] std::size_t recoveries() const noexcept {
-    return lp_ ? lp_->recoveries() : 0;
-  }
-  /// Contested probes escalated to the dense tableau oracle.
-  [[nodiscard]] std::size_t oracle_fallbacks() const noexcept {
-    return lp_ ? lp_->oracle_fallbacks() : 0;
+    return lp_ ? lp_->effort().lp_iterations : 0;
   }
 
  private:

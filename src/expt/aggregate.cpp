@@ -1,6 +1,7 @@
 #include "expt/aggregate.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <ostream>
@@ -23,20 +24,11 @@ struct Bucket {
   std::size_t timeout = 0;
   std::vector<double> ratios;         // ok cells only
   std::vector<double> times_ms;       // ok cells only
-  std::vector<double> lp_solves;       // ok cells only
-  std::vector<double> lp_iterations;   // ok cells only
-  std::vector<double> lp_dual_solves;  // ok cells only
-  std::vector<double> fixed_vars;      // ok cells only
-  std::vector<double> lp_pct;          // ok cells with time_ms > 0
-  std::vector<double> pricing_pct;     // ok cells with time_ms > 0
+  std::array<std::vector<double>, kCounterCount> counters;  // ok cells only
+  std::vector<double> lp_pct;         // ok cells with time_ms > 0
+  std::vector<double> pricing_pct;    // ok cells with time_ms > 0
   std::size_t proven = 0;             // ok cells certified optimal
   std::vector<double> gaps;           // ok cells with a certificate
-  std::vector<double> audits_suspect;    // ok cells only
-  std::vector<double> recoveries;        // ok cells only
-  std::vector<double> oracle_fallbacks;  // ok cells only
-  std::vector<double> cg_columns;         // ok cells only
-  std::vector<double> cg_pricing_rounds;  // ok cells only
-  std::vector<double> cg_fallbacks;       // ok cells only
 };
 
 void write_double(std::ostream& os, double v) {
@@ -64,20 +56,10 @@ std::vector<AggregateSummary> aggregate(std::span<const RunRecord> records) {
         ++bucket.ok;
         bucket.ratios.push_back(r.ratio);
         bucket.times_ms.push_back(r.time_ms);
-        bucket.lp_solves.push_back(static_cast<double>(r.lp_solves));
-        bucket.lp_iterations.push_back(static_cast<double>(r.lp_iterations));
-        bucket.lp_dual_solves.push_back(
-            static_cast<double>(r.lp_dual_solves));
-        bucket.fixed_vars.push_back(static_cast<double>(r.fixed_vars));
-        bucket.audits_suspect.push_back(
-            static_cast<double>(r.lp_audits_suspect));
-        bucket.recoveries.push_back(static_cast<double>(r.lp_recoveries));
-        bucket.oracle_fallbacks.push_back(
-            static_cast<double>(r.lp_oracle_fallbacks));
-        bucket.cg_columns.push_back(static_cast<double>(r.cg_columns));
-        bucket.cg_pricing_rounds.push_back(
-            static_cast<double>(r.cg_pricing_rounds));
-        bucket.cg_fallbacks.push_back(static_cast<double>(r.cg_fallbacks));
+        for (std::size_t c = 0; c < kCounterCount; ++c) {
+          bucket.counters[c].push_back(
+              static_cast<double>(r.*kCounters[c].field));
+        }
         if (r.time_ms > 0.0) {
           bucket.lp_pct.push_back(100.0 * r.phase_ms.lp_ms() / r.time_ms);
           bucket.pricing_pct.push_back(
@@ -121,32 +103,27 @@ std::vector<AggregateSummary> aggregate(std::span<const RunRecord> records) {
       s.time_p50_ms = percentile(bucket.times_ms, 0.5);
       s.time_p95_ms = percentile(bucket.times_ms, 0.95);
     }
-    s.lp_solves_mean = mean(bucket.lp_solves);
-    s.lp_iterations_mean = mean(bucket.lp_iterations);
-    s.lp_dual_solves_mean = mean(bucket.lp_dual_solves);
-    s.fixed_vars_mean = mean(bucket.fixed_vars);
+    for (std::size_t c = 0; c < kCounterCount; ++c) {
+      s.counter_mean[c] = mean(bucket.counters[c]);
+    }
     s.lp_pct_mean = mean(bucket.lp_pct);
     s.pricing_pct_mean = mean(bucket.pricing_pct);
     s.proven = bucket.proven;
     s.certified = bucket.gaps.size();
     s.gap_mean = mean(bucket.gaps);
-    s.lp_audits_suspect_mean = mean(bucket.audits_suspect);
-    s.lp_recoveries_mean = mean(bucket.recoveries);
-    s.lp_oracle_fallbacks_mean = mean(bucket.oracle_fallbacks);
-    s.cg_columns_mean = mean(bucket.cg_columns);
-    s.cg_pricing_rounds_mean = mean(bucket.cg_pricing_rounds);
-    s.cg_fallbacks_mean = mean(bucket.cg_fallbacks);
     summaries.push_back(std::move(s));
   }
   return summaries;  // std::map iterates keys in (solver, preset) order
 }
 
 Table summary_table(std::span<const AggregateSummary> summaries) {
-  Table table({"solver", "preset", "cells", "ok", "skipped", "failed",
-               "timeout", "proven", "gap_mean", "ratio_mean", "ratio_max",
-               "time_p50_ms", "time_p95_ms", "lp_solves", "lp_iters",
-               "lp_dual", "fixed", "suspect", "recov", "oracle", "cg_cols",
-               "cg_rounds", "cg_fb", "lp%", "pricing%"});
+  std::vector<std::string> header = {
+      "solver",     "preset",     "cells",      "ok",         "skipped",
+      "failed",     "timeout",    "proven",     "gap_mean",   "ratio_mean",
+      "ratio_max",  "time_p50_ms", "time_p95_ms"};
+  for (const CounterInfo& c : kCounters) header.emplace_back(c.label);
+  header.insert(header.end(), {"lp%", "pricing%"});
+  Table table(std::move(header));
   for (const AggregateSummary& s : summaries) {
     table.row()
         .add(s.solver)
@@ -161,19 +138,9 @@ Table summary_table(std::span<const AggregateSummary> summaries) {
         .add(s.ratio_mean)
         .add(s.ratio_max)
         .add(s.time_p50_ms, 2)
-        .add(s.time_p95_ms, 2)
-        .add(s.lp_solves_mean, 1)
-        .add(s.lp_iterations_mean, 1)
-        .add(s.lp_dual_solves_mean, 1)
-        .add(s.fixed_vars_mean, 1)
-        .add(s.lp_audits_suspect_mean, 1)
-        .add(s.lp_recoveries_mean, 1)
-        .add(s.lp_oracle_fallbacks_mean, 1)
-        .add(s.cg_columns_mean, 1)
-        .add(s.cg_pricing_rounds_mean, 1)
-        .add(s.cg_fallbacks_mean, 1)
-        .add(s.lp_pct_mean, 1)
-        .add(s.pricing_pct_mean, 1);
+        .add(s.time_p95_ms, 2);
+    for (const double value : s.counter_mean) table.add(value, 1);
+    table.add(s.lp_pct_mean, 1).add(s.pricing_pct_mean, 1);
   }
   return table;
 }
@@ -228,26 +195,10 @@ void write_bench_json(std::ostream& os, const ExperimentPlan& plan,
     write_double(os, s.time_p50_ms);
     os << ", \"time_p95_ms\": ";
     write_double(os, s.time_p95_ms);
-    os << ", \"lp_solves_mean\": ";
-    write_double(os, s.lp_solves_mean);
-    os << ", \"lp_iterations_mean\": ";
-    write_double(os, s.lp_iterations_mean);
-    os << ", \"lp_dual_solves_mean\": ";
-    write_double(os, s.lp_dual_solves_mean);
-    os << ", \"fixed_vars_mean\": ";
-    write_double(os, s.fixed_vars_mean);
-    os << ", \"lp_audits_suspect_mean\": ";
-    write_double(os, s.lp_audits_suspect_mean);
-    os << ", \"lp_recoveries_mean\": ";
-    write_double(os, s.lp_recoveries_mean);
-    os << ", \"lp_oracle_fallbacks_mean\": ";
-    write_double(os, s.lp_oracle_fallbacks_mean);
-    os << ", \"cg_columns_mean\": ";
-    write_double(os, s.cg_columns_mean);
-    os << ", \"cg_pricing_rounds_mean\": ";
-    write_double(os, s.cg_pricing_rounds_mean);
-    os << ", \"cg_fallbacks_mean\": ";
-    write_double(os, s.cg_fallbacks_mean);
+    for (std::size_t c = 0; c < kCounterCount; ++c) {
+      os << ", \"" << kCounters[c].name << "_mean\": ";
+      write_double(os, s.counter_mean[c]);
+    }
     os << ", \"lp_pct_mean\": ";
     write_double(os, s.lp_pct_mean);
     os << ", \"pricing_pct_mean\": ";

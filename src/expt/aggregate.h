@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
 #include <span>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "common/table.h"
+#include "core/counters.h"
 #include "expt/plan.h"
 #include "expt/record.h"
 
@@ -27,14 +29,9 @@ struct AggregateSummary {
   double ratio_max = 0.0;
   double time_p50_ms = 0.0;
   double time_p95_ms = 0.0;
-  /// Mean solver-level LP effort over the ok cells (0 for LP-free solvers),
-  /// so perf PRs can compare simplex work, not just wall clock.
-  double lp_solves_mean = 0.0;
-  double lp_iterations_mean = 0.0;
-  /// Mean dual-simplex re-optimizations and reduced-cost-fixed variables
-  /// over the ok cells (the PR 5 LP-substrate effort counters).
-  double lp_dual_solves_mean = 0.0;
-  double fixed_vars_mean = 0.0;
+  /// Mean of each effort counter over the ok cells, indexed like
+  /// kCounters (core/counters.h), e.g. counter_mean[counter::lp_solves].
+  std::array<double, kCounterCount> counter_mean{};
   /// Mean percent of a cell's wall clock spent in the LP substrate
   /// (phase_ms["lp_solve"] / time_ms) resp. LP pricing passes, over the ok
   /// cells with timing on (time_ms > 0). 0 when timing was off.
@@ -47,19 +44,6 @@ struct AggregateSummary {
   std::size_t certified = 0;
   /// Mean certified gap over those cells (0 when none are certified).
   double gap_mean = 0.0;
-  /// Mean LP guard activity over the ok cells (lp/guard.h counters): audits
-  /// contested, recoveries by warm/cold re-solve, and tableau-oracle
-  /// escalations. All 0 when the guard is off (the default outside the
-  /// exact bounder) or nothing was contested.
-  double lp_audits_suspect_mean = 0.0;
-  double lp_recoveries_mean = 0.0;
-  double lp_oracle_fallbacks_mean = 0.0;
-  /// Mean branch-and-price effort over the ok cells (exact/config_bound.h
-  /// counters): configuration columns priced, pricing rounds, and probes
-  /// demoted to the assignment bound. All 0 outside BoundMode kConfig/kAuto.
-  double cg_columns_mean = 0.0;
-  double cg_pricing_rounds_mean = 0.0;
-  double cg_fallbacks_mean = 0.0;
 
   [[nodiscard]] bool operator==(const AggregateSummary&) const = default;
 };

@@ -113,18 +113,7 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
     record.ratio =
         point.lower_bound > 0.0 ? result.makespan / point.lower_bound : 1.0;
     record.setups = total_setups(point.input.instance, result.schedule);
-    record.lp_solves = result.stats.lp_solves;
-    record.lp_iterations = result.stats.lp_iterations;
-    record.lp_dual_solves = result.stats.lp_dual_solves;
-    record.fixed_vars = result.stats.fixed_vars;
-    record.lp_audits_suspect = result.stats.lp_audits_suspect;
-    record.lp_recoveries = result.stats.lp_recoveries;
-    record.lp_oracle_fallbacks = result.stats.lp_oracle_fallbacks;
-    record.cg_columns = result.stats.cg_columns;
-    record.cg_pricing_rounds = result.stats.cg_pricing_rounds;
-    record.cg_fallbacks = result.stats.cg_fallbacks;
-    record.nodes = result.stats.nodes;
-    record.lp_bounds_used = result.stats.lp_bounds_used;
+    record.effort() = result.stats.effort();
     record.proven_optimal = result.stats.proven_optimal;
     record.gap = result.stats.gap;
     // Watchdog verdict comes last: the schedule above was still validated

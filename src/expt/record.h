@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/counters.h"
 #include "obs/phase.h"
 
 namespace setsched::expt {
@@ -29,10 +30,11 @@ enum class RunStatus {
 
 /// One structured result row of an experiment sweep: the cell key
 /// (solver, preset, seed), the instance shape, the measured outcome, and an
-/// echo of the solver-context knobs so a record is self-describing. Streamed
-/// as JSONL/CSV by record_io.h and consumed by aggregate.h. The 32-key
-/// field-by-field schema is documented in docs/BENCH_SCHEMA.md.
-struct RunRecord {
+/// echo of the solver-context knobs so a record is self-describing. The
+/// effort counters (core/counters.h) echo SolverStats. Streamed as JSONL/CSV
+/// by record_io.h and consumed by aggregate.h. The 32-key field-by-field
+/// schema is documented in docs/BENCH_SCHEMA.md.
+struct RunRecord : EffortCounters {
   std::string solver;
   std::string preset;
   std::uint64_t seed = 0;       ///< instance seed (member of the preset family)
@@ -49,40 +51,15 @@ struct RunRecord {
   std::size_t setups = 0;    ///< total setups paid across machines
   double time_ms = 0.0;      ///< wall time of solve(); 0 when timing is off
   /// Per-phase breakdown of time_ms (src/obs accounting); all zeros when
-  /// timing is off. The ONE optional JSONL key: lines written before the
-  /// observability PR parse with an empty breakdown.
+  /// timing is off. Optional on JSONL read: lines written before the phase
+  /// ledger parse with an empty breakdown.
   obs::PhaseTimes phase_ms;
-
-  // Solver-level effort counters (SolverStats echo; 0 for LP-free solvers),
-  // so perf PRs can report simplex work, not just wall clock.
-  std::size_t lp_solves = 0;
-  std::size_t lp_iterations = 0;
-  /// LP solves the dual simplex re-optimized (warm probes after an
-  /// rhs/bound mutation; explicit kDual runs). 0 for primal-only solves.
-  std::size_t lp_dual_solves = 0;
-  /// Job-machine variables excluded by reduced-cost fixing at search nodes
-  /// (exact solvers with LP bounds; 0 elsewhere).
-  std::size_t fixed_vars = 0;
-  // LP guard counters (SolverStats echo; lp/guard.h). OPTIONAL on JSONL
-  // read, like phase_ms: lines written before the numerical-safety-net PR
-  // parse with zeros.
-  std::size_t lp_audits_suspect = 0;  ///< post-solve audits contested
-  std::size_t lp_recoveries = 0;      ///< recovered by warm/cold re-solve
-  std::size_t lp_oracle_fallbacks = 0;  ///< escalated to the tableau oracle
-  // Branch-and-price counters (SolverStats echo; exact/config_bound.h).
-  // OPTIONAL on JSONL read, like the guard counters: lines written before
-  // the branch-and-price PR parse with zeros.
-  std::size_t cg_columns = 0;         ///< configuration columns priced in
-  std::size_t cg_pricing_rounds = 0;  ///< RMP solve + pricing passes
-  std::size_t cg_fallbacks = 0;       ///< probes demoted to assignment bound
 
   // Search certificate (SolverStats echo). Every record carries these so
   // quality tables can separate proven optima from budget-exhausted
   // incumbents: proven_optimal is true only for solver-certified optima, and
   // gap is the certified relative gap (>= 0) or -1 when the solver issues no
   // certificate (heuristics).
-  std::size_t nodes = 0;
-  std::size_t lp_bounds_used = 0;
   bool proven_optimal = false;
   double gap = -1.0;
 

@@ -1,5 +1,6 @@
 #include "expt/record_io.h"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/format.h"
+#include "core/counters.h"
 #include "obs/phase.h"
 
 namespace setsched::expt {
@@ -174,20 +176,31 @@ bool to_bool(std::string_view token, const LineParser& p) {
   p.fail("bad boolean '" + std::string(token) + "'");
 }
 
+/// JSONL keys outside the counter table, in write_jsonl() order. All are
+/// required on read except phase_ms (lines written before the phase ledger
+/// parse with an empty breakdown).
+constexpr std::array<std::string_view, 20> kRecordKeys = {
+    "solver",   "preset",      "seed",           "cell_seed", "n",
+    "m",        "classes",     "status",         "makespan",  "lower_bound",
+    "ratio",    "setups",      "time_ms",        "phase_ms",  "proven_optimal",
+    "gap",      "epsilon",     "precision",      "time_limit_s", "error"};
+
+/// Slot of `key` in the per-line seen flags: kRecordKeys first, then the
+/// counter table. Unknown keys are a parse error.
+std::size_t key_slot(std::string_view key, const LineParser& p) {
+  for (std::size_t i = 0; i < kRecordKeys.size(); ++i) {
+    if (kRecordKeys[i] == key) return i;
+  }
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (kCounters[i].name == key) return kRecordKeys.size() + i;
+  }
+  p.fail("unknown key '" + std::string(key) + "'");
+}
+
 RunRecord parse_record_line(std::string_view line) {
   LineParser p{line};
   RunRecord r;
-  // Bitmask of the keys, in write_jsonl() order. Bits 0-24 are the required
-  // keys; bit 25 (phase_ms), bits 26-28 (the LP guard counters), and bits
-  // 29-31 (the branch-and-price counters) are OPTIONAL on read — lines
-  // written before the observability / safety-net / branch-and-price PRs
-  // parse with an empty breakdown and zero counters — and their bits only
-  // guard against duplicates.
-  unsigned seen = 0;
-  const auto mark = [&](unsigned bit) {
-    if (seen & (1u << bit)) p.fail("duplicate key");
-    seen |= 1u << bit;
-  };
+  std::array<bool, kRecordKeys.size() + kCounterCount> seen{};
 
   p.expect('{');
   bool first = true;
@@ -196,34 +209,39 @@ RunRecord parse_record_line(std::string_view line) {
     first = false;
     const std::string key = p.parse_string();
     p.expect(':');
-    if (key == "solver") {
-      mark(0), r.solver = p.parse_string();
+    const std::size_t slot = key_slot(key, p);
+    if (seen[slot]) p.fail("duplicate key '" + key + "'");
+    seen[slot] = true;
+    if (slot >= kRecordKeys.size()) {
+      r.*kCounters[slot - kRecordKeys.size()].field =
+          to_integer<std::size_t>(p.parse_number_token(), p);
+    } else if (key == "solver") {
+      r.solver = p.parse_string();
     } else if (key == "preset") {
-      mark(1), r.preset = p.parse_string();
+      r.preset = p.parse_string();
     } else if (key == "seed") {
-      mark(2), r.seed = to_integer<std::uint64_t>(p.parse_number_token(), p);
+      r.seed = to_integer<std::uint64_t>(p.parse_number_token(), p);
     } else if (key == "cell_seed") {
-      mark(3), r.cell_seed = to_integer<std::uint64_t>(p.parse_number_token(), p);
+      r.cell_seed = to_integer<std::uint64_t>(p.parse_number_token(), p);
     } else if (key == "n") {
-      mark(4), r.num_jobs = to_integer<std::size_t>(p.parse_number_token(), p);
+      r.num_jobs = to_integer<std::size_t>(p.parse_number_token(), p);
     } else if (key == "m") {
-      mark(5), r.num_machines = to_integer<std::size_t>(p.parse_number_token(), p);
+      r.num_machines = to_integer<std::size_t>(p.parse_number_token(), p);
     } else if (key == "classes") {
-      mark(6), r.num_classes = to_integer<std::size_t>(p.parse_number_token(), p);
+      r.num_classes = to_integer<std::size_t>(p.parse_number_token(), p);
     } else if (key == "status") {
-      mark(7), r.status = run_status_from_name(p.parse_string());
+      r.status = run_status_from_name(p.parse_string());
     } else if (key == "makespan") {
-      mark(8), r.makespan = to_double(p.parse_number_token(), p);
+      r.makespan = to_double(p.parse_number_token(), p);
     } else if (key == "lower_bound") {
-      mark(9), r.lower_bound = to_double(p.parse_number_token(), p);
+      r.lower_bound = to_double(p.parse_number_token(), p);
     } else if (key == "ratio") {
-      mark(10), r.ratio = to_double(p.parse_number_token(), p);
+      r.ratio = to_double(p.parse_number_token(), p);
     } else if (key == "setups") {
-      mark(11), r.setups = to_integer<std::size_t>(p.parse_number_token(), p);
+      r.setups = to_integer<std::size_t>(p.parse_number_token(), p);
     } else if (key == "time_ms") {
-      mark(12), r.time_ms = to_double(p.parse_number_token(), p);
+      r.time_ms = to_double(p.parse_number_token(), p);
     } else if (key == "phase_ms") {
-      mark(25);
       p.expect('{');
       if (p.peek() != '}') {
         while (true) {
@@ -239,59 +257,34 @@ RunRecord parse_record_line(std::string_view line) {
         }
       }
       p.expect('}');
-    } else if (key == "lp_solves") {
-      mark(13), r.lp_solves = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_iterations") {
-      mark(14),
-          r.lp_iterations = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_dual_solves") {
-      mark(15),
-          r.lp_dual_solves = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "fixed_vars") {
-      mark(16),
-          r.fixed_vars = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_audits_suspect") {
-      mark(26), r.lp_audits_suspect =
-                    to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_recoveries") {
-      mark(27),
-          r.lp_recoveries = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_oracle_fallbacks") {
-      mark(28), r.lp_oracle_fallbacks =
-                    to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "cg_columns") {
-      mark(29),
-          r.cg_columns = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "cg_pricing_rounds") {
-      mark(30), r.cg_pricing_rounds =
-                    to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "cg_fallbacks") {
-      mark(31),
-          r.cg_fallbacks = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "nodes") {
-      mark(17), r.nodes = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_bounds_used") {
-      mark(18),
-          r.lp_bounds_used = to_integer<std::size_t>(p.parse_number_token(), p);
     } else if (key == "proven_optimal") {
-      mark(19), r.proven_optimal = to_bool(p.parse_number_token(), p);
+      r.proven_optimal = to_bool(p.parse_number_token(), p);
     } else if (key == "gap") {
-      mark(20), r.gap = to_double(p.parse_number_token(), p);
+      r.gap = to_double(p.parse_number_token(), p);
     } else if (key == "epsilon") {
-      mark(21), r.epsilon = to_double(p.parse_number_token(), p);
+      r.epsilon = to_double(p.parse_number_token(), p);
     } else if (key == "precision") {
-      mark(22), r.precision = to_double(p.parse_number_token(), p);
+      r.precision = to_double(p.parse_number_token(), p);
     } else if (key == "time_limit_s") {
-      mark(23), r.time_limit_s = to_double(p.parse_number_token(), p);
+      r.time_limit_s = to_double(p.parse_number_token(), p);
     } else if (key == "error") {
-      mark(24), r.error = p.parse_string();
+      r.error = p.parse_string();
     } else {
-      p.fail("unknown key '" + key + "'");
+      p.fail("unhandled key '" + key + "'");
     }
   }
   p.expect('}');
   if (!p.at_end()) p.fail("trailing content");
-  if ((seen & ((1u << 25) - 1)) != (1u << 25) - 1) p.fail("missing keys");
+  for (std::size_t i = 0; i < kRecordKeys.size(); ++i) {
+    if (!seen[i] && kRecordKeys[i] != "phase_ms") {
+      p.fail("missing key '" + std::string(kRecordKeys[i]) + "'");
+    }
+  }
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (!seen[kRecordKeys.size() + i] && !kCounters[i].optional) {
+      p.fail("missing key '" + std::string(kCounters[i].name) + "'");
+    }
+  }
   return r;
 }
 
@@ -355,18 +348,9 @@ void write_jsonl(std::ostream& os, const RunRecord& r) {
   write_double(os, r.time_ms);
   os << ",\"phase_ms\":";
   write_phase_object(os, r.phase_ms);
-  os << ",\"lp_solves\":" << r.lp_solves;
-  os << ",\"lp_iterations\":" << r.lp_iterations;
-  os << ",\"lp_dual_solves\":" << r.lp_dual_solves;
-  os << ",\"fixed_vars\":" << r.fixed_vars;
-  os << ",\"lp_audits_suspect\":" << r.lp_audits_suspect;
-  os << ",\"lp_recoveries\":" << r.lp_recoveries;
-  os << ",\"lp_oracle_fallbacks\":" << r.lp_oracle_fallbacks;
-  os << ",\"cg_columns\":" << r.cg_columns;
-  os << ",\"cg_pricing_rounds\":" << r.cg_pricing_rounds;
-  os << ",\"cg_fallbacks\":" << r.cg_fallbacks;
-  os << ",\"nodes\":" << r.nodes;
-  os << ",\"lp_bounds_used\":" << r.lp_bounds_used;
+  for (const CounterInfo& c : kCounters) {
+    os << ",\"" << c.name << "\":" << r.*c.field;
+  }
   os << ",\"proven_optimal\":" << (r.proven_optimal ? "true" : "false");
   os << ",\"gap\":";
   write_double(os, r.gap);
@@ -401,11 +385,9 @@ std::vector<RunRecord> read_jsonl(std::istream& is) {
 
 void write_csv(std::ostream& os, std::span<const RunRecord> records) {
   os << "solver,preset,seed,cell_seed,n,m,classes,status,makespan,"
-        "lower_bound,ratio,setups,time_ms,phase_ms,lp_solves,lp_iterations,"
-        "lp_dual_solves,fixed_vars,lp_audits_suspect,lp_recoveries,"
-        "lp_oracle_fallbacks,cg_columns,cg_pricing_rounds,cg_fallbacks,nodes,"
-        "lp_bounds_used,proven_optimal,gap,epsilon,precision,time_limit_s,"
-        "error\n";
+        "lower_bound,ratio,setups,time_ms,phase_ms,";
+  for (const CounterInfo& c : kCounters) os << c.name << ',';
+  os << "proven_optimal,gap,epsilon,precision,time_limit_s,error\n";
   for (const RunRecord& r : records) {
     write_csv_field(os, r.solver);
     os << ',';
@@ -436,13 +418,8 @@ void write_csv(std::ostream& os, std::span<const RunRecord> records) {
       }
       write_csv_field(os, phases.str());
     }
-    os << ',' << r.lp_solves << ',' << r.lp_iterations << ','
-       << r.lp_dual_solves << ',' << r.fixed_vars << ','
-       << r.lp_audits_suspect << ',' << r.lp_recoveries << ','
-       << r.lp_oracle_fallbacks << ',' << r.cg_columns << ','
-       << r.cg_pricing_rounds << ',' << r.cg_fallbacks << ',' << r.nodes
-       << ',' << r.lp_bounds_used << ','
-       << (r.proven_optimal ? "true" : "false") << ',';
+    for (const CounterInfo& c : kCounters) os << ',' << r.*c.field;
+    os << ',' << (r.proven_optimal ? "true" : "false") << ',';
     write_double(os, r.gap);
     os << ',';
     write_double(os, r.epsilon);

@@ -15,7 +15,9 @@ void write_jsonl(std::ostream& os, const RunRecord& record);
 void write_jsonl(std::ostream& os, std::span<const RunRecord> records);
 
 /// Parses a stream of write_jsonl() lines back into records (key order does
-/// not matter; unknown keys are rejected). Blank lines are skipped. Throws
+/// not matter; unknown, duplicate and missing keys are rejected, except that
+/// phase_ms and the counters core/counters.h marks optional may be absent
+/// and read as empty / 0). Blank lines are skipped. Throws
 /// CheckError on malformed input, so round trips are exact or loud.
 [[nodiscard]] std::vector<RunRecord> read_jsonl(std::istream& is);
 

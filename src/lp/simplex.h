@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/counters.h"
 #include "lp/model.h"
 
 namespace setsched::lp {
@@ -96,6 +97,12 @@ struct Solution {
   [[nodiscard]] bool audit_contested() const noexcept {
     return audit_verdict == AuditVerdict::kSuspect ||
            audit_verdict == AuditVerdict::kFailed;
+  }
+  /// Adds this solve's guard-ladder counters to a solver's effort.
+  void add_guard_counters(EffortCounters& effort) const noexcept {
+    effort.lp_audits_suspect += audits_suspect;
+    effort.lp_recoveries += recoveries;
+    effort.lp_oracle_fallbacks += oracle_fallbacks;
   }
 };
 

@@ -6,7 +6,10 @@
 
 namespace setsched {
 
-struct ConstantApproxResult {
+/// The effort counters sum every probe of the T-search (including infeasible
+/// probes, which still cost pivots): lp_solves, lp_iterations, and the guard
+/// counters.
+struct ConstantApproxResult : EffortCounters {
   Schedule schedule;
   double makespan = 0.0;
   /// LP-feasible makespan guess the rounding worked against.
@@ -14,10 +17,6 @@ struct ConstantApproxResult {
   /// Proven lower bound on OPT (largest T where LP-RelaxedRA was infeasible,
   /// or the trivial floor).
   double lp_lower_bound = 0.0;
-  std::size_t lp_solves = 0;
-  /// Simplex iterations summed over every probe of the T-search (including
-  /// infeasible probes, which still cost pivots).
-  std::size_t lp_iterations = 0;
 };
 
 /// Theorem 3.10: 2-approximation for restricted assignment with

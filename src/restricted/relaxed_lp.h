@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "common/matrix.h"
+#include "core/counters.h"
 #include "core/instance.h"
 #include "lp/simplex.h"
 
@@ -29,12 +30,13 @@ struct RelaxedLp {
 /// the tableau oracle). The returned solution is basic, i.e. an extreme
 /// point — required by the pseudoforest rounding, and guaranteed by both
 /// implementations. Returns std::nullopt iff infeasible. Classes without
-/// jobs get an all-zero xbar row. When `iterations` is non-null the solve's
-/// simplex iteration count is ADDED to it (also for infeasible probes,
-/// which still cost pivots — the T-search reports the sum).
+/// jobs get an all-zero xbar row. When `effort` is non-null the call is
+/// ADDED to it as one lp_solve with its simplex iterations and guard
+/// counters (also for infeasible probes, which still cost pivots — the
+/// T-search reports the sum).
 [[nodiscard]] std::optional<RelaxedLp> solve_relaxed_lp(
     const Instance& instance, double T, const lp::SimplexOptions& options = {},
-    std::size_t* iterations = nullptr);
+    EffortCounters* effort = nullptr);
 
 /// Largest trivially LP-infeasible T:
 ///   max( max_k min_i (s_ik + max_{j∈k} p_ij) ,

@@ -186,7 +186,7 @@ void ParametricAssignmentLp::unpin_job(JobId j) {
 }
 
 lp::Solution ParametricAssignmentLp::run_solve(double T) {
-  ++lp_solves_;
+  ++effort_.lp_solves;
   last_iterations_ = 0;
   last_via_dual_ = false;
   // Infeasibility by structure (a pin onto a variable absent from the model)
@@ -202,19 +202,17 @@ lp::Solution ParametricAssignmentLp::run_solve(double T) {
 
   lp::SimplexOptions simplex = options_.simplex;
   if (options_.audit_interval > 0 &&
-      (lp_solves_ - 1) % options_.audit_interval == 0) {
+      (effort_.lp_solves - 1) % options_.audit_interval == 0) {
     simplex.guard = true;
   }
   if (!basis_.empty()) simplex.warm_start = &basis_;
   sol = lp::solve(model_, simplex);
-  iterations_ += sol.iterations;
+  effort_.lp_iterations += sol.iterations;
   last_iterations_ = sol.iterations;
   last_via_dual_ = sol.via_dual;
   last_verdict_ = sol.audit_verdict;
-  audits_suspect_ += sol.audits_suspect;
-  recoveries_ += sol.recoveries;
-  oracle_fallbacks_ += sol.oracle_fallbacks;
-  if (sol.via_dual) ++dual_solves_;
+  sol.add_guard_counters(effort_);
+  if (sol.via_dual) ++effort_.lp_dual_solves;
   // Optimal bases always join the warm-start chain. An infeasible probe's
   // basis joins only when the dual simplex produced it: a dual-terminal
   // basis is still dual-feasible and re-optimizes the next probe in a few
@@ -441,12 +439,7 @@ LpSearchResult search_assignment_lp(const Instance& instance, double precision,
     out.feasible_T = feasible_T;
     out.lower_bound = lower_bound;
     out.fractional = std::move(fractional);
-    out.lp_solves = lp.lp_solves();
-    out.lp_dual_solves = lp.dual_solves();
-    out.simplex_iterations = lp.simplex_iterations();
-    out.lp_audits_suspect = lp.audits_suspect();
-    out.lp_recoveries = lp.recoveries();
-    out.lp_oracle_fallbacks = lp.oracle_fallbacks();
+    out.effort() = lp.effort();
     return std::move(out);
   };
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "core/counters.h"
 #include "core/instance.h"
 #include "lp/simplex.h"
 
@@ -129,15 +130,12 @@ class ParametricAssignmentLp {
     return fixed_zero_(i, j) != 0;
   }
 
-  /// Number of solve() calls so far.
-  [[nodiscard]] std::size_t lp_solves() const noexcept { return lp_solves_; }
-  /// Solves the dual simplex performed (warm dual re-optimizations).
-  [[nodiscard]] std::size_t dual_solves() const noexcept {
-    return dual_solves_;
-  }
-  /// Total simplex iterations across all solves.
-  [[nodiscard]] std::size_t simplex_iterations() const noexcept {
-    return iterations_;
+  /// Work of the chain so far: lp_solves (solve() calls), lp_iterations,
+  /// lp_dual_solves, and the guard counters (guarded solves whose audit was
+  /// contested — each solve's ladder can contest more than once — and how
+  /// they were recovered).
+  [[nodiscard]] const EffortCounters& effort() const noexcept {
+    return effort_;
   }
   /// Simplex iterations of the most recent solve.
   [[nodiscard]] std::size_t last_iterations() const noexcept {
@@ -150,17 +148,6 @@ class ParametricAssignmentLp {
   /// only kSuspect/kFailed mark the answer as unusable).
   [[nodiscard]] lp::AuditVerdict last_verdict() const noexcept {
     return last_verdict_;
-  }
-  /// Guarded solves whose post-solve audit was contested (summed over the
-  /// chain; each solve's internal ladder can contest more than once).
-  [[nodiscard]] std::size_t audits_suspect() const noexcept {
-    return audits_suspect_;
-  }
-  /// Contested solves the ladder recovered via a warm/cold re-solve.
-  [[nodiscard]] std::size_t recoveries() const noexcept { return recoveries_; }
-  /// Contested solves escalated to the dense tableau oracle.
-  [[nodiscard]] std::size_t oracle_fallbacks() const noexcept {
-    return oracle_fallbacks_;
   }
 
  private:
@@ -204,15 +191,10 @@ class ParametricAssignmentLp {
   lp::Solution last_solution_;
   /// Reduced-cost scratch for fix_dominated (hot on B&B node probes).
   std::vector<double> reduced_scratch_;
-  std::size_t lp_solves_ = 0;
-  std::size_t dual_solves_ = 0;
-  std::size_t iterations_ = 0;
+  EffortCounters effort_;
   std::size_t last_iterations_ = 0;
   bool last_via_dual_ = false;
   lp::AuditVerdict last_verdict_ = lp::AuditVerdict::kSkipped;
-  std::size_t audits_suspect_ = 0;
-  std::size_t recoveries_ = 0;
-  std::size_t oracle_fallbacks_ = 0;
 };
 
 /// Solves the relaxation of ILP-UM for makespan guess T. Among feasible
@@ -235,20 +217,12 @@ class ParametricAssignmentLp {
 /// setup-aware combinatorial seed). The model is built once at the initial
 /// `hi` and every probe warm-starts from the previous basis; the `hi` solve
 /// runs first so it seeds the chain and doubles as the returned solution
-/// when no tighter probe succeeds.
-struct LpSearchResult {
+/// when no tighter probe succeeds. The effort counters sum every probe (the
+/// guard counters stay 0 unless AssignmentLpOptions::audit_interval > 0).
+struct LpSearchResult : EffortCounters {
   double feasible_T = 0.0;    ///< hi: LP feasible here (solution below)
   double lower_bound = 0.0;   ///< lo: OPT is >= this
   FractionalAssignment fractional;
-  std::size_t lp_solves = 0;
-  /// Probes re-optimized by the dual simplex (warm basis turned
-  /// primal-infeasible by the T mutation but stayed dual-feasible).
-  std::size_t lp_dual_solves = 0;
-  std::size_t simplex_iterations = 0;  ///< summed over all probes
-  /// LP guard counters (0 unless AssignmentLpOptions::audit_interval > 0).
-  std::size_t lp_audits_suspect = 0;
-  std::size_t lp_recoveries = 0;
-  std::size_t lp_oracle_fallbacks = 0;
 };
 [[nodiscard]] LpSearchResult search_assignment_lp(
     const Instance& instance, double precision = 0.05,

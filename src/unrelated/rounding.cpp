@@ -81,12 +81,7 @@ RoundingResult randomized_rounding(const Instance& instance,
   out.lp_T = lp.feasible_T;
   out.lp_lower_bound = lp.lower_bound;
   out.rounds = rounds;
-  out.lp_solves = lp.lp_solves;
-  out.lp_dual_solves = lp.lp_dual_solves;
-  out.lp_iterations = lp.simplex_iterations;
-  out.lp_audits_suspect = lp.lp_audits_suspect;
-  out.lp_recoveries = lp.lp_recoveries;
-  out.lp_oracle_fallbacks = lp.lp_oracle_fallbacks;
+  out.effort() = lp.effort();
 
   Xoshiro256 seeder(options.seed);
   std::vector<std::uint64_t> trial_seeds(options.trials);
@@ -150,12 +145,7 @@ ScheduleResult argmax_rounding(const Instance& instance,
     }
   }
   SolverStats stats;
-  stats.lp_solves = lp.lp_solves;
-  stats.lp_iterations = lp.simplex_iterations;
-  stats.lp_dual_solves = lp.lp_dual_solves;
-  stats.lp_audits_suspect = lp.lp_audits_suspect;
-  stats.lp_recoveries = lp.lp_recoveries;
-  stats.lp_oracle_fallbacks = lp.lp_oracle_fallbacks;
+  stats.effort() = lp.effort();
   return {schedule, makespan(instance, schedule), stats};
 }
 

@@ -23,7 +23,12 @@ struct RoundingOptions {
   ThreadPool* pool = nullptr;
 };
 
-struct RoundingResult {
+/// The effort counters echo the LP work of the T-search: the assignment-LP
+/// chain on the direct path (guard counters 0 unless
+/// AssignmentLpOptions::audit_interval enables the residual audits), every
+/// RMP solve of every config-LP probe on the colgen path (lp_dual_solves 0
+/// there: the RMP grows columns instead of mutating bounds).
+struct RoundingResult : EffortCounters {
   Schedule schedule;
   double makespan = 0.0;
   /// LP-feasible makespan guess the rounding worked against.
@@ -35,19 +40,6 @@ struct RoundingResult {
   /// argmin-p fallback (step 3 of the algorithm), summed over trials.
   std::size_t fallback_jobs = 0;
   std::size_t rounds = 0;
-  std::size_t lp_solves = 0;
-  /// T-search probes the dual simplex re-optimized (0 on the colgen path,
-  /// whose RMP grows columns instead of mutating bounds).
-  std::size_t lp_dual_solves = 0;
-  /// Total simplex iterations across every LP solve of the T-search (direct
-  /// path) or every RMP solve of every config-LP probe (colgen path).
-  std::size_t lp_iterations = 0;
-  /// LP guard counters of the T-search chain (0 unless
-  /// AssignmentLpOptions::audit_interval enables the residual audits; the
-  /// colgen path does not report them).
-  std::size_t lp_audits_suspect = 0;
-  std::size_t lp_recoveries = 0;
-  std::size_t lp_oracle_fallbacks = 0;
 };
 
 /// One pass of the Sec. 3.1 sampling given a fractional solution:

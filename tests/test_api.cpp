@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "api/presets.h"
 #include "api/registry.h"
 #include "common/check.h"
 #include "core/bounds.h"
@@ -228,6 +229,33 @@ TEST(SolverEndToEnd, ColgenRegistryEntrySurfacesLpEffort) {
   // handful, reported as 1 each" floor.
   EXPECT_GT(result.stats.lp_solves, 1u);
   EXPECT_GT(result.stats.lp_iterations, 0u);
+}
+
+// Regression: the restricted, class-uniform and colgen LP paths used to drop
+// the LP guard counters on the way to SolverStats (every row reported 0
+// while assignment-lp on the same instances reported contested solves).
+// Under an armed fault plan each must surface the audits it ran.
+TEST(SolverEndToEnd, GuardCountersReachStatsOnEveryLpPath) {
+  SolverContext context = fast_context();
+  context.fault_plan = lp::FaultPlan::parse("all@0.2", 7);
+  const std::pair<const char*, const char*> cells[] = {
+      {"restricted-2approx", "restricted"},
+      {"classuniform-3approx", "class-uniform"},
+      {"colgen", "restricted"},
+  };
+  for (const auto& [name, preset] : cells) {
+    const ProblemInput input = generate_preset(preset, 1);
+    const auto solver = SolverRegistry::global().create(name);
+    ASSERT_TRUE(solver->supports(input)) << name;
+    const ScheduleResult result = solver->solve(input, context);
+    EXPECT_EQ(schedule_error(input.instance, result.schedule), std::nullopt)
+        << name;
+    EXPECT_GT(result.stats.lp_solves, 0u) << name;
+    EXPECT_GT(result.stats.lp_audits_suspect, 0u) << name;
+    EXPECT_GE(result.stats.lp_audits_suspect,
+              result.stats.lp_recoveries + result.stats.lp_oracle_fallbacks)
+        << name;
+  }
 }
 
 // The branch-and-price registry entry carries the same certificate contract

@@ -173,7 +173,7 @@ TEST(ConfigRounding, LpEffortCountersAccumulateInnerRounds) {
   // feasible (no widening) and column generation ran more than one round.
   ASSERT_EQ(probe.status, ConfigLpStatus::kFeasible);
   ASSERT_GT(probe.lp_solves, 1u);
-  ASSERT_GT(probe.simplex_iterations, 0u);
+  ASSERT_GT(probe.lp_iterations, 0u);
 
   RoundingOptions ropt;
   ropt.seed = 1;
@@ -181,7 +181,7 @@ TEST(ConfigRounding, LpEffortCountersAccumulateInnerRounds) {
   ropt.search_precision = 1e9;  // hi/lo < 1 + precision: no bisection probes
   const RoundingResult r = randomized_rounding_config(inst, ropt);
   EXPECT_EQ(r.lp_solves, probe.lp_solves);
-  EXPECT_EQ(r.lp_iterations, probe.simplex_iterations);
+  EXPECT_EQ(r.lp_iterations, probe.lp_iterations);
 }
 
 TEST(ConfigLp, PricingHonorsSetupCosts) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/registry.h"
 #include "common/check.h"
+#include "core/counters.h"
 #include "expt/aggregate.h"
 #include "expt/harness.h"
 #include "expt/plan.h"
@@ -169,6 +171,9 @@ RunRecord sample_record() {
   r.lp_audits_suspect = 3;
   r.lp_recoveries = 2;
   r.lp_oracle_fallbacks = 1;
+  r.cg_columns = 13;
+  r.cg_pricing_rounds = 17;
+  r.cg_fallbacks = 6;
   r.nodes = 1234;
   r.lp_bounds_used = 5;
   r.proven_optimal = true;
@@ -194,8 +199,8 @@ TEST(ExptRecordIo, JsonlRoundTripIsExact) {
   EXPECT_EQ(back[1], records[1]);
 }
 
-// Lines written before the observability PR carry no phase_ms key; they must
-// parse with an empty breakdown (phase_ms is the one optional key).
+// Lines written before the phase ledger carry no phase_ms key; they must
+// parse with an empty breakdown.
 TEST(ExptRecordIo, ReadAcceptsLegacyLinesWithoutPhaseMs) {
   std::stringstream stream;
   write_jsonl(stream, sample_record());
@@ -216,31 +221,103 @@ TEST(ExptRecordIo, ReadAcceptsLegacyLinesWithoutPhaseMs) {
   EXPECT_EQ(back[0], expected);
 }
 
-// Lines written before the numerical-safety-net PR carry none of the LP
-// guard counters; they must parse with zeros (the counters are optional on
-// read, like phase_ms).
-TEST(ExptRecordIo, ReadAcceptsLegacyLinesWithoutGuardCounters) {
-  std::stringstream stream;
-  write_jsonl(stream, sample_record());
-  std::string line = stream.str();
-  for (const std::string key :
-       {"lp_audits_suspect", "lp_recoveries", "lp_oracle_fallbacks"}) {
-    const std::size_t at = line.find(",\"" + key + "\":");
-    ASSERT_NE(at, std::string::npos) << key;
-    const std::size_t end = line.find_first_of(",}", at + key.size() + 4);
-    ASSERT_NE(end, std::string::npos) << key;
-    line.erase(at, end - at);
-    EXPECT_EQ(line.find(key), std::string::npos) << key;
+// The reader enforces each counter-table row: every counter round-trips, a
+// missing optional key (JSONL written before the counter existed) parses as
+// 0, and a missing required key or a duplicated key is rejected.
+TEST(ExptRecordIo, ReadEnforcesTheCounterTable) {
+  const auto read = [](const std::string& text) {
+    std::istringstream is(text);
+    return read_jsonl(is);
+  };
+  const RunRecord sample = sample_record();
+  std::set<std::size_t> values;
+  for (const CounterInfo& c : kCounters) {
+    EXPECT_GT(sample.*c.field, 0u) << c.name;
+    values.insert(sample.*c.field);
   }
+  EXPECT_EQ(values.size(), kCounterCount) << "sample counters must differ";
 
-  std::istringstream legacy(line);
-  const std::vector<RunRecord> back = read_jsonl(legacy);
-  ASSERT_EQ(back.size(), 1u);
-  RunRecord expected = sample_record();
-  expected.lp_audits_suspect = 0;
-  expected.lp_recoveries = 0;
-  expected.lp_oracle_fallbacks = 0;
-  EXPECT_EQ(back[0], expected);
+  std::stringstream stream;
+  write_jsonl(stream, sample);
+  const std::string line = stream.str();
+  EXPECT_EQ(read(line), std::vector<RunRecord>{sample});
+  for (const CounterInfo& c : kCounters) {
+    const std::string pair = ",\"" + std::string(c.name) +
+                             "\":" + std::to_string(sample.*c.field);
+    const std::size_t at = line.find(pair + ",");
+    ASSERT_NE(at, std::string::npos) << c.name;
+
+    std::string without = line;
+    without.erase(at, pair.size());
+    if (c.optional) {
+      RunRecord expected = sample;
+      expected.*c.field = 0;
+      EXPECT_EQ(read(without), std::vector<RunRecord>{expected}) << c.name;
+    } else {
+      EXPECT_THROW(read(without), CheckError) << c.name;
+    }
+
+    std::string duplicated = line;
+    duplicated.insert(at, pair);
+    EXPECT_THROW(read(duplicated), CheckError) << c.name;
+  }
+}
+
+// The wire key names are a file format: a line written by the 32-key writer
+// that predates the counter table must keep parsing to the same fields, and
+// today's writer must reproduce it byte for byte. Spelled out here, not taken
+// from the table, so renaming a counter field cannot silently rename its key.
+TEST(ExptRecordIo, PinnedLineKeepsItsWireNames) {
+  const std::string line =
+      R"({"solver":"branch-and-price","preset":"unrelated-small","seed":3,)"
+      R"("cell_seed":9876543210123,"n":14,"m":3,"classes":5,"status":"ok",)"
+      R"("makespan":41.5,"lower_bound":40.25,"ratio":1.031055900621118,)"
+      R"("setups":8,"time_ms":2.5,"phase_ms":{"lp_solve":1.25},)"
+      R"("lp_solves":21,"lp_iterations":305,"lp_dual_solves":19,)"
+      R"("fixed_vars":4,"lp_audits_suspect":9,"lp_recoveries":8,)"
+      R"("lp_oracle_fallbacks":1,"cg_columns":77,"cg_pricing_rounds":12,)"
+      R"("cg_fallbacks":2,"nodes":296,"lp_bounds_used":53,)"
+      R"("proven_optimal":false,"gap":0.03125,"epsilon":0.25,)"
+      R"("precision":0.01,"time_limit_s":2,"error":""})"
+      "\n";
+  RunRecord expected;
+  expected.solver = "branch-and-price";
+  expected.preset = "unrelated-small";
+  expected.seed = 3;
+  expected.cell_seed = 9876543210123ULL;
+  expected.num_jobs = 14;
+  expected.num_machines = 3;
+  expected.num_classes = 5;
+  expected.status = RunStatus::kOk;
+  expected.makespan = 41.5;
+  expected.lower_bound = 40.25;
+  expected.ratio = expected.makespan / expected.lower_bound;
+  expected.setups = 8;
+  expected.time_ms = 2.5;
+  expected.phase_ms[obs::Phase::kLpSolve] = 1.25;
+  expected.lp_solves = 21;
+  expected.lp_iterations = 305;
+  expected.lp_dual_solves = 19;
+  expected.fixed_vars = 4;
+  expected.lp_audits_suspect = 9;
+  expected.lp_recoveries = 8;
+  expected.lp_oracle_fallbacks = 1;
+  expected.cg_columns = 77;
+  expected.cg_pricing_rounds = 12;
+  expected.cg_fallbacks = 2;
+  expected.nodes = 296;
+  expected.lp_bounds_used = 53;
+  expected.proven_optimal = false;
+  expected.gap = 0.03125;
+  expected.epsilon = 0.25;
+  expected.precision = 0.01;
+  expected.time_limit_s = 2.0;
+
+  std::istringstream is(line);
+  EXPECT_EQ(read_jsonl(is), std::vector<RunRecord>{expected});
+  std::ostringstream os;
+  write_jsonl(os, expected);
+  EXPECT_EQ(os.str(), line);
 }
 
 TEST(ExptRecordIo, TimeoutStatusRoundTrips) {
@@ -559,9 +636,9 @@ TEST(ExptAggregate, MatchesHandComputedFixture) {
   EXPECT_DOUBLE_EQ(summaries[2].time_p50_ms, 20.0);
   // percentile([10,20,30], 0.95): position 1.9 -> 20 * 0.1 + 30 * 0.9 = 29.
   EXPECT_NEAR(summaries[2].time_p95_ms, 29.0, 1e-12);
-  EXPECT_DOUBLE_EQ(summaries[2].lp_solves_mean, 8.0);
-  EXPECT_DOUBLE_EQ(summaries[2].lp_iterations_mean, 400.0);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_solves_mean, 0.0);
+  EXPECT_DOUBLE_EQ(summaries[2].counter_mean[counter::lp_solves], 8.0);
+  EXPECT_DOUBLE_EQ(summaries[2].counter_mean[counter::lp_iterations], 400.0);
+  EXPECT_DOUBLE_EQ(summaries[0].counter_mean[counter::lp_solves], 0.0);
   // Certificates: proven counts solver-certified optima only; gap_mean
   // averages the certified cells ({0.0, 0.25}) and ignores the -1 sentinel.
   EXPECT_EQ(summaries[2].proven, 1u);
@@ -593,9 +670,10 @@ TEST(ExptAggregate, GuardCounterMeansAverageOkCells) {
   const std::vector<AggregateSummary> summaries =
       aggregate(std::vector<RunRecord>{a, b, c});
   ASSERT_EQ(summaries.size(), 1u);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_audits_suspect_mean, 3.0);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_recoveries_mean, 2.5);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_oracle_fallbacks_mean, 0.5);
+  const auto& means = summaries[0].counter_mean;
+  EXPECT_DOUBLE_EQ(means[counter::lp_audits_suspect], 3.0);
+  EXPECT_DOUBLE_EQ(means[counter::lp_recoveries], 2.5);
+  EXPECT_DOUBLE_EQ(means[counter::lp_oracle_fallbacks], 0.5);
 }
 
 TEST(ExptAggregate, SummaryTableHasOneRowPerBucket) {
@@ -628,8 +706,6 @@ TEST(ExptAggregate, BenchJsonContainsPlanCountsAndSummaries) {
   EXPECT_NE(out.find("\"skipped\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"ratio_mean\": 1.5"), std::string::npos);
   EXPECT_NE(out.find("\"lp\": \"auto\""), std::string::npos);
-  EXPECT_NE(out.find("\"lp_solves_mean\""), std::string::npos);
-  EXPECT_NE(out.find("\"lp_iterations_mean\""), std::string::npos);
   EXPECT_NE(out.find("\"proven\""), std::string::npos);
   EXPECT_NE(out.find("\"certified\""), std::string::npos);
   EXPECT_NE(out.find("\"gap_mean\""), std::string::npos);
@@ -639,9 +715,10 @@ TEST(ExptAggregate, BenchJsonContainsPlanCountsAndSummaries) {
   EXPECT_NE(out.find("\"cell_timeout_s\""), std::string::npos);
   EXPECT_NE(out.find("\"inject\""), std::string::npos);
   EXPECT_NE(out.find("\"lp_audit_interval\""), std::string::npos);
-  EXPECT_NE(out.find("\"lp_audits_suspect_mean\""), std::string::npos);
-  EXPECT_NE(out.find("\"lp_recoveries_mean\""), std::string::npos);
-  EXPECT_NE(out.find("\"lp_oracle_fallbacks_mean\""), std::string::npos);
+  for (const CounterInfo& c : kCounters) {
+    const std::string key = std::string(c.name) + "_mean\":";
+    EXPECT_NE(out.find(key), std::string::npos) << c.name;
+  }
   EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
             std::count(out.begin(), out.end(), '}'));
 }

@@ -213,7 +213,7 @@ TEST(DualWarmStart, TSearchProbesReoptimizeDually) {
   ASSERT_TRUE(dual_fired)
       << "no descending feasible probe ever took the dual path";
   const std::size_t warm_iterations = warm_chain.last_iterations();
-  EXPECT_GE(warm_chain.dual_solves(), 1u);
+  EXPECT_GE(warm_chain.effort().lp_dual_solves, 1u);
 
   ParametricAssignmentLp cold(inst, probe);
   ASSERT_TRUE(cold.solve(probe).has_value());

@@ -346,7 +346,7 @@ TEST(WarmStart, SearchCountersAreReported) {
   const Instance inst = generate_unrelated(p, 77);
   const LpSearchResult r = search_assignment_lp(inst, 0.05);
   EXPECT_GE(r.lp_solves, 1u);
-  EXPECT_GT(r.simplex_iterations, 0u);
+  EXPECT_GT(r.lp_iterations, 0u);
 }
 
 TEST(ParametricAssignmentLp, MatchesOneShotSolvesAcrossProbes) {
@@ -373,7 +373,7 @@ TEST(ParametricAssignmentLp, MatchesOneShotSolvesAcrossProbes) {
     }
     EXPECT_NEAR(mass_chained, mass_fresh, 1e-5) << "T=" << T;
   }
-  EXPECT_EQ(parametric.lp_solves(), 6u);
+  EXPECT_EQ(parametric.effort().lp_solves, 6u);
 }
 
 }  // namespace

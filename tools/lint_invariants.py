@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint for setsched (runs as ctest `test_lint`).
 
-Four rules, each protecting an invariant the compiler cannot see:
+Three rules, each protecting an invariant the compiler cannot see:
 
   float-eq     No floating-point ==/!= against a nonzero decimal literal in
                src/lp or src/exact. Exact-zero tests (`x == 0.0`) are sparse-
@@ -18,11 +18,6 @@ Four rules, each protecting an invariant the compiler cannot see:
                constant so tolerances stay auditable in one place.
                Suppress per line: `// lint: allow-tolerance (reason)`,
                or whole file: `// lint: allow-tolerance-file (reason)`.
-
-  counters     Every std::size_t counter in SolverStats (src/core/result.h)
-               must be plumbed through the record pipeline: src/expt/record.h,
-               src/expt/record_io.cpp, and docs/BENCH_SCHEMA.md. A counter
-               that stops here is silently dropped from every artifact.
 
   raw-mutex    No naked std::mutex / lock / condition_variable types outside
                src/common/annotations.h. Concurrency in src/ goes through the
@@ -46,10 +41,6 @@ FLOAT_EQ_SCOPE = ("src/lp", "src/exact")
 MUTEX_SCOPE = ("src",)
 MUTEX_EXEMPT = {"src/common/annotations.h"}
 
-COUNTER_SOURCE = "src/core/result.h"
-COUNTER_SINKS = ("src/expt/record.h", "src/expt/record_io.cpp",
-                 "docs/BENCH_SCHEMA.md")
-
 SUPPRESS_RE = re.compile(
     r"lint:\s*allow-(?P<rule>tolerance-file|tolerance|float-eq|raw-mutex)"
     # The reason may wrap to the next comment line, so accept end-of-line in
@@ -66,7 +57,6 @@ RAW_MUTEX_RE = re.compile(
     r"\bstd::(?:recursive_|timed_|shared_)?mutex\b"
     r"|\bstd::(?:scoped_lock|lock_guard|unique_lock|shared_lock)\b"
     r"|\bstd::condition_variable(?:_any)?\b")
-COUNTER_RE = re.compile(r"^\s*std::size_t\s+(\w+)\s*=")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -190,41 +180,11 @@ class Linter:
                         f"naked {m.group(0)} outside common/annotations.h; "
                         "use the annotated Mutex/MutexLock/CondVar wrappers")
 
-    def check_counters(self):
-        source = self.root / COUNTER_SOURCE
-        counters = []
-        for idx, line in enumerate(source.read_text().splitlines(), start=1):
-            m = COUNTER_RE.match(line)
-            if m:
-                counters.append((m.group(1), idx))
-        if not counters:
-            self.report(source, 1, "counters",
-                        "found no std::size_t counters in SolverStats; "
-                        "the lint's parser is out of date")
-            return
-        sink_texts = {}
-        for sink in COUNTER_SINKS:
-            sink_path = self.root / sink
-            if not sink_path.exists():
-                self.report(source, 1, "counters",
-                            f"record-pipeline file {sink} is missing")
-                return
-            sink_texts[sink] = sink_path.read_text()
-        for name, line_no in counters:
-            for sink, text in sink_texts.items():
-                if not re.search(rf"\b{re.escape(name)}\b", text):
-                    self.report(
-                        source, line_no, "counters",
-                        f"SolverStats counter '{name}' is not plumbed "
-                        f"through {sink}; every counter must reach the "
-                        "record pipeline and its schema docs")
-
     def run(self) -> int:
         files = sorted((self.root / "src").rglob("*.h"))
         files += sorted((self.root / "src").rglob("*.cpp"))
         for path in files:
             self.scan_file(path)
-        self.check_counters()
         if self.violations:
             for v in self.violations:
                 print(v)
@@ -245,9 +205,6 @@ def self_test() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         (root / "src/lp").mkdir(parents=True)
-        (root / "src/core").mkdir(parents=True)
-        (root / "src/expt").mkdir(parents=True)
-        (root / "docs").mkdir(parents=True)
         (root / "src/lp/bad.cpp").write_text(
             "void f(double x) {\n"
             "  if (x == 1.5) {}\n"                      # float-eq fires
@@ -257,18 +214,12 @@ def self_test() -> int:
             "  double bare = 1e-8;   // lint: allow-tolerance\n"  # no reason
             "  std::mutex m;\n"                         # raw-mutex fires
             "}\n")
-        (root / "src/core/result.h").write_text(
-            "struct SolverStats {\n  std::size_t ghost_counter = 0;\n};\n")
-        (root / "src/expt/record.h").write_text("// no counters\n")
-        (root / "src/expt/record_io.cpp").write_text("// no counters\n")
-        (root / "docs/BENCH_SCHEMA.md").write_text("no counters\n")
 
         linter = Linter(root)
         for path in sorted((root / "src").rglob("*.cpp")):
             linter.scan_file(path)
         for path in sorted((root / "src").rglob("*.h")):
             linter.scan_file(path)
-        linter.check_counters()
 
         text = "\n".join(linter.violations)
         expectations = {
@@ -276,7 +227,6 @@ def self_test() -> int:
             "tolerance": "1e-9",
             "suppression": "without a reason",
             "raw-mutex": "std::mutex",
-            "counters": "ghost_counter",
         }
         failed = False
         for rule, needle in expectations.items():
