@@ -1,10 +1,10 @@
 // A4 — micro-benchmarks of the LP substrate (google-benchmark): random
 // dense LPs and the scheduling LPs the algorithms actually build, with the
-// dense tableau pinned against the sparse revised simplex (candidate-list
-// vs Devex pricing), the assignment-LP T-search measured cold (fresh model
-// per probe) vs warm (one parametric model, basis chained across probes),
-// and the exact solver's min-makespan relaxation measured as a chain of
-// dual re-optimizations under pin changes.
+// dense tableau pinned against the sparse revised simplex (the kAuto default
+// and the dual-preferring kDual), the assignment-LP T-search measured cold
+// (fresh model per probe) vs warm (one parametric model, basis chained
+// across probes), and the exact solver's min-makespan relaxation measured
+// as a chain of dual re-optimizations under pin changes.
 
 #include <benchmark/benchmark.h>
 
@@ -21,24 +21,14 @@ using namespace setsched;
 
 namespace {
 
-/// 0 = tableau, 1 = revised + candidate pricing, 2 = revised + Devex,
-/// 3 = dual-preferring revised + Devex.
+/// 0 = tableau, 1 = auto (the default revised path), 2 = dual-preferring
+/// revised.
 lp::SimplexOptions algorithm_options(std::int64_t which) {
   lp::SimplexOptions options;
   switch (which) {
     case 0: options.algorithm = lp::SimplexAlgorithm::kTableau; break;
-    case 1:
-      options.algorithm = lp::SimplexAlgorithm::kRevised;
-      options.pricing = lp::SimplexPricing::kCandidate;
-      break;
-    case 2:
-      options.algorithm = lp::SimplexAlgorithm::kRevised;
-      options.pricing = lp::SimplexPricing::kDevex;
-      break;
-    default:
-      options.algorithm = lp::SimplexAlgorithm::kDual;
-      options.pricing = lp::SimplexPricing::kDevex;
-      break;
+    case 1: options.algorithm = lp::SimplexAlgorithm::kAuto; break;
+    default: options.algorithm = lp::SimplexAlgorithm::kDual; break;
   }
   return options;
 }
@@ -97,13 +87,13 @@ BENCHMARK(BM_AssignmentLp)
 
 /// The exact solver's per-node workload: ONE min-makespan relaxation,
 /// re-optimized under a rolling chain of pin/unpin mutations. Args: (jobs,
-/// algorithm_options code, guard, incremental_duals) — code 3
-/// (dual-preferring) is what LpBounder runs; code 1 approximates the PR 4
-/// behavior (primal re-optimization). guard=1 runs the post-solve residual
-/// audit on every probe (LpBounder's configuration; guard=0 quantifies the
-/// disarmed safety net, which must be free). incremental_duals=0 recomputes
-/// the duals with one BTRAN per dual pivot instead of the drift-guarded
-/// y -= theta_d * rho update.
+/// algorithm_options code, guard, incremental_duals) — code 2
+/// (dual-preferring) is what LpBounder runs; code 1 re-optimizes dually only
+/// the probes a pin leaves primal-infeasible. guard=1 runs the post-solve
+/// residual audit on every probe (LpBounder's configuration; guard=0
+/// quantifies the disarmed safety net, which must be free).
+/// incremental_duals=0 recomputes the duals with one BTRAN per dual pivot
+/// instead of the drift-guarded y -= theta_d * rho update.
 void BM_MakespanLpPinChain(benchmark::State& state) {
   UnrelatedGenParams p;
   p.num_jobs = static_cast<std::size_t>(state.range(0));
@@ -146,11 +136,11 @@ void BM_MakespanLpPinChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakespanLpPinChain)
-    ->Args({32, 1, 0, 1})->Args({32, 3, 0, 1})
-    ->Args({64, 1, 0, 1})->Args({64, 3, 0, 1})
+    ->Args({32, 1, 0, 1})->Args({32, 2, 0, 1})
+    ->Args({64, 1, 0, 1})->Args({64, 2, 0, 1})
     // Safety-net cost on the LpBounder configuration: audited every probe
     // vs disarmed, and the incremental dual update vs per-pivot BTRAN.
-    ->Args({64, 3, 1, 1})->Args({64, 3, 0, 0});
+    ->Args({64, 2, 1, 1})->Args({64, 2, 0, 0});
 
 /// The geometric T-search solved the pre-PR-3 way: a fresh model and a cold
 /// revised solve per probe (no warm starting, no re-parameterization).

@@ -9,8 +9,7 @@
 //                [--no-timing]
 //
 // Options: --seed=N --epsilon=E --precision=P --time-limit=S
-//          --inject=SPEC --lp-audit-interval=N
-//          --lp=auto|tableau|revised|dual --lp-pricing=candidate|devex --csv
+//          --inject=SPEC --lp-audit-interval=N --csv
 //          --trace=PATH (Chrome trace-event JSON of the run; both modes)
 // Presets: uniform-small uniform-large unrelated-small unrelated-medium
 //          unrelated-midsize restricted class-uniform planted
@@ -72,8 +71,7 @@ void print_usage(std::ostream& os) {
      << "       setsched_cli (--solver=<name> ... | --all)\n"
      << "                    (--instance=<file> | --generate=<preset>)\n"
      << "                    [--seed=N] [--epsilon=E] [--precision=P]\n"
-     << "                    [--time-limit=S] [--lp=auto|tableau|revised|dual]\n"
-     << "                    [--lp-pricing=candidate|devex] [--csv]\n"
+     << "                    [--time-limit=S] [--csv]\n"
      << "                    [--inject=SPEC] [--lp-audit-interval=N]\n"
      << "                    [--trace=PATH]\n"
      << "       setsched_cli --batch (--solver=<name> ... | --all)\n"
@@ -132,13 +130,9 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
         options.context.time_limit_s = std::stod(value);
       } else if (consume(arg, "--inject", &value)) {
         options.inject = value;
-      } else if (consume(arg, "--lp-pricing", &value)) {
-        options.context.lp_pricing = expt::lp_pricing_from_name(value);
       } else if (consume(arg, "--lp-audit-interval", &value)) {
         options.lp_audit_interval =
             static_cast<std::size_t>(expt::parse_u64(value, "lp_audit_interval"));
-      } else if (consume(arg, "--lp", &value)) {
-        options.context.lp_algorithm = expt::lp_algorithm_from_name(value);
       } else {
         std::cerr << "setsched_cli: unknown argument '" << arg << "'\n";
         return std::nullopt;
@@ -326,8 +320,6 @@ int run_batch(const CliOptions& options) {
   plan.epsilon = options.context.epsilon;
   plan.precision = options.context.precision;
   plan.time_limit_s = options.context.time_limit_s;
-  plan.lp_algorithm = options.context.lp_algorithm;
-  plan.lp_pricing = options.context.lp_pricing;
   plan.inject = options.inject;
   plan.lp_audit_interval = options.lp_audit_interval;
   plan.threads = options.threads;

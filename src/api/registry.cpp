@@ -80,13 +80,10 @@ const lp::FaultPlan* armed_plan(const SolverContext& context) {
   return context.fault_plan.any() ? &context.fault_plan : nullptr;
 }
 
-/// Simplex knobs shared by every LP-based solver: the context's algorithm
-/// and pricing, the armed fault plan, and the residual-audit guard whenever
-/// audits are on.
+/// Simplex knobs shared by every LP-based solver: the armed fault plan, and
+/// the residual-audit guard whenever audits are on.
 lp::SimplexOptions simplex_options(const SolverContext& context) {
   lp::SimplexOptions simplex;
-  simplex.algorithm = context.lp_algorithm;
-  simplex.pricing = context.lp_pricing;
   simplex.fault_plan = armed_plan(context);
   simplex.guard = effective_audit_interval(context) > 0;
   return simplex;
@@ -130,9 +127,7 @@ ScheduleResult solve_exact_entry(const ProblemInput& input,
   options.bound = kBound;
   options.time_limit_s = context.time_limit_s;
   options.initial_upper_bound = unrelated_upper_bound(input.instance);
-  options.lp_algorithm = context.lp_algorithm;
-  options.lp_pricing = context.lp_pricing;
-  options.fault_plan = armed_plan(context);
+  options.simplex.fault_plan = armed_plan(context);
   options.deadline = context.deadline;
   const ExactResult result = solve_exact(input.instance, options);
   SolverStats stats = effort_stats(result);

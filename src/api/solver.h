@@ -9,7 +9,6 @@
 #include "core/instance.h"
 #include "core/result.h"
 #include "lp/fault.h"
-#include "lp/simplex.h"
 
 namespace setsched {
 
@@ -36,15 +35,6 @@ struct SolverContext {
   double precision = 0.05;
   /// Wall-clock budget for the exact branch-and-bound.
   double time_limit_s = 10.0;
-  /// Simplex implementation for the LP-based solvers (kAuto = the sparse
-  /// revised path with warm starts and dual re-optimization; kTableau
-  /// forces the dense reference oracle, which is what pre-PR-3 behavior
-  /// looked like end to end; kDual prefers the dual simplex for every
-  /// dual-feasible start).
-  lp::SimplexAlgorithm lp_algorithm = lp::SimplexAlgorithm::kAuto;
-  /// Primal pricing rule of the revised solver (kDevex trades wall clock
-  /// for fewer iterations; see lp/simplex.h).
-  lp::SimplexPricing lp_pricing = lp::SimplexPricing::kCandidate;
   /// Optional pool for intra-solver parallelism (rounding trials, colgen
   /// pricing). Null means sequential.
   ThreadPool* pool = nullptr;

@@ -29,10 +29,10 @@ using exact::SearchPlan;
 
 /// One "node" instant per counted search node, tagged with why the node
 /// terminated (or "expanded" when it branched). tools/analyze_trace.py
-/// reconciles the instant count against SolverStats::nodes.
+/// reconciles the recorded plus shed instants against SolverStats::nodes.
 void emit_node(const char* reason, std::size_t depth) {
-  obs::emit_instant("node", "exact", "reason", reason, "depth",
-                    static_cast<double>(depth));
+  obs::emit_bulk_instant("node", "exact", "reason", reason, "depth",
+                         static_cast<double>(depth));
 }
 
 /// ExactMode::kProve: depth-first branch-and-bound (see branch_bound.h).
@@ -63,11 +63,7 @@ class ProveSolver {
     if (opt_.use_lp_bounds && prune_at_ > 0.0 && !incumbent_meets_lb()) {
       const obs::PhaseTimer phase(obs::Phase::kRootBound);
       const obs::TraceSpan span("root_bound", "exact");
-      lp::SimplexOptions simplex;
-      simplex.algorithm = opt_.lp_algorithm;
-      simplex.pricing = opt_.lp_pricing;
-      simplex.fault_plan = opt_.fault_plan;
-      bounder_.emplace(inst_, prune_at_, simplex);
+      bounder_.emplace(inst_, prune_at_, opt_.simplex);
       if (bounder_->available()) {
         lower_bound_ = std::max(
             lower_bound_, bounder_->root_lower_bound(lower_bound_, prune_at_));
@@ -99,9 +95,7 @@ class ProveSolver {
       cg.grid = opt_.cg_grid;
       cg.rounds_per_node = opt_.cg_rounds_per_node;
       cg.root_probes = opt_.cg_root_probes;
-      cg.simplex.algorithm = opt_.lp_algorithm;
-      cg.simplex.pricing = opt_.lp_pricing;
-      cg.simplex.fault_plan = opt_.fault_plan;
+      cg.simplex = opt_.simplex;
       cg_bounder_.emplace(inst_, prune_at_, cg);
       if (cg_bounder_->available()) {
         const double base = lower_bound_;

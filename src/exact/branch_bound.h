@@ -109,19 +109,13 @@ struct ExactOptions {
   /// kDiveThenProve: wall-clock budget of the dive phase (further capped at
   /// half of time_limit_s); the prove phase gets whatever remains.
   double dive_time_limit_s = 0.5;
-  /// Simplex implementation for the LP bounds (kAuto upgrades to kDual, the
-  /// natural engine for the min-makespan relaxation; kTableau forces the
-  /// dense reference oracle end to end for before/after sweeps).
-  lp::SimplexAlgorithm lp_algorithm = lp::SimplexAlgorithm::kAuto;
-  /// Primal pricing rule for the LP bounds' revised solver (the node
-  /// probes run the dual simplex, which always uses Devex row weights;
-  /// this only affects primal fallbacks).
-  lp::SimplexPricing lp_pricing = lp::SimplexPricing::kCandidate;
-  /// Deterministic fault-injection plan threaded into every LP-bound solve
-  /// (lp/fault.h); null = no injection. The bounder's residual audits and
-  /// safe-pruning demotions are active regardless, so injected runs stay
-  /// sound — they just burn recoveries and prune less.
-  const lp::FaultPlan* fault_plan = nullptr;
+  /// Simplex options of every LP-bound solve, assignment and config alike
+  /// (the assignment bounder upgrades kAuto to kDual, the natural engine for
+  /// the min-makespan relaxation). A `simplex.fault_plan` is threaded into
+  /// every bound solve; the bounders' residual audits and safe-pruning
+  /// demotions are active regardless, so injected runs stay sound — they
+  /// just burn recoveries and prune less.
+  lp::SimplexOptions simplex;
   /// Node-bound relaxation selector (branch-and-price lives behind kConfig /
   /// kAuto; see BoundMode). Ignored unless use_lp_bounds.
   BoundMode bound = BoundMode::kAssignment;

@@ -92,11 +92,7 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
   if (opt.use_lp_bounds && prune_at > 0.0) {
     const obs::PhaseTimer phase(obs::Phase::kRootBound);
     const obs::TraceSpan span("root_bound", "exact");
-    lp::SimplexOptions simplex;
-    simplex.algorithm = opt.lp_algorithm;
-    simplex.pricing = opt.lp_pricing;
-    simplex.fault_plan = opt.fault_plan;
-    bounder.emplace(inst, prune_at, simplex);
+    bounder.emplace(inst, prune_at, opt.simplex);
     if (bounder->available()) {
       lower_bound = std::max(
           lower_bound, bounder->root_lower_bound(lower_bound, prune_at));
@@ -143,8 +139,8 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
     children.clear();
     for (const BeamState& state : beam) {
       ++nodes;
-      obs::emit_instant("node", "exact", "reason", "beam", "depth",
-                        static_cast<double>(depth));
+      obs::emit_bulk_instant("node", "exact", "reason", "beam", "depth",
+                             static_cast<double>(depth));
       for (MachineId i = 0; i < m; ++i) {
         if (!inst.eligible(i, j)) continue;
         if (bounder && bounder->pair_fixed(j, i)) continue;

@@ -31,8 +31,8 @@ class LpBounder {
   /// Builds the relaxation at `T_build` (the loosest value that will ever be
   /// probed; the initial cutoff). A non-positive T_build disables the
   /// bounder (available() == false) — probes then never prune. `simplex`
-  /// selects the engine/pricing; kAuto is upgraded to kDual (the natural
-  /// engine for the all-nonnegative-cost min-T LP).
+  /// selects the engine; kAuto is upgraded to kDual (the natural engine for
+  /// the all-nonnegative-cost min-T LP).
   LpBounder(const Instance& instance, double T_build,
             const lp::SimplexOptions& simplex);
 

@@ -172,9 +172,6 @@ void write_bench_json(std::ostream& os, const ExperimentPlan& plan,
   write_double(os, plan.cell_timeout_s);
   os << ",\n    \"inject\": \"" << plan.inject << '"';
   os << ",\n    \"lp_audit_interval\": " << plan.lp_audit_interval;
-  os << ",\n    \"lp\": \"" << lp_algorithm_name(plan.lp_algorithm) << '"';
-  os << ",\n    \"lp_pricing\": \"" << lp_pricing_name(plan.lp_pricing)
-     << '"';
   os << "\n  },\n  \"cells\": " << cells << ",\n  \"ok\": " << ok
      << ",\n  \"skipped\": " << skipped << ",\n  \"failed\": " << failed
      << ",\n  \"timeout\": " << timeout << ",\n  \"summaries\": [";

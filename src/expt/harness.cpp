@@ -53,8 +53,6 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
   context.epsilon = plan.epsilon;
   context.precision = plan.precision;
   context.time_limit_s = plan.time_limit_s;
-  context.lp_algorithm = plan.lp_algorithm;
-  context.lp_pricing = plan.lp_pricing;
   context.lp_audit_interval = plan.lp_audit_interval;
   // Each cell gets its own injection stream keyed on cell_seed, so a sweep
   // corrupts the same solves no matter how cells are scheduled.

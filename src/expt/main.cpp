@@ -11,7 +11,6 @@
 //
 // Options: --epsilon=E --precision=P --time-limit=S --cell-timeout=S
 //          --inject=SPEC --lp-audit-interval=N
-//          --lp=auto|tableau|revised|dual --lp-pricing=candidate|devex
 //          --threads=N --no-timing --jsonl=PATH --csv=PATH --bench-json=PATH
 //          --trace=PATH --quiet --progress
 //
@@ -51,7 +50,7 @@ struct ExptOptions {
   std::string trace_path;
 
   // Overrides applied on top of a plan file (only when given on the line).
-  std::optional<std::string> presets, solvers, seeds, lp, lp_pricing, inject;
+  std::optional<std::string> presets, solvers, seeds, inject;
   std::optional<double> epsilon, precision, time_limit_s, cell_timeout_s;
   std::optional<std::size_t> threads, lp_audit_interval;
   std::optional<bool> record_timing;
@@ -65,8 +64,7 @@ void print_usage(std::ostream& os) {
      << "         [--cell-timeout=S]  (per-cell wall-clock watchdog; 0 = off)\n"
      << "         [--inject=SPEC]  (LP fault injection, e.g. all@0.01)\n"
      << "         [--lp-audit-interval=N]  (audit every Nth LP solve; 0 = off)\n"
-     << "         [--lp=auto|tableau|revised|dual]\n"
-     << "         [--lp-pricing=candidate|devex] [--threads=N] [--no-timing]\n"
+     << "         [--threads=N] [--no-timing]\n"
      << "         [--quiet] [--jsonl=PATH] [--csv=PATH] [--bench-json=PATH]\n"
      << "         [--trace=PATH]  (Chrome trace-event JSON of the sweep)\n"
      << "         [--progress]  (live completed-cell counter on stderr)\n"
@@ -118,13 +116,9 @@ std::optional<ExptOptions> parse_args(int argc, char** argv) {
         options.cell_timeout_s = std::stod(value);
       } else if (consume(arg, "--inject", &value)) {
         options.inject = value;
-      } else if (consume(arg, "--lp-pricing", &value)) {
-        options.lp_pricing = value;
       } else if (consume(arg, "--lp-audit-interval", &value)) {
         options.lp_audit_interval =
             static_cast<std::size_t>(parse_u64(value, "lp_audit_interval"));
-      } else if (consume(arg, "--lp", &value)) {
-        options.lp = value;
       } else if (consume(arg, "--threads", &value)) {
         options.threads = static_cast<std::size_t>(parse_u64(value, "threads"));
       } else if (consume(arg, "--jsonl", &value)) {
@@ -163,10 +157,6 @@ ExperimentPlan build_plan(const ExptOptions& options) {
   if (options.inject) plan.inject = *options.inject;
   if (options.lp_audit_interval) {
     plan.lp_audit_interval = *options.lp_audit_interval;
-  }
-  if (options.lp) plan.lp_algorithm = lp_algorithm_from_name(*options.lp);
-  if (options.lp_pricing) {
-    plan.lp_pricing = lp_pricing_from_name(*options.lp_pricing);
   }
   if (options.threads) plan.threads = *options.threads;
   if (options.record_timing) plan.record_timing = *options.record_timing;

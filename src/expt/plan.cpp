@@ -104,40 +104,6 @@ std::uint64_t cell_seed(std::string_view preset, std::uint64_t seed,
   return c();
 }
 
-std::string_view lp_algorithm_name(lp::SimplexAlgorithm algorithm) {
-  switch (algorithm) {
-    case lp::SimplexAlgorithm::kAuto: return "auto";
-    case lp::SimplexAlgorithm::kTableau: return "tableau";
-    case lp::SimplexAlgorithm::kRevised: return "revised";
-    case lp::SimplexAlgorithm::kDual: return "dual";
-  }
-  throw CheckError("unknown SimplexAlgorithm value");
-}
-
-lp::SimplexAlgorithm lp_algorithm_from_name(std::string_view name) {
-  if (name == "auto") return lp::SimplexAlgorithm::kAuto;
-  if (name == "tableau") return lp::SimplexAlgorithm::kTableau;
-  if (name == "revised") return lp::SimplexAlgorithm::kRevised;
-  if (name == "dual") return lp::SimplexAlgorithm::kDual;
-  throw CheckError("unknown lp algorithm '" + std::string(name) +
-                   "' (want auto, tableau, revised, or dual)");
-}
-
-std::string_view lp_pricing_name(lp::SimplexPricing pricing) {
-  switch (pricing) {
-    case lp::SimplexPricing::kCandidate: return "candidate";
-    case lp::SimplexPricing::kDevex: return "devex";
-  }
-  throw CheckError("unknown SimplexPricing value");
-}
-
-lp::SimplexPricing lp_pricing_from_name(std::string_view name) {
-  if (name == "candidate") return lp::SimplexPricing::kCandidate;
-  if (name == "devex") return lp::SimplexPricing::kDevex;
-  throw CheckError("unknown lp pricing '" + std::string(name) +
-                   "' (want candidate or devex)");
-}
-
 std::vector<std::string> split_list(std::string_view text) {
   std::vector<std::string> items;
   while (!text.empty()) {
@@ -207,10 +173,6 @@ ExperimentPlan parse_plan(std::istream& is) {
     } else if (key == "lp_audit_interval") {
       plan.lp_audit_interval =
           static_cast<std::size_t>(parse_u64(value, "lp_audit_interval"));
-    } else if (key == "lp") {
-      plan.lp_algorithm = lp_algorithm_from_name(value);
-    } else if (key == "lp_pricing") {
-      plan.lp_pricing = lp_pricing_from_name(value);
     } else if (key == "threads") {
       plan.threads = static_cast<std::size_t>(parse_u64(value, "threads"));
     } else if (key == "timing") {

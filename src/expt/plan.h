@@ -7,8 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "lp/simplex.h"
-
 namespace setsched::expt {
 
 /// Declarative description of a sweep: the cross product
@@ -26,13 +24,6 @@ struct ExperimentPlan {
   double epsilon = 0.5;
   double precision = 0.05;
   double time_limit_s = 10.0;
-  /// Simplex implementation the LP-based solvers run (plan key `lp`,
-  /// auto/tableau/revised/dual). `tableau` reproduces pre-warm-start
-  /// behavior for before/after sweeps.
-  lp::SimplexAlgorithm lp_algorithm = lp::SimplexAlgorithm::kAuto;
-  /// Primal pricing rule of the revised solver (plan key `lp_pricing`,
-  /// candidate/devex).
-  lp::SimplexPricing lp_pricing = lp::SimplexPricing::kCandidate;
 
   /// 0 = shared default_pool(), 1 = sequential, N = private pool of N.
   std::size_t threads = 0;
@@ -94,9 +85,8 @@ struct CellKey {
 /// Parses a plan file: `key = value` lines, '#' comments, commas separating
 /// list items. Keys: presets, solvers ("all" expands to the full registry),
 /// seeds (`N` means 1..N, `A..B` is inclusive), epsilon, precision,
-/// time_limit_s, cell_timeout_s, lp (auto/tableau/revised/dual), lp_pricing
-/// (candidate/devex), threads, timing (on/off), inject (fault spec),
-/// lp_audit_interval.
+/// time_limit_s, cell_timeout_s, threads, timing (on/off), inject (fault
+/// spec), lp_audit_interval.
 /// Throws CheckError on unknown keys or malformed values; the result is
 /// validate()d.
 [[nodiscard]] ExperimentPlan parse_plan(std::istream& is);
@@ -108,17 +98,6 @@ void parse_seed_range(std::string_view text, std::uint64_t* begin,
 
 /// Splits a comma-separated list, trimming whitespace, dropping empty items.
 [[nodiscard]] std::vector<std::string> split_list(std::string_view text);
-
-/// "auto" / "tableau" / "revised" / "dual" <-> lp::SimplexAlgorithm; the
-/// parser throws CheckError on anything else.
-[[nodiscard]] std::string_view lp_algorithm_name(lp::SimplexAlgorithm algorithm);
-[[nodiscard]] lp::SimplexAlgorithm lp_algorithm_from_name(
-    std::string_view name);
-
-/// "candidate" / "devex" <-> lp::SimplexPricing; the parser throws
-/// CheckError on anything else.
-[[nodiscard]] std::string_view lp_pricing_name(lp::SimplexPricing pricing);
-[[nodiscard]] lp::SimplexPricing lp_pricing_from_name(std::string_view name);
 
 /// Strict whole-token decimal uint64 parse (no sign, no whitespace, no
 /// trailing junk — std::stoull would wrap "-1" to 2^64-1); throws CheckError

@@ -6,38 +6,33 @@
 namespace setsched::lp::internal {
 
 /// Devex reference-framework weights (Forrest & Goldfarb, "Steepest-edge
-/// simplex algorithms for linear programming", 1992), shared by the primal
-/// column pricing and the dual row pricing of the revised simplex. A weight
-/// w_i approximates the steepest-edge norm of entity i (a nonbasic column
-/// for primal pricing, a basis slot for dual pricing) measured within the
-/// reference framework established at the last reset(); the classic
-/// selection rule maximizes violation^2 / w_i. After each basis change the
-/// weights are refreshed with the rank-one Devex update: every entity
-/// touched by the pivot row/column inherits at least the pivot entity's
-/// weight scaled by its pivot ratio, and the pivot entity itself restarts
-/// from its own scaled weight. Weights only ever grow between resets, so a
+/// simplex algorithms for linear programming", 1992) for the dual simplex's
+/// leaving-row selection. A weight w_i approximates the steepest-edge norm
+/// of basis slot i measured within the reference framework established at
+/// the last reset(); the classic selection rule maximizes violation^2 / w_i.
+/// After each basis change the weights are refreshed with the rank-one
+/// Devex update: every slot touched by the pivot column inherits at least
+/// the pivot slot's weight scaled by its pivot ratio, and the pivot slot
+/// itself restarts from its own scaled weight. Weights only ever grow between resets, so a
 /// runaway maximum (overflowed()) signals that the reference framework is
 /// stale and a reset establishes a fresh one.
 class DevexWeights {
  public:
-  /// Establishes a new reference framework over `n` entities (all weights 1).
+  /// Establishes a new reference framework over `n` slots (all weights 1).
   void reset(std::size_t n) {
     w_.assign(n, 1.0);
     max_w_ = 1.0;
   }
 
-  [[nodiscard]] bool empty() const noexcept { return w_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return w_.size(); }
-
-  /// Selection score of entity i with the given violation (reduced cost for
-  /// primal pricing, primal infeasibility for dual pricing).
+  /// Selection score of slot i with the given violation (its primal
+  /// infeasibility).
   [[nodiscard]] double score(std::size_t i, double violation) const {
     return violation * violation / w_[i];
   }
 
-  /// Devex update for an entity i != pivot whose pivot-row (or pivot-column)
-  /// ratio is `ratio` = alpha_i / alpha_pivot, given the pivot entity's
-  /// pre-update weight.
+  /// Devex update for a slot i != pivot whose pivot-column ratio is
+  /// `ratio` = alpha_i / alpha_pivot, given the pivot slot's pre-update
+  /// weight.
   void update_neighbor(std::size_t i, double ratio, double pivot_weight) {
     const double candidate = ratio * ratio * pivot_weight;
     if (candidate > w_[i]) {
@@ -46,9 +41,8 @@ class DevexWeights {
     }
   }
 
-  /// Devex update for the pivot entity itself (the leaving variable in
-  /// primal pricing, the pivot slot in dual pricing): its new weight is the
-  /// old one seen through the pivot value, floored at the reference weight.
+  /// Devex update for the pivot slot itself: its new weight is the old one
+  /// seen through the pivot value, floored at the reference weight.
   void update_pivot(std::size_t i, double pivot_weight, double pivot_value) {
     double w = pivot_weight / (pivot_value * pivot_value);
     if (w < 1.0) w = 1.0;

@@ -18,9 +18,7 @@
 // simplex in dual.cpp: whenever the starting basis is primal-infeasible but
 // dual-feasible — exactly the state of a warm basis after an rhs/bound
 // mutation — run() re-optimizes dually instead of running phase 1 at all.
-// Primal pricing is selectable (SimplexOptions::pricing): candidate-list
-// partial pricing over raw reduced costs, or Devex reference-framework
-// pricing shared with the dual loop via lp/pricing.h.
+// Primal pricing is candidate-list partial pricing over raw reduced costs.
 
 #include <algorithm>
 #include <cmath>
@@ -449,41 +447,9 @@ std::size_t RevisedSolver::full_scan(bool phase1, bool bland) {
   return best;
 }
 
-std::size_t RevisedSolver::price_devex(bool phase1) {
-  // Full Devex pricing pass: maximize d_j^2 / w_j over the eligible nonbasic
-  // columns. Weights live in the reference framework established at the
-  // last reset; an overflow re-anchors it.
-  if (devex_cols_.size() != ncols_ || devex_cols_.overflowed()) {
-    devex_cols_.reset(ncols_);
-  }
-  std::size_t best = kNone;
-  double best_score = 0.0;
-  for (std::size_t j = 0; j < ncols_; ++j) {
-    if (state_[j] == VarStatus::kBasic) continue;
-    if (lower_[j] == upper_[j]) continue;  // fixed
-    if (shunned_[j]) continue;
-    const double d = reduced_cost(j, phase1);
-    double violation = 0.0;
-    if (state_[j] == VarStatus::kAtLower && d < -opt_.opt_tol) {
-      violation = -d;
-    } else if (state_[j] == VarStatus::kAtUpper && d > opt_.opt_tol) {
-      violation = d;
-    } else {
-      continue;
-    }
-    const double score = devex_cols_.score(j, violation);
-    if (best == kNone || score > best_score) {
-      best_score = score;
-      best = j;
-    }
-  }
-  return best;
-}
-
 std::size_t RevisedSolver::price(bool phase1) {
   const obs::PhaseTimer timer(obs::Phase::kLpPricing);
   if (use_bland_) return full_scan(phase1, /*bland=*/true);
-  if (opt_.pricing == SimplexPricing::kDevex) return price_devex(phase1);
   // Minor pass over the candidate list with fresh reduced costs; fall back
   // to a full pricing scan (which also refreshes the list) when it runs dry.
   std::size_t best = kNone;
@@ -509,35 +475,6 @@ std::size_t RevisedSolver::price(bool phase1) {
   candidates_.resize(keep);
   if (best != kNone) return best;
   return full_scan(phase1, /*bland=*/false);
-}
-
-void RevisedSolver::devex_primal_update(std::size_t enter,
-                                        std::size_t leave_slot) {
-  // Pivot row via BTRAN: rho = B^-T e_{leave_slot}; the ratio of each
-  // nonbasic column against the pivot element drives the Devex update. Runs
-  // BEFORE the eta for this pivot is pushed, so rho is the pre-pivot row.
-  const double pivot = alpha_[leave_slot];
-  if (pivot == 0.0) return;
-  std::fill(btran_scratch_.begin(), btran_scratch_.end(), 0.0);
-  btran_scratch_[leave_slot] = 1.0;
-  btran(btran_scratch_, rho_);
-
-  const double w_enter = devex_cols_.weight(enter);
-  for (std::size_t j = 0; j < ncols_; ++j) {
-    if (state_[j] == VarStatus::kBasic || j == enter) continue;
-    if (lower_[j] == upper_[j]) continue;
-    double a = 0.0;
-    if (j < nstruct_) {
-      for (std::size_t t = cols_.start[j]; t < cols_.start[j + 1]; ++t) {
-        a += cols_.value[t] * rho_[cols_.row[t]];
-      }
-    } else {
-      a = rho_[j - nstruct_];
-    }
-    if (a != 0.0) devex_cols_.update_neighbor(j, a / pivot, w_enter);
-  }
-  // The leaving variable becomes nonbasic and inherits the pivot weight.
-  devex_cols_.update_pivot(basis_[leave_slot], w_enter, pivot);
 }
 
 Solution RevisedSolver::extract(SolveStatus status) {
@@ -759,14 +696,6 @@ Solution RevisedSolver::run_primal() {
       continue;
     }
 
-    // Devex weight maintenance needs the pre-pivot row; run it before the
-    // eta for this pivot lands. kStaleDevex drops one update when it fires
-    // (stale weights cost iterations, never correctness).
-    if (opt_.pricing == SimplexPricing::kDevex && !use_bland_ &&
-        !injector_.fire(FaultKind::kStaleDevex)) {
-      devex_primal_update(enter, leave_slot);
-    }
-
     // Basis change.
     const std::size_t leaving = basis_[leave_slot];
     state_[leaving] =
@@ -808,8 +737,6 @@ Solution RevisedSolver::run() {
   init_basis(opt_.warm_start);
   factorize();
   compute_basics();
-  // (Devex column weights are lazily initialized by price_devex; candidate
-  // pricing never touches them.)
 
   // Dual prologue: a warm basis that turned primal-infeasible under a
   // re-parameterization but kept dual feasibility (rhs/bound mutations never
@@ -817,12 +744,9 @@ Solution RevisedSolver::run() {
   // being repaired by phase 1. kDual makes the dual loop the engine of
   // choice for every dual-feasible start (the min-makespan relaxations of
   // src/exact start dual-feasible from ANY basis: all costs are >= 0).
-  // Explicit kRevised opts OUT: it stays the primal-only PR 3 path, which
-  // before/after sweeps (--lp=revised) use as the pre-dual baseline.
   const bool prefer_dual =
       opt_.algorithm == SimplexAlgorithm::kDual ||
-      (opt_.algorithm == SimplexAlgorithm::kAuto &&
-       opt_.warm_start != nullptr && !opt_.warm_start->empty());
+      (opt_.warm_start != nullptr && !opt_.warm_start->empty());
   if (prefer_dual) {
     bool primal_infeasible = false;
     for (std::size_t k = 0; k < nrows_ && !primal_infeasible; ++k) {

@@ -64,11 +64,7 @@ class RevisedSolver {
   Solution run_primal();
   bool phase_one_costs();       ///< fills cslot_; true iff any infeasibility
   std::size_t price(bool phase1);
-  std::size_t price_devex(bool phase1);
   std::size_t full_scan(bool phase1, bool bland);
-  /// Devex reference-framework update for the primal pricing weights after
-  /// the basis change (enter, leave_slot); reads the pivot row via BTRAN.
-  void devex_primal_update(std::size_t enter, std::size_t leave_slot);
   [[nodiscard]] double reduced_cost(std::size_t j, bool phase1) const;
   [[nodiscard]] double bound_value(std::size_t j) const {
     return state_[j] == VarStatus::kAtUpper ? upper_[j] : lower_[j];
@@ -144,9 +140,8 @@ class RevisedSolver {
   std::vector<char> shunned_;  ///< columns with numerically unusable pivots
   bool any_shunned_ = false;
 
-  // Devex reference frameworks: columns for primal pricing, slots (rows) for
-  // the dual simplex's leaving-row selection.
-  DevexWeights devex_cols_;
+  // Devex reference framework over slots (rows) for the dual simplex's
+  // leaving-row selection.
   DevexWeights devex_rows_;
 
   double total_infeas_ = 0.0;
@@ -163,7 +158,8 @@ class RevisedSolver {
   /// Deterministic fault injection (lp/fault.h); disarmed unless the options
   /// carry a plan. Sites: eta pushes (kEtaFlip), try_factorize
   /// (kFactorPerturb), ftran results (kFtranNan), the periodic refactor
-  /// trigger (kSkipRefactor), and the Devex weight updates (kStaleDevex).
+  /// trigger (kSkipRefactor), and the dual's Devex weight updates
+  /// (kStaleDevex).
   FaultInjector injector_;
   /// Corrupts one entry of a freshly pushed eta when kEtaFlip fires; shared
   /// by the primal and dual eta-push sites.

@@ -478,11 +478,9 @@ Solution dispatch(const Model& model, const SimplexOptions& options) {
   switch (options.algorithm) {
     case SimplexAlgorithm::kTableau:
       return solve_tableau(model, options);
-    case SimplexAlgorithm::kRevised:
     case SimplexAlgorithm::kDual:
-      // Both are the sparse revised solver; kDual additionally prefers the
-      // dual loop for every dual-feasible start (solve_revised reads
-      // options.algorithm).
+      // The sparse revised solver, preferring the dual loop for every
+      // dual-feasible start (solve_revised reads options.algorithm).
       return solve_revised(model, options);
     case SimplexAlgorithm::kAuto:
       break;

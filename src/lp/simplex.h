@@ -116,11 +116,6 @@ enum class SimplexAlgorithm : std::uint8_t {
   kAuto,
   /// Dense bounded-variable two-phase tableau (reference implementation).
   kTableau,
-  /// Sparse revised simplex with LU basis factorization and warm starts,
-  /// primal-only: never runs the dual prologue, which makes it the exact
-  /// PR 3 configuration (--lp=revised is what before/after sweeps use as
-  /// the pre-dual baseline).
-  kRevised,
   /// Revised solver, but prefer the dual simplex: run the dual loop whenever
   /// the starting basis is dual-feasible (even without primal
   /// infeasibility), falling back to the composite primal phase 1 when it is
@@ -128,25 +123,6 @@ enum class SimplexAlgorithm : std::uint8_t {
   /// from any basis (all costs >= 0), so kDual solves them without a single
   /// primal phase-1 pivot.
   kDual,
-};
-
-/// Pricing rule of the revised solver (primal pricing; the dual simplex
-/// always uses Devex-weighted row selection, whose weights fall out of the
-/// pivot column for free).
-enum class SimplexPricing : std::uint8_t {
-  /// Candidate-list partial pricing over raw reduced costs: cheap minor
-  /// passes over a cached candidate list with periodic full scans. More
-  /// iterations than Devex, much less work per iteration — measured fastest
-  /// in wall clock on the scheduling LPs, hence the default.
-  kCandidate,
-  /// Devex reference-framework pricing (Forrest & Goldfarb): weights
-  /// approximate the steepest-edge norms within the current reference
-  /// framework and are updated from the pivot row each basis change. Costs
-  /// a full pricing scan plus one extra BTRAN per pivot; cuts iteration
-  /// counts (~30% on cold assignment-LP solves), which pays off when
-  /// iterations are the scarce resource (hard/degenerate LPs), not on the
-  /// warm re-optimization chains.
-  kDevex,
 };
 
 struct SimplexOptions {
@@ -165,9 +141,6 @@ struct SimplexOptions {
   bool audit = false;
   /// Implementation selector; see SimplexAlgorithm.
   SimplexAlgorithm algorithm = SimplexAlgorithm::kAuto;
-  /// Primal pricing rule of the revised solver; see SimplexPricing. The
-  /// tableau ignores it.
-  SimplexPricing pricing = SimplexPricing::kCandidate;
   /// Starting basis for the revised solver (ignored by the tableau). The
   /// caller keeps ownership; pass the Basis returned by a previous solve of
   /// the same (possibly re-parameterized) model. Stale or structurally
@@ -248,11 +221,11 @@ struct SimplexOptions {
 
 /// The sparse revised simplex, directly: column-wise sparse storage, LU
 /// basis factorization with product-form eta updates and periodic
-/// refactorization, FTRAN/BTRAN, selectable pricing (candidate-list partial
-/// pricing or Devex), warm starting from SimplexOptions::warm_start, and a
-/// bounded-variable dual simplex that re-optimizes warm bases which are
-/// primal-infeasible but dual-feasible (forced for every dual-feasible
-/// start by SimplexAlgorithm::kDual).
+/// refactorization, FTRAN/BTRAN, candidate-list partial pricing, warm
+/// starting from SimplexOptions::warm_start, and a bounded-variable dual
+/// simplex that re-optimizes warm bases which are primal-infeasible but
+/// dual-feasible (forced for every dual-feasible start by
+/// SimplexAlgorithm::kDual).
 [[nodiscard]] Solution solve_revised(const Model& model,
                                      const SimplexOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <unordered_set>
@@ -26,6 +27,10 @@ namespace {
 struct ThreadBuffer {
   std::vector<TraceEvent> events;  ///< capacity reserved up front, never grown
   std::size_t dropped = 0;
+  std::size_t bulk = 0;  ///< bulk instants recorded in `events`
+  /// Shed bulk instants per name. Names compare by content: the same
+  /// literal may have different addresses in different translation units.
+  std::vector<std::pair<std::string_view, std::size_t>> shed;
   /// Drop-newest threshold. Tracked separately from events.capacity():
   /// reserve() never shrinks, so a re-start_trace() with a smaller capacity
   /// must not inherit the old (larger) allocation as its limit.
@@ -85,6 +90,33 @@ void push(ThreadBuffer& buffer, const TraceEvent& event) {
   }
 }
 
+TraceEvent make_instant(const ThreadBuffer& buffer, const char* name,
+                        const char* category, const char* arg_str_name,
+                        const char* arg_str, const char* arg_num_name,
+                        double arg_num) {
+  TraceEvent event;
+  event.name = name;
+  event.category = category;
+  event.track = buffer.track;
+  event.ts_us = relative_us(std::chrono::steady_clock::now());
+  event.dur_us = -1.0;
+  event.arg_str_name = arg_str_name;
+  event.arg_str = arg_str;
+  event.arg_num_name = arg_num_name;
+  event.arg_num = arg_num;
+  return event;
+}
+
+void count_shed(ThreadBuffer& buffer, std::string_view name) {
+  for (auto& [shed_name, count] : buffer.shed) {
+    if (shed_name == name) {
+      ++count;
+      return;
+    }
+  }
+  buffer.shed.emplace_back(name, 1);
+}
+
 // --- Chrome trace JSON -----------------------------------------------------
 
 void write_json_number(std::ostream& os, double v) {
@@ -135,6 +167,8 @@ void start_trace(std::size_t capacity_per_thread) {
     buffer->capacity = reg.capacity;
     buffer->events.reserve(reg.capacity);
     buffer->dropped = 0;
+    buffer->bulk = 0;
+    buffer->shed.clear();
   }
   internal::g_trace_start_ns.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -168,17 +202,22 @@ void emit_instant(const char* name, const char* category,
                   const char* arg_num_name, double arg_num) {
   if (!trace_enabled()) return;
   ThreadBuffer& buffer = local_buffer();
-  TraceEvent event;
-  event.name = name;
-  event.category = category;
-  event.track = buffer.track;
-  event.ts_us = relative_us(std::chrono::steady_clock::now());
-  event.dur_us = -1.0;
-  event.arg_str_name = arg_str_name;
-  event.arg_str = arg_str;
-  event.arg_num_name = arg_num_name;
-  event.arg_num = arg_num;
-  push(buffer, event);
+  push(buffer, make_instant(buffer, name, category, arg_str_name, arg_str,
+                            arg_num_name, arg_num));
+}
+
+void emit_bulk_instant(const char* name, const char* category,
+                       const char* arg_str_name, const char* arg_str,
+                       const char* arg_num_name, double arg_num) {
+  if (!trace_enabled()) return;
+  ThreadBuffer& buffer = local_buffer();
+  if (buffer.bulk >= buffer.capacity / kBulkShare) {
+    count_shed(buffer, name);
+    return;
+  }
+  ++buffer.bulk;
+  push(buffer, make_instant(buffer, name, category, arg_str_name, arg_str,
+                            arg_num_name, arg_num));
 }
 
 TraceCounts trace_counts() {
@@ -188,6 +227,7 @@ TraceCounts trace_counts() {
   for (const auto& buffer : reg.buffers) {
     counts.events += buffer->events.size();
     counts.dropped += buffer->dropped;
+    for (const auto& [name, count] : buffer->shed) counts.shed += count;
   }
   return counts;
 }
@@ -221,12 +261,37 @@ std::vector<std::pair<std::uint32_t, std::string>> track_names() {
   return names;
 }
 
+namespace {
+
+/// Shed bulk-instant counts per name, summed over every thread buffer.
+std::map<std::string, std::size_t> shed_counts() {
+  Registry& reg = registry();
+  const MutexLock lock(reg.mutex);
+  std::map<std::string, std::size_t> shed;
+  for (const auto& buffer : reg.buffers) {
+    for (const auto& [name, count] : buffer->shed) {
+      shed[std::string(name)] += count;
+    }
+  }
+  return shed;
+}
+
+}  // namespace
+
 void write_chrome_trace(std::ostream& os) {
   const std::vector<TraceEvent> events = collect_trace_events();
   const TraceCounts counts = trace_counts();
 
   os << "{\"displayTimeUnit\":\"ms\",\"setschedDropped\":" << counts.dropped
-     << ",\"traceEvents\":[";
+     << ",\"setschedShed\":{";
+  bool first_shed = true;
+  for (const auto& [name, count] : shed_counts()) {
+    if (!first_shed) os << ',';
+    first_shed = false;
+    write_json_string(os, name);
+    os << ':' << count;
+  }
+  os << "},\"traceEvents\":[";
   bool first = true;
   for (const auto& [track, name] : track_names()) {
     os << (first ? "\n" : ",\n")

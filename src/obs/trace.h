@@ -50,8 +50,9 @@ void append_event(const TraceEvent& event,
 /// Starts a new trace: clears every registered per-thread buffer, resets the
 /// epoch, and opens the gate. Events append lock-free into thread-local
 /// buffers of `capacity_per_thread` events (drop-newest with a counter when
-/// full). Call while no spans are in flight on other threads (the CLIs call
-/// it before any solver work starts).
+/// full; bulk instants are capped lower, see emit_bulk_instant). Call while
+/// no spans are in flight on other threads (the CLIs call it before any
+/// solver work starts).
 void start_trace(std::size_t capacity_per_thread = std::size_t{1} << 20);
 
 /// Closes the gate. Spans already in flight finish without recording.
@@ -73,6 +74,20 @@ void emit_instant(const char* name, const char* category,
                   const char* arg_str_name = nullptr,
                   const char* arg_str = nullptr,
                   const char* arg_num_name = nullptr, double arg_num = 0.0);
+
+/// Share of a thread buffer that bulk instants may fill: 1 / kBulkShare.
+inline constexpr std::size_t kBulkShare = 8;
+
+/// Appends a high-volume instant (one per search-tree node). Bulk instants
+/// fill at most 1/kBulkShare of a thread buffer; past that they are shed:
+/// counted per name instead of recorded, so a long search cannot crowd
+/// spans and rare instants out of the buffer. The shed counts are written
+/// as "setschedShed", so the total per name still reconciles exactly.
+void emit_bulk_instant(const char* name, const char* category,
+                       const char* arg_str_name = nullptr,
+                       const char* arg_str = nullptr,
+                       const char* arg_num_name = nullptr,
+                       double arg_num = 0.0);
 
 /// RAII scoped span over steady_clock. Arms only if tracing is enabled at
 /// construction; records a complete event on destruction (dropped if the
@@ -119,6 +134,7 @@ class TraceSpan {
 struct TraceCounts {
   std::size_t events = 0;
   std::size_t dropped = 0;
+  std::size_t shed = 0;  ///< bulk instants counted but not recorded
 };
 
 /// Totals across every registered thread buffer.
@@ -134,7 +150,8 @@ struct TraceCounts {
 /// Writes the merged trace as Chrome trace-event JSON (object form with a
 /// "traceEvents" array plus thread_name metadata), loadable in
 /// chrome://tracing and Perfetto. Adds "setschedDropped" so consumers can
-/// detect buffer overflow before reconciling event counts.
+/// detect buffer overflow before reconciling event counts, and
+/// "setschedShed" ({"<name>": count}) for the shed bulk instants.
 void write_chrome_trace(std::ostream& os);
 
 }  // namespace setsched::obs

@@ -129,7 +129,7 @@ void expect_matches_enumeration(const Instance& inst, BoundMode mode,
   ExactOptions opt;
   opt.bound = mode;
   opt.cg_bound_depth = inst.num_jobs();
-  opt.fault_plan = plan;
+  opt.simplex.fault_plan = plan;
   const ExactResult r = solve_exact(inst, opt);
   EXPECT_TRUE(r.proven_optimal) << "seed " << seed;
   EXPECT_NEAR(r.makespan, reference, 1e-9) << "seed " << seed;

@@ -1,7 +1,8 @@
 // Docs-vs-code consistency: the tables in docs/SOLVERS.md must list exactly
 // the registered solvers and presets, and docs/BENCH_SCHEMA.md must document
-// every key the JSONL writer emits. These tests are what keeps the docs/
-// subsystem from rotting: adding a solver, a preset, or a RunRecord field
+// every key the JSONL writer emits and exactly the plan fields of
+// BENCH_expt.json. These tests are what keeps the docs/ subsystem from
+// rotting: adding a solver, a preset, a RunRecord field or a plan field
 // without updating the page is a test failure, not a silent drift.
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 
 #include "api/presets.h"
 #include "api/registry.h"
+#include "expt/aggregate.h"
+#include "expt/plan.h"
 #include "expt/record_io.h"
 #include "obs/phase.h"
 
@@ -75,7 +78,30 @@ testing::AssertionResult same_sets(const std::set<std::string>& documented,
   }
   if (diff.str().empty()) return testing::AssertionSuccess();
   return testing::AssertionFailure()
-         << "docs/SOLVERS.md disagrees with the code:" << diff.str();
+         << "the docs disagree with the code:" << diff.str();
+}
+
+/// Every JSON object key ("key": ...) in `text`, in order of appearance.
+std::vector<std::string> json_keys(const std::string& text) {
+  std::vector<std::string> keys;
+  std::size_t pos = 0;
+  while ((pos = text.find('"', pos)) != std::string::npos) {
+    const std::size_t close = text.find('"', pos + 1);
+    if (close == std::string::npos) break;
+    const std::string token = text.substr(pos + 1, close - pos - 1);
+    pos = close + 1;
+    if (pos < text.size() && text[pos] == ':') keys.push_back(token);
+  }
+  return keys;
+}
+
+/// The body of the `"plan": { ... }` object in `text` (it nests nothing).
+std::string plan_block(const std::string& text) {
+  const std::size_t open = text.find("\"plan\": {");
+  EXPECT_NE(open, std::string::npos) << "no plan object";
+  if (open == std::string::npos) return {};
+  const std::size_t close = text.find('}', open);
+  return text.substr(open + 9, close - open - 9);
 }
 
 TEST(Docs, SolversTableMatchesRegistry) {
@@ -96,22 +122,15 @@ TEST(Docs, BenchSchemaDocumentsEveryJsonlKey) {
   const std::string line = row.str();
   const std::string schema = read_doc("BENCH_SCHEMA.md");
 
-  // Pull the keys out of the emitted JSONL line ("key": ...) and require a
-  // backticked mention of each in the schema page.
-  std::size_t pos = 0;
-  std::size_t keys = 0;
-  while ((pos = line.find('"', pos)) != std::string::npos) {
-    const std::size_t close = line.find('"', pos + 1);
-    ASSERT_NE(close, std::string::npos);
-    const std::string token = line.substr(pos + 1, close - pos - 1);
-    pos = close + 1;
-    if (pos >= line.size() || line[pos] != ':') continue;  // a value, not a key
-    ++keys;
-    EXPECT_NE(schema.find("`" + token + "`"), std::string::npos)
-        << "JSONL key '" << token << "' is not documented in BENCH_SCHEMA.md";
+  // Pull the keys out of the emitted JSONL line and require a backticked
+  // mention of each in the schema page.
+  const std::vector<std::string> keys = json_keys(line);
+  for (const std::string& key : keys) {
+    EXPECT_NE(schema.find("`" + key + "`"), std::string::npos)
+        << "JSONL key '" << key << "' is not documented in BENCH_SCHEMA.md";
   }
-  EXPECT_EQ(keys, 32u) << "RunRecord schema size changed; update "
-                          "docs/BENCH_SCHEMA.md and this pin";
+  EXPECT_EQ(keys.size(), 32u) << "RunRecord schema size changed; update "
+                                 "docs/BENCH_SCHEMA.md and this pin";
 
   // The nested phase_ms keys are elided when zero, so the default record
   // above never exercises them: emit one record with every phase non-zero
@@ -128,6 +147,16 @@ TEST(Docs, BenchSchemaDocumentsEveryJsonlKey) {
     EXPECT_NE(schema.find("`" + name + "`"), std::string::npos)
         << "phase '" << name << "' is not documented in BENCH_SCHEMA.md";
   }
+}
+
+TEST(Docs, BenchSchemaPlanBlockMatchesWriter) {
+  std::ostringstream bench;
+  expt::write_bench_json(bench, expt::ExperimentPlan{}, {});
+  const std::vector<std::string> emitted = json_keys(plan_block(bench.str()));
+  const std::vector<std::string> documented =
+      json_keys(plan_block(read_doc("BENCH_SCHEMA.md")));
+  EXPECT_TRUE(same_sets({documented.begin(), documented.end()}, emitted,
+                        "BENCH_expt.json plan field"));
 }
 
 TEST(Docs, CorePagesExistAndAreNonTrivial) {

@@ -32,7 +32,6 @@ TEST(ExptPlan, ParsesKeyValueFile) {
       "cell_timeout_s = 1.5\n"
       "inject = eta-flip,ftran-nan@0.01\n"
       "lp_audit_interval = 16\n"
-      "lp = tableau\n"
       "threads = 3\n"
       "timing = off\n");
   const ExperimentPlan plan = parse_plan(is);
@@ -47,7 +46,6 @@ TEST(ExptPlan, ParsesKeyValueFile) {
   EXPECT_DOUBLE_EQ(plan.cell_timeout_s, 1.5);
   EXPECT_EQ(plan.inject, "eta-flip,ftran-nan@0.01");
   EXPECT_EQ(plan.lp_audit_interval, 16u);
-  EXPECT_EQ(plan.lp_algorithm, lp::SimplexAlgorithm::kTableau);
   EXPECT_EQ(plan.threads, 3u);
   EXPECT_FALSE(plan.record_timing);
   EXPECT_EQ(plan.num_seeds(), 3u);
@@ -94,8 +92,13 @@ TEST(ExptPlan, RejectsMalformedFiles) {
   EXPECT_THROW(parse("presets = uniform-small\nsolvers = greedy\n"
                      "epsilon = -1\n"),
                CheckError);
+  // The LP engine and pricing selectors are gone: plan files that still
+  // set them fail instead of silently running the default.
   EXPECT_THROW(parse("presets = uniform-small\nsolvers = greedy\n"
-                     "lp = dense\n"),
+                     "lp = revised\n"),
+               CheckError);
+  EXPECT_THROW(parse("presets = uniform-small\nsolvers = greedy\n"
+                     "lp_pricing = devex\n"),
                CheckError);
   // A malformed fault-injection spec must fail at plan time, not mid-sweep.
   EXPECT_THROW(parse("presets = uniform-small\nsolvers = greedy\n"
@@ -104,15 +107,6 @@ TEST(ExptPlan, RejectsMalformedFiles) {
   EXPECT_THROW(parse("presets = uniform-small\nsolvers = greedy\n"
                      "inject = all@2.0\n"),
                CheckError);
-}
-
-TEST(ExptPlan, LpAlgorithmNamesRoundTrip) {
-  for (const auto algorithm :
-       {lp::SimplexAlgorithm::kAuto, lp::SimplexAlgorithm::kTableau,
-        lp::SimplexAlgorithm::kRevised}) {
-    EXPECT_EQ(lp_algorithm_from_name(lp_algorithm_name(algorithm)), algorithm);
-  }
-  EXPECT_THROW((void)lp_algorithm_from_name("simplex"), CheckError);
 }
 
 TEST(ExptPlan, CellKeyOrderIsPresetSeedSolver) {
@@ -705,7 +699,9 @@ TEST(ExptAggregate, BenchJsonContainsPlanCountsAndSummaries) {
   EXPECT_NE(out.find("\"ok\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"skipped\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"ratio_mean\": 1.5"), std::string::npos);
-  EXPECT_NE(out.find("\"lp\": \"auto\""), std::string::npos);
+  // The plan echoes no LP engine or pricing: there is one configuration.
+  EXPECT_EQ(out.find("\"lp\": \""), std::string::npos);
+  EXPECT_EQ(out.find("\"lp_pricing\": \""), std::string::npos);
   EXPECT_NE(out.find("\"proven\""), std::string::npos);
   EXPECT_NE(out.find("\"certified\""), std::string::npos);
   EXPECT_NE(out.find("\"gap_mean\""), std::string::npos);

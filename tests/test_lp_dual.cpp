@@ -1,9 +1,8 @@
-// Differential suite for the PR 5 LP additions: the bounded-variable dual
-// simplex (forced via SimplexAlgorithm::kDual and exercised automatically by
-// warm re-optimization) and Devex reference-framework pricing, both pinned
-// against the dense tableau oracle; plus regression coverage proving that a
-// warm basis mutated into primal infeasibility is re-optimized by the dual
-// loop in far fewer iterations than a cold solve.
+// Differential suite for the bounded-variable dual simplex (forced via
+// SimplexAlgorithm::kDual and exercised automatically by warm
+// re-optimization), pinned against the dense tableau oracle; plus regression
+// coverage proving that a warm basis mutated into primal infeasibility is
+// re-optimized by the dual loop in far fewer iterations than a cold solve.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +21,9 @@
 namespace setsched::lp {
 namespace {
 
-SimplexOptions with(SimplexAlgorithm algorithm,
-                    SimplexPricing pricing = SimplexPricing::kDevex) {
+SimplexOptions with(SimplexAlgorithm algorithm) {
   SimplexOptions options;
   options.algorithm = algorithm;
-  options.pricing = pricing;
   return options;
 }
 
@@ -81,19 +78,6 @@ TEST_P(DualDifferentialTest, ForcedDualMatchesTableauOracle) {
   EXPECT_LE(m.max_violation(dual.x), 1e-5) << "seed " << GetParam();
 }
 
-TEST_P(DualDifferentialTest, CandidateAndDevexPricingAgree) {
-  const Model m = random_lp(GetParam() * 15485863 + 3);
-  const Solution candidate =
-      solve(m, with(SimplexAlgorithm::kRevised, SimplexPricing::kCandidate));
-  const Solution devex =
-      solve(m, with(SimplexAlgorithm::kRevised, SimplexPricing::kDevex));
-  ASSERT_EQ(candidate.status, devex.status) << "seed " << GetParam();
-  if (!candidate.optimal()) return;
-  EXPECT_NEAR(candidate.objective, devex.objective,
-              1e-6 * std::max(1.0, std::abs(candidate.objective)))
-      << "seed " << GetParam();
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, DualDifferentialTest,
                          ::testing::Range<std::uint64_t>(0, 60));
 
@@ -106,7 +90,7 @@ TEST(DualSimplex, WarmRhsMutationTakesTheDualPath) {
   const auto x = m.add_variable(0, 4, 1);
   const auto y = m.add_variable(0, 5, 2);
   const auto row = m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 4);
-  const Solution first = solve(m, with(SimplexAlgorithm::kRevised));
+  const Solution first = solve(m, with(SimplexAlgorithm::kAuto));
   ASSERT_TRUE(first.optimal());
   EXPECT_FALSE(first.via_dual);  // cold primal solve
   EXPECT_NEAR(first.objective, 4.0, 1e-7);
@@ -118,15 +102,6 @@ TEST(DualSimplex, WarmRhsMutationTakesTheDualPath) {
   ASSERT_TRUE(second.optimal());
   EXPECT_TRUE(second.via_dual);
   EXPECT_NEAR(second.objective, 13.0, 1e-7);
-
-  // Explicit kRevised is the primal-only PR 3 baseline: same warm start,
-  // same answer, no dual prologue.
-  SimplexOptions primal_only = with(SimplexAlgorithm::kRevised);
-  primal_only.warm_start = &first.basis;
-  const Solution primal = solve(m, primal_only);
-  ASSERT_TRUE(primal.optimal());
-  EXPECT_FALSE(primal.via_dual);
-  EXPECT_NEAR(primal.objective, 13.0, 1e-7);
 }
 
 TEST(DualSimplex, DetectsInfeasibilityOfWarmProbe) {
@@ -136,7 +111,7 @@ TEST(DualSimplex, DetectsInfeasibilityOfWarmProbe) {
   const auto x = m.add_variable(0, 3, 1);
   const auto y = m.add_variable(0, 5, 2);
   const auto row = m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 4);
-  const Solution first = solve(m, with(SimplexAlgorithm::kRevised));
+  const Solution first = solve(m, with(SimplexAlgorithm::kAuto));
   ASSERT_TRUE(first.optimal());
 
   m.set_rhs(row, 10);  // max attainable x + y is 8

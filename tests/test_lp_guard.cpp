@@ -114,7 +114,7 @@ TEST(Guard, CleanSolveAuditsClean) {
   const Model m = reference_model();
   const SimplexOptions options;
   for (const auto algorithm :
-       {SimplexAlgorithm::kTableau, SimplexAlgorithm::kRevised}) {
+       {SimplexAlgorithm::kTableau, SimplexAlgorithm::kAuto}) {
     SimplexOptions opt = options;
     opt.algorithm = algorithm;
     const Solution sol = solve(m, opt);
@@ -225,10 +225,7 @@ TEST_P(FaultDifferentialTest, GuardedInjectedSolveMatchesOracle) {
   std::size_t total_injected = 0;
   std::size_t total_recovered = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const Model m = random_lp(seed);
-    const Solution reference = solve_tableau(m, SimplexOptions{});
-    ASSERT_TRUE(reference.optimal()) << "seed " << seed;
-
+    Model m = random_lp(seed);
     FaultPlan plan;
     plan.arm(kind);
     plan.rate = 0.25;
@@ -237,10 +234,22 @@ TEST_P(FaultDifferentialTest, GuardedInjectedSolveMatchesOracle) {
     opt.guard = true;
     opt.fault_plan = &plan;
     // Give the rarer fault sites opportunities on these small LPs: Devex
-    // updates only exist under Devex pricing, and periodic refactorization
-    // triggers only fire when the interval is shorter than the pivot count.
-    if (kind == FaultKind::kStaleDevex) opt.pricing = SimplexPricing::kDevex;
+    // updates only exist in the dual simplex's row pricing, so that leg
+    // re-solves warm from the optimum of the looser model — shrinking every
+    // upper bound leaves the basis primal-infeasible but dual-feasible, the
+    // state the dual loop re-optimizes. Periodic refactorization triggers
+    // only fire when the interval is shorter than the pivot count.
+    Basis loose;
+    if (kind == FaultKind::kStaleDevex) {
+      loose = solve(m).basis;
+      for (std::size_t j = 0; j < m.num_variables(); ++j) {
+        m.set_bounds(j, m.lower(j), m.upper(j) * 0.25);
+      }
+      opt.warm_start = &loose;
+    }
     if (kind == FaultKind::kSkipRefactor) opt.refactor_interval = 2;
+    const Solution reference = solve_tableau(m, SimplexOptions{});
+    ASSERT_TRUE(reference.optimal()) << "seed " << seed;
     const Solution sol = solve(m, opt);
 
     total_injected += sol.faults_injected;
@@ -340,7 +349,7 @@ TEST(Guard, ExactSearchUnderInjectionMatchesEnumeration) {
     const FaultPlan plan = FaultPlan::parse("all@0.02", seed * 31);
     ExactOptions opt;
     opt.use_lp_bounds = true;
-    opt.fault_plan = &plan;
+    opt.simplex.fault_plan = &plan;
     const ExactResult r = solve_exact(inst, opt);
 
     EXPECT_TRUE(r.proven_optimal) << "seed " << seed;

@@ -132,7 +132,7 @@ class DifferentialLpTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DifferentialLpTest, RevisedMatchesTableauOracle) {
   const Model m = random_lp(GetParam() * 7919 + 101);
   const Solution tableau = solve(m, with(SimplexAlgorithm::kTableau));
-  const Solution revised = solve(m, with(SimplexAlgorithm::kRevised));
+  const Solution revised = solve(m, with(SimplexAlgorithm::kAuto));
   ASSERT_EQ(tableau.status, revised.status) << "seed " << GetParam();
   if (!tableau.optimal()) return;
   EXPECT_NEAR(tableau.objective, revised.objective,
@@ -157,7 +157,7 @@ TEST(DifferentialLp, UnboundedAndInfeasibleVerdictsAgree) {
     m.add_constraint({{x, 1}, {y, -1}}, Sense::kLessEqual, 1);
     EXPECT_EQ(solve(m, with(SimplexAlgorithm::kTableau)).status,
               SolveStatus::kUnbounded);
-    EXPECT_EQ(solve(m, with(SimplexAlgorithm::kRevised)).status,
+    EXPECT_EQ(solve(m, with(SimplexAlgorithm::kAuto)).status,
               SolveStatus::kUnbounded);
   }
   {
@@ -167,7 +167,7 @@ TEST(DifferentialLp, UnboundedAndInfeasibleVerdictsAgree) {
     m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 3);
     EXPECT_EQ(solve(m, with(SimplexAlgorithm::kTableau)).status,
               SolveStatus::kInfeasible);
-    const Solution revised = solve(m, with(SimplexAlgorithm::kRevised));
+    const Solution revised = solve(m, with(SimplexAlgorithm::kAuto));
     EXPECT_EQ(revised.status, SolveStatus::kInfeasible);
     // Even an infeasible probe hands back a basis for the next warm start.
     EXPECT_FALSE(revised.basis.empty());
@@ -180,7 +180,7 @@ TEST(DifferentialLp, WarmStartReproducesOptimumAfterReparameterization) {
   const auto x = m.add_variable(0, 3, 1);
   const auto y = m.add_variable(0, 5, 2);
   const auto row = m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 4);
-  const Solution first = solve(m, with(SimplexAlgorithm::kRevised));
+  const Solution first = solve(m, with(SimplexAlgorithm::kAuto));
   ASSERT_TRUE(first.optimal());
   EXPECT_NEAR(first.objective, 5.0, 1e-7);
 
@@ -188,12 +188,12 @@ TEST(DifferentialLp, WarmStartReproducesOptimumAfterReparameterization) {
   m.set_bounds(x, 0, 2);
   m.set_rhs(row, 6);
   m.update_entry(row, y, 2.0);  // x + 2y >= 6 -> x=2, y=2, obj=6.
-  SimplexOptions warm = with(SimplexAlgorithm::kRevised);
+  SimplexOptions warm = with(SimplexAlgorithm::kAuto);
   warm.warm_start = &first.basis;
   const Solution second = solve(m, warm);
   ASSERT_TRUE(second.optimal());
   EXPECT_NEAR(second.objective, 6.0, 1e-7);
-  const Solution cold = solve(m, with(SimplexAlgorithm::kRevised));
+  const Solution cold = solve(m, with(SimplexAlgorithm::kAuto));
   EXPECT_NEAR(second.objective, cold.objective, 1e-9);
 }
 
@@ -203,13 +203,13 @@ TEST(DifferentialLp, WarmStartSurvivesAppendedColumns) {
   Model m(Objective::kMaximize);
   const auto u = m.add_variable(0, 1, 1);
   const auto row = m.add_constraint({{u, 1}}, Sense::kLessEqual, 0.5);
-  const Solution first = solve(m, with(SimplexAlgorithm::kRevised));
+  const Solution first = solve(m, with(SimplexAlgorithm::kAuto));
   ASSERT_TRUE(first.optimal());
   EXPECT_NEAR(first.objective, 0.5, 1e-7);
 
   const auto z = m.add_variable(0, 1, 0.25);
   m.add_to_row(row, z, -1.0);  // u - z <= 0.5 -> u = 1, z = 1 -> obj 1.25
-  SimplexOptions warm = with(SimplexAlgorithm::kRevised);
+  SimplexOptions warm = with(SimplexAlgorithm::kAuto);
   warm.warm_start = &first.basis;
   const Solution second = solve(m, warm);
   ASSERT_TRUE(second.optimal());
@@ -249,7 +249,7 @@ TEST_P(DifferentialAssignmentLpTest, FeasibilityAndObjectiveMatchTableau) {
       const auto tableau = solve_assignment_lp(
           inst, T, lp_options(SimplexAlgorithm::kTableau, strengthen));
       const auto revised = solve_assignment_lp(
-          inst, T, lp_options(SimplexAlgorithm::kRevised, strengthen));
+          inst, T, lp_options(SimplexAlgorithm::kAuto, strengthen));
       ASSERT_EQ(tableau.has_value(), revised.has_value())
           << "seed " << GetParam() << " T=" << T
           << " strengthen=" << strengthen;
@@ -282,7 +282,7 @@ TEST(DifferentialRelaxedLp, VerdictsMatchTableauAcrossGuesses) {
   lp::SimplexOptions tableau;
   tableau.algorithm = SimplexAlgorithm::kTableau;
   lp::SimplexOptions revised;
-  revised.algorithm = SimplexAlgorithm::kRevised;
+  revised.algorithm = SimplexAlgorithm::kAuto;
   for (const double factor : {0.7, 1.0, 1.4, 2.0}) {
     const double T = floor * factor;
     const auto a = solve_relaxed_lp(inst, T, tableau);
@@ -302,7 +302,7 @@ TEST(DifferentialConfigLp, StatusAndCoverageMatchTableau) {
     ConfigLpOptions tableau;
     tableau.simplex.algorithm = SimplexAlgorithm::kTableau;
     ConfigLpOptions revised;
-    revised.simplex.algorithm = SimplexAlgorithm::kRevised;
+    revised.simplex.algorithm = SimplexAlgorithm::kAuto;
     const ConfigLpResult a = solve_config_lp(inst, floor * factor, tableau);
     const ConfigLpResult b = solve_config_lp(inst, floor * factor, revised);
     EXPECT_EQ(a.status, b.status) << "factor " << factor;

@@ -262,6 +262,26 @@ TEST(ObsTrace, DropNewestCountsOverflow) {
   EXPECT_EQ(trace_counts().dropped, 4u);
 }
 
+TEST(ObsTrace, BulkInstantsAreShedPastTheirShareAndCounted) {
+  const GateGuard guard;
+  // 64 events per thread: bulk instants may take 64 / kBulkShare = 8 slots;
+  // the rest are counted per name, and spans still fit afterwards.
+  start_trace(/*capacity_per_thread=*/64);
+  for (int i = 0; i < 20; ++i) emit_bulk_instant("node", "exact");
+  for (int i = 0; i < 3; ++i) emit_bulk_instant("beam", "exact");
+  { const TraceSpan span("prove", "exact"); }
+  stop_trace();
+  EXPECT_EQ(trace_counts().events, 64u / kBulkShare + 1);
+  EXPECT_EQ(trace_counts().dropped, 0u);
+  EXPECT_EQ(trace_counts().shed, 20u + 3u - 64u / kBulkShare);
+
+  std::ostringstream os;
+  write_chrome_trace(os);
+  EXPECT_NE(os.str().find("\"setschedShed\":{\"beam\":3,\"node\":12}"),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(ObsTrace, ChromeJsonIsWellFormedAndCarriesMetadata) {
   const GateGuard guard;
   start_trace();
@@ -279,6 +299,7 @@ TEST(ObsTrace, ChromeJsonIsWellFormedAndCarriesMetadata) {
 
   EXPECT_EQ(out.rfind("{\"displayTimeUnit\":\"ms\"", 0), 0u);
   EXPECT_NE(out.find("\"setschedDropped\":0"), std::string::npos);
+  EXPECT_NE(out.find("\"setschedShed\":{}"), std::string::npos);
   EXPECT_NE(out.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"M\""), std::string::npos);  // thread_name meta
   EXPECT_NE(out.find("\"thread_name\""), std::string::npos);

@@ -13,8 +13,10 @@ summaries.
     children, the disjoint solver-phase children sum to 90..102% of the
     parent's duration (the <= 5% unaccounted-time acceptance bar, with
     slack for timer quantization on the high side)
-  * with --jsonl=FILE: "node" instants reconcile EXACTLY with the summed
-    `nodes` column of the run records
+  * with --jsonl=FILE: "node" instants, recorded plus shed (setschedShed,
+    the bulk instants past the tracer's per-thread share, counted instead
+    of recorded), reconcile EXACTLY with the summed `nodes` column of the
+    run records
 
 Stdlib only; no third-party dependencies.
 """
@@ -142,7 +144,9 @@ def report(doc, track_names, spans, instants):
 
     nodes = [e for e in instants if e.get("name") == "node"]
     reasons = Counter(e.get("args", {}).get("reason", "?") for e in nodes)
-    print("\nsearch-tree nodes: %d" % len(nodes))
+    print("\nsearch-tree nodes: %d recorded, %d shed (the histograms cover "
+          "the recorded ones)"
+          % (len(nodes), doc.get("setschedShed", {}).get("node", 0)))
     for reason, n in reasons.most_common():
         print("  %-14s %8d" % (reason, n))
 
@@ -185,11 +189,12 @@ def validate(doc, spans, instants, jsonl_path):
 
     if jsonl_path:
         traced_nodes = sum(1 for e in instants if e.get("name") == "node")
+        traced_nodes += doc.get("setschedShed", {}).get("node", 0)
         jsonl_nodes, rows = jsonl_nodes_total(jsonl_path)
         if traced_nodes != jsonl_nodes:
             errors.append(
-                "node reconciliation failed: %d 'node' instants in the "
-                "trace vs %d nodes summed over %d JSONL rows"
+                "node reconciliation failed: %d 'node' instants "
+                "(recorded + shed) in the trace vs %d nodes summed over %d JSONL rows"
                 % (traced_nodes, jsonl_nodes, rows))
         else:
             print("node reconciliation: %d == %d over %d rows"

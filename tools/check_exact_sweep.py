@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Exact ground-truth sweep check for setsched (runs as ctest `expt_exact`).
+
+Runs the exact searches (exact, exact-dive, dive-then-prove,
+branch-and-price) plus greedy over the small and mid-size unrelated presets,
+traced, and asserts:
+
+  * every row is ok and carries the proven_optimal/gap certificate; greedy
+    reports no certificate (gap -1), the searches a per-run gap;
+  * no budget-exhausted run masquerades as a proven optimum:
+    proven_optimal <=> gap == 0;
+  * every LP-bounded search reports dual re-optimizations
+    (0 < lp_dual_solves <= lp_solves);
+  * on the small preset, dive-then-prove pays no more total nodes than the
+    cold prove on the seeds both close;
+  * branch-and-price (the config bound) pays no more nodes than exact (the
+    assignment bound) on the seeds both prove, and prices some column;
+  * in BENCH_expt.json every search summary is certified on all ok cells;
+  * each sweep's Chrome trace validates against its JSONL rows
+    (tools/analyze_trace.py --validate).
+
+The small preset runs with a budget far above its slowest proof (about 4 s
+in an unoptimized Debug build), so every search there proves and the node
+comparisons cover the same seeds in every build and under any machine
+load; the check asserts that they all close. The mid-size preset keeps the
+2 s budget, where no search closes: it checks the anytime certificates.
+
+Usage:
+  python3 tools/check_exact_sweep.py --expt build/setsched_expt --out DIR
+
+The JSONL, trace and BENCH_expt_exact_*.json files are left in DIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+
+SEARCHERS = ("exact", "exact-dive", "dive-then-prove", "branch-and-price")
+PROVERS = ("exact", "dive-then-prove", "branch-and-price")
+# Preset -> per-cell time limit in seconds (see the module docstring).
+LEGS = {"unrelated-small": 60, "unrelated-midsize": 2}
+
+
+def sweep(expt: str, out: pathlib.Path, preset: str) -> tuple[list, dict]:
+    """Runs one traced leg, validates its trace, returns (rows, bench)."""
+    jsonl = out / f"exact_{preset}.jsonl"
+    trace = out / f"exact_{preset}_trace.json"
+    bench = out / f"BENCH_expt_exact_{preset}.json"
+    subprocess.run([expt, f"--presets={preset}",
+                    "--solvers=" + ",".join(SEARCHERS + ("greedy",)),
+                    "--seeds=2", "--threads=2",
+                    f"--time-limit={LEGS[preset]}", "--quiet",
+                    f"--jsonl={jsonl}", f"--trace={trace}",
+                    f"--bench-json={bench}"], check=True)
+    # The trace must be structurally sound and its node instants (recorded
+    # plus shed) must reconcile exactly with the JSONL rows.
+    analyze = pathlib.Path(__file__).resolve().parent / "analyze_trace.py"
+    subprocess.run([sys.executable, str(analyze), str(trace), "--validate",
+                    f"--jsonl={jsonl}"], check=True)
+    rows = [json.loads(line) for line in jsonl.read_text().splitlines()
+            if line.strip()]
+    return rows, json.loads(bench.read_text())
+
+
+def check_rows(records: list[dict]) -> None:
+    assert len(records) == 20, f"want 20 cells, got {len(records)}"
+    for r in records:
+        assert r["status"] == "ok", r
+        assert "proven_optimal" in r and "gap" in r, r
+        if r["solver"] == "greedy":
+            assert not r["proven_optimal"] and r["gap"] == -1.0, r
+            continue
+        assert r["gap"] >= 0.0 and r["nodes"] > 0, r
+        # The min-makespan node relaxation is all-nonnegative-cost, so every
+        # LP-bounded search must report dual re-optimizations (the chain
+        # merges both phases' counters, so the dive's root solve alone
+        # already satisfies this).
+        assert r["lp_dual_solves"] > 0, \
+            f"exact run without dual LP solves: {r}"
+        assert r["lp_dual_solves"] <= r["lp_solves"], r
+        if r["proven_optimal"]:
+            assert r["gap"] == 0.0, f"proven run with open gap: {r}"
+        else:
+            assert r["gap"] > 0.0, f"abort mislabeled as optimum: {r}"
+
+
+def compare_nodes(by_cell: dict, solver: str, reference: str,
+                  preset: str | None = None) -> tuple[int, int, int]:
+    """Sums nodes of `solver` and `reference` over the cells both prove.
+
+    Node counts of proven runs are deterministic (no wall-clock abort is
+    involved), so the totals compare like for like. Returns
+    (cells compared, reference nodes, solver nodes).
+    """
+    compared, ref_nodes, nodes = 0, 0, 0
+    for (name, cell_preset, seed), r in by_cell.items():
+        if name != solver or (preset is not None and cell_preset != preset):
+            continue
+        ref = by_cell.get((reference, cell_preset, seed))
+        if ref is None or not (r["proven_optimal"] and ref["proven_optimal"]):
+            continue
+        compared += 1
+        ref_nodes += ref["nodes"]
+        nodes += r["nodes"]
+    return compared, ref_nodes, nodes
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--expt", required=True,
+                        help="path to the setsched_expt binary")
+    parser.add_argument("--out", default=".",
+                        help="directory for the sweep outputs")
+    args = parser.parse_args()
+    out = pathlib.Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    records, summaries = [], []
+    for preset in LEGS:
+        rows, bench = sweep(args.expt, out, preset)
+        records += rows
+        summaries += bench["summaries"]
+    check_rows(records)
+    by_cell = {(r["solver"], r["preset"], r["seed"]): r for r in records}
+    unproven = [r for r in records if r["preset"] == "unrelated-small"
+                and r["solver"] in PROVERS and not r["proven_optimal"]]
+    assert not unproven, f"small-preset proof did not close: {unproven}"
+
+    # Dive-then-prove must pay for its dive phase: its merged total (dive
+    # beam states plus seeded prove) may not exceed the cold tree.
+    compared, cold_total, chain_total = compare_nodes(
+        by_cell, "dive-then-prove", "exact", preset="unrelated-small")
+    assert compared > 0, "no seed closed by both exact and the chain"
+    assert chain_total <= cold_total, \
+        f"chain paid more nodes than cold: {chain_total} > {cold_total}"
+
+    # Branch-and-price dominates the assignment bound by construction
+    # (config probes run on top of it, and kAuto demotion makes the searches
+    # identical), so on cells both prove it may never pay more nodes; it
+    # must also actually price columns somewhere.
+    bp_compared, assign_nodes, config_nodes = compare_nodes(
+        by_cell, "branch-and-price", "exact")
+    assert bp_compared > 0, "no seed closed by both bound modes"
+    assert config_nodes <= assign_nodes, \
+        f"config bound paid more nodes: {config_nodes} > {assign_nodes}"
+    bp_rounds = sum(r.get("cg_pricing_rounds", 0) for r in records
+                    if r["solver"] == "branch-and-price")
+    assert bp_rounds > 0, "branch-and-price never priced a column"
+
+    for s in summaries:
+        if s["solver"] in SEARCHERS:
+            assert s["certified"] == s["ok"], s
+            assert s["proven"] <= s["ok"], s
+
+    print("exact sweep ok:", [
+        (s["solver"], s["preset"], s["proven"], round(s["gap_mean"], 4))
+        for s in summaries if s["solver"] != "greedy"],
+        "node totals (small, both proven):", cold_total, "->", chain_total,
+        "assignment -> config bound (both proven):",
+        assign_nodes, "->", config_nodes)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
