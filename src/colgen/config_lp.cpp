@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <utility>
 
+#include "colgen/coverage_master.h"
 #include "common/check.h"
 #include "common/prng.h"
 #include "core/bounds.h"
-#include "lp/simplex.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
 
@@ -176,34 +177,22 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
   struct Column {
     MachineId machine;
     std::vector<JobId> jobs;
+    std::size_t z;  ///< master variable
   };
   std::vector<Column> columns;
 
+  // The restricted master is built ONCE and only grows: each round appends
+  // the newly priced configuration columns and re-solves warm from the
+  // previous round's basis, so late rounds cost a handful of simplex
+  // iterations instead of a full cold solve over every column so far.
+  CoverageMaster master(n, m, options.simplex);
   ConfigLpResult out;
-  std::vector<double> dual_job(n, 1.0);   // pricing duals; 1.0 seeds round 0
-  std::vector<double> dual_machine(m, 0.0);
-
-  // The restricted master is built ONCE (u variables, job rows, machine
-  // rows) and only grows: each round appends the newly priced configuration
-  // columns and re-solves warm-started from the previous round's basis, so
-  // late rounds cost a handful of simplex iterations instead of a full
-  // cold solve over every column generated so far.
-  lp::Model rmp(lp::Objective::kMaximize);
-  std::vector<std::size_t> u_var(n);
-  for (JobId j = 0; j < n; ++j) u_var[j] = rmp.add_variable(0.0, 1.0, 1.0);
-  // u_j - Σ_{c ∋ j} z_c <= 0 per job (z entries appended as columns arrive).
-  std::vector<std::size_t> job_row_index(n);
-  for (JobId j = 0; j < n; ++j) {
-    job_row_index[j] =
-        rmp.add_constraint({{u_var[j], 1.0}}, lp::Sense::kLessEqual, 0.0);
-  }
-  // Σ_c z_{i,c} <= 1 per machine (rows start empty).
-  std::vector<std::size_t> machine_row_index(m);
-  for (MachineId i = 0; i < m; ++i) {
-    machine_row_index[i] = rmp.add_constraint({}, lp::Sense::kLessEqual, 1.0);
-  }
-  std::vector<std::size_t> z_var;
-  lp::Basis rmp_basis;
+  const auto finish = [&](ConfigLpStatus status) {
+    out.status = status;
+    out.columns = columns.size();
+    out.effort() = master.session().effort();
+    return std::move(out);
+  };
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     out.iterations = iter + 1;
@@ -212,7 +201,8 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     std::vector<PricedConfig> priced(m);
     const auto price_one = [&](std::size_t i) {
       priced[i] = price_machine_config(instance, static_cast<MachineId>(i), T,
-                                       dual_job, options.grid, options.tol);
+                                       master.job_duals(), options.grid,
+                                       options.tol);
     };
     {
       const obs::PhaseTimer phase(obs::Phase::kColgenPricing);
@@ -230,33 +220,20 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     bool added = false;
     for (MachineId i = 0; i < m; ++i) {
       if (priced[i].jobs.empty()) continue;
-      if (priced[i].value <= dual_machine[i] + options.tol) continue;
+      if (priced[i].value <= master.machine_duals()[i] + options.tol) continue;
       added = true;
-      const std::size_t z = rmp.add_variable(0.0, 1.0, 0.0);
-      z_var.push_back(z);
-      for (const JobId j : priced[i].jobs) {
-        rmp.add_to_row(job_row_index[j], z, -1.0);
-      }
-      rmp.add_to_row(machine_row_index[i], z, 1.0);
-      columns.push_back({i, std::move(priced[i].jobs)});
+      const std::size_t z = master.add_column(i, priced[i].jobs);
+      columns.push_back({i, std::move(priced[i].jobs), z});
     }
     if (!added) {
       // No improving column exists: the RMP optimum is the configuration-LP
       // optimum on this grid; coverage below n certifies grid-infeasibility.
-      out.status = ConfigLpStatus::kInfeasibleAtGrid;
-      out.columns = columns.size();
-      return out;
+      return finish(ConfigLpStatus::kInfeasibleAtGrid);
     }
 
     // --- restricted master problem (warm-started re-solve) ---
-    lp::SimplexOptions simplex = options.simplex;
-    if (!rmp_basis.empty()) simplex.warm_start = &rmp_basis;
-    const lp::Solution sol = lp::solve(rmp, simplex);
-    ++out.lp_solves;
-    out.lp_iterations += sol.iterations;
-    sol.add_guard_counters(out);
+    const lp::Solution& sol = master.solve();
     check(sol.optimal(), "RMP solve failed");
-    if (!sol.basis.empty()) rmp_basis = sol.basis;
     out.coverage = sol.objective;
 
     if (sol.objective >= static_cast<double>(n) - options.tol) {
@@ -264,12 +241,12 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
       FractionalAssignment frac{
           Matrix<double>(m, n, 0.0),
           Matrix<double>(m, instance.num_classes(), 0.0)};
-      for (std::size_t c = 0; c < columns.size(); ++c) {
-        const double z = std::clamp(sol.x[z_var[c]], 0.0, 1.0);
+      for (const Column& column : columns) {
+        const double z = std::clamp(sol.x[column.z], 0.0, 1.0);
         if (z <= 0.0) continue;
-        const MachineId i = columns[c].machine;
+        const MachineId i = column.machine;
         std::vector<char> touched(instance.num_classes(), 0);
-        for (const JobId j : columns[c].jobs) {
+        for (const JobId j : column.jobs) {
           frac.x(i, j) += z;
           touched[instance.job_class(j)] = 1;
         }
@@ -289,23 +266,13 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
                                      frac.x(i, j)));
         }
       }
-      out.status = ConfigLpStatus::kFeasible;
       out.fractional = std::move(frac);
-      out.columns = columns.size();
-      return out;
+      return finish(ConfigLpStatus::kFeasible);
     }
 
-    // Duals for the next pricing round (maximize convention: y >= 0).
-    for (JobId j = 0; j < n; ++j) {
-      dual_job[j] = std::max(0.0, sol.duals[job_row_index[j]]);
-    }
-    for (MachineId i = 0; i < m; ++i) {
-      dual_machine[i] = std::max(0.0, sol.duals[machine_row_index[i]]);
-    }
+    master.update_duals();  // for the next pricing round
   }
-  out.columns = columns.size();
-  out.status = ConfigLpStatus::kIterationLimit;
-  return out;
+  return finish(ConfigLpStatus::kIterationLimit);
 }
 
 RoundingResult randomized_rounding_config(const Instance& instance,

@@ -28,9 +28,9 @@ struct ConfigLpOptions {
   double tol = 1e-6;
   /// Optional pool: pricing problems across machines run in parallel.
   ThreadPool* pool = nullptr;
-  /// Simplex knobs for the restricted master. The RMP model is built once
-  /// and grows by columns; each round's solve warm-starts from the previous
-  /// round's basis (revised path only).
+  /// Simplex knobs for the restricted master (colgen/coverage_master.h). The
+  /// RMP is built once and grows by columns; each round's solve warm-starts
+  /// from the previous round's basis (revised path only).
   lp::SimplexOptions simplex = {};
 };
 
@@ -40,8 +40,9 @@ enum class ConfigLpStatus {
   kIterationLimit,
 };
 
-/// The effort counters report the RMP work: lp_solves (== rounds run),
-/// lp_iterations, and the guard counters, summed over all RMP solves.
+/// The effort counters are the RMP's session effort: lp_solves (one per
+/// round that added a column), lp_iterations, lp_dual_solves and the guard
+/// counters, summed over all RMP solves.
 struct ConfigLpResult : EffortCounters {
   ConfigLpStatus status = ConfigLpStatus::kIterationLimit;
   FractionalAssignment fractional;  ///< valid iff kFeasible

@@ -16,7 +16,8 @@ namespace setsched {
 /// aggregates are all generated from this list, so a new counter is one
 /// row here plus its docs/BENCH_SCHEMA.md entry.
 ///
-///   lp_solves            LP solves.
+///   lp_solves            LP solves, summed over every lp::Session the
+///                        solver ran.
 ///   lp_iterations        Simplex iterations across those solves.
 ///   lp_dual_solves       Solves the dual simplex re-optimized (warm bases
 ///                        turned primal-infeasible, or explicit kDual runs).
@@ -35,7 +36,10 @@ namespace setsched {
 ///   cg_fallbacks         Branch-and-price: config-LP probes demoted to the
 ///                        assignment bound.
 ///   nodes                Search-tree nodes expanded (exact solvers).
-///   lp_bounds_used       LP relaxation probes spent on search bounding.
+///   lp_bounds_used       Assignment-LP relaxation probes spent on search
+///                        bounding (exact solvers: lp_solves minus the
+///                        branch-and-price RMP solves, one per pricing
+///                        round).
 #define SETSCHED_EFFORT_COUNTERS(X)            \
   X(lp_solves, "lp_solves", false)             \
   X(lp_iterations, "lp_iters", false)          \

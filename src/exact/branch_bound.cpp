@@ -104,7 +104,7 @@ class ProveSolver {
           // Fine-grid root pass: a throwaway bounder whose smaller
           // conservative inflation certifies what the coarse grid cannot.
           // Wall clock capped at half the remaining budget so it can never
-          // starve the prove phase; its effort folds into the cg counters.
+          // starve the prove phase; its effort folds into the result.
           exact::ConfigBoundOptions fine = cg;
           fine.grid = opt_.cg_root_grid;
           const double left =
@@ -125,9 +125,7 @@ class ProveSolver {
                   cg_lb,
                   fine_bounder.root_lower_bound(std::max(base, cg_lb),
                                                 prune_at_));
-              cg_extra_columns_ += fine_bounder.columns();
-              cg_extra_rounds_ += fine_bounder.pricing_rounds();
-              cg_extra_fallbacks_ += fine_bounder.fallbacks();
+              cg_extra_ += fine_bounder.effort();
             }
           }
         }
@@ -138,7 +136,7 @@ class ProveSolver {
           // Root bound no better than the assignment LP's: demote for the
           // whole search instead of paying per-node pricing for nothing.
           cg_active_ = false;
-          ++cg_extra_fallbacks_;
+          ++cg_extra_.cg_fallbacks;
         }
       }
     }
@@ -159,13 +157,9 @@ class ProveSolver {
     out.schedule = best_schedule_;
     out.makespan = makespan(inst_, best_schedule_);
     if (bounder_) out.effort() = bounder_->effort();
+    if (cg_bounder_) out += cg_bounder_->effort();
+    out += cg_extra_;
     out.nodes = nodes_;
-    if (cg_bounder_) {
-      out.cg_columns = cg_bounder_->columns() + cg_extra_columns_;
-      out.cg_pricing_rounds =
-          cg_bounder_->pricing_rounds() + cg_extra_rounds_;
-      out.cg_fallbacks = cg_bounder_->fallbacks() + cg_extra_fallbacks_;
-    }
     exact::certify(&out, lower_bound_, !aborted_);
     return out;
   }
@@ -288,7 +282,7 @@ class ProveSolver {
         // Pricing keeps hitting the round limit without a verdict: stop
         // paying for config probes for the rest of the search.
         cg_active_ = false;
-        ++cg_extra_fallbacks_;
+        ++cg_extra_.cg_fallbacks;
       }
     }
 
@@ -374,11 +368,9 @@ class ProveSolver {
   /// when the bounder stops earning its keep. The bounder object outlives
   /// the flag so unwinding unpins — and the final counters — stay valid.
   bool cg_active_ = false;
-  std::size_t cg_extra_fallbacks_ = 0;
-  /// Effort of the throwaway fine-grid root bounder (folded into the
-  /// reported cg counters; the bounder itself does not outlive the root).
-  std::size_t cg_extra_columns_ = 0;
-  std::size_t cg_extra_rounds_ = 0;
+  /// Effort of the throwaway fine-grid root bounder (it does not outlive
+  /// the root) plus the kAuto demotions, which count as cg_fallbacks.
+  EffortCounters cg_extra_;
   std::optional<DominanceTable> memo_;
   /// Reduced-cost fix trail: each node unfixes back to the size it saw on
   /// entry (root fixes at the front are permanent).

@@ -144,10 +144,13 @@ struct ExactOptions {
 /// ground truth from budget-exhausted incumbents; consumers (registry,
 /// experiment harness) must propagate it instead of treating every result
 /// as an optimum. The effort counters include `nodes` (DFS nodes or beam
-/// states), `lp_bounds_used` == `lp_solves` (assignment-LP probes: root
-/// search plus per-node feasibility probes), `fixed_vars` (cumulative; a
-/// subtree-local fix counts once per application), and the cg_* counters
-/// (BoundMode kConfig/kAuto; 0 under kAssignment).
+/// states), `lp_bounds_used` (assignment-LP probes: root search plus
+/// per-node feasibility probes), `fixed_vars` (cumulative; a subtree-local
+/// fix counts once per application), and the cg_* counters (BoundMode
+/// kConfig/kAuto; 0 under kAssignment). The lp_* counters cover every LP
+/// solve of the run: the assignment probes and, under kConfig/kAuto, one
+/// configuration-LP RMP solve per pricing round (node probes and the
+/// fine-grid root pass), so lp_solves == lp_bounds_used + cg_pricing_rounds.
 struct ExactResult : EffortCounters {
   Schedule schedule;
   double makespan = 0.0;

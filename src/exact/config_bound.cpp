@@ -9,29 +9,17 @@ namespace setsched::exact {
 
 ConfigLpBounder::ConfigLpBounder(const Instance& instance, double T_build,
                                  const ConfigBoundOptions& options)
-    : inst_(instance), opt_(options), rmp_(lp::Objective::kMaximize) {
+    : inst_(instance), opt_(options) {
   if (T_build <= 0.0 || opt_.grid == 0) return;
   const std::size_t n = inst_.num_jobs();
-  const std::size_t m = inst_.num_machines();
   slack_ = static_cast<double>(n + inst_.num_classes()) /
            static_cast<double>(opt_.grid);
   if (slack_ >= kCgMaxGridSlack) return;  // grid too coarse to say anything
 
-  // Same RMP shape as solve_config_lp: u_j coverage variables, job rows
-  // u_j - Σ_{c ∋ j} z_c <= 0, machine convexity rows Σ_c z_{i,c} <= 1.
-  job_row_.resize(n);
-  machine_row_.resize(m);
-  for (JobId j = 0; j < n; ++j) {
-    const std::size_t u = rmp_.add_variable(0.0, 1.0, 1.0);
-    job_row_[j] = rmp_.add_constraint({{u, 1.0}}, lp::Sense::kLessEqual, 0.0);
-  }
-  for (MachineId i = 0; i < m; ++i) {
-    machine_row_[i] = rmp_.add_constraint({}, lp::Sense::kLessEqual, 1.0);
-  }
+  lp::SimplexOptions simplex = opt_.simplex;
+  simplex.guard = true;  // every prune verdict must survive the audit
+  master_.emplace(n, inst_.num_machines(), simplex);
   pinned_.assign(n, kUnassigned);
-  dual_job_.assign(n, 0.0);
-  dual_machine_.assign(m, 0.0);
-  available_ = true;
 }
 
 bool ConfigLpBounder::conflicts(const PoolColumn& c, JobId j,
@@ -44,12 +32,11 @@ bool ConfigLpBounder::conflicts(const PoolColumn& c, JobId j,
 }
 
 void ConfigLpBounder::sync_bounds(const PoolColumn& c) {
-  const bool disabled = c.pin_blocks > 0 || c.load_blocked;
-  rmp_.set_bounds(c.z, 0.0, disabled ? 0.0 : 1.0);
+  master_->set_enabled(c.z, c.pin_blocks == 0 && !c.load_blocked);
 }
 
 void ConfigLpBounder::pin(JobId j, MachineId i) {
-  if (!available_) return;
+  if (!master_) return;
   pinned_[j] = i;
   for (PoolColumn& c : pool_) {
     if (!conflicts(c, j, i)) continue;
@@ -58,7 +45,7 @@ void ConfigLpBounder::pin(JobId j, MachineId i) {
 }
 
 void ConfigLpBounder::unpin(JobId j) {
-  if (!available_) return;
+  if (!master_) return;
   const MachineId i = pinned_[j];
   pinned_[j] = kUnassigned;
   if (i == kUnassigned) return;
@@ -91,9 +78,7 @@ void ConfigLpBounder::add_column(MachineId i, std::vector<JobId> jobs) {
   for (ClassId k = 0; k < inst_.num_classes(); ++k) {
     if (touched[k]) c.load += inst_.setup(i, k);
   }
-  c.z = rmp_.add_variable(0.0, 1.0, 0.0);
-  for (const JobId j : c.jobs) rmp_.add_to_row(job_row_[j], c.z, -1.0);
-  rmp_.add_to_row(machine_row_[i], c.z, 1.0);
+  c.z = master_->add_column(i, c.jobs);
   // The pricer only emits pin-consistent columns that truly fit the current
   // probe T (weights are rounded up), so a fresh column starts enabled.
   c.pin_blocks = 0;
@@ -117,31 +102,23 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
     ++last_probe_rounds_;
     ++pricing_rounds_;
 
-    lp::SimplexOptions simplex = opt_.simplex;
-    simplex.guard = true;  // every prune verdict must survive the audit
-    if (!basis_.empty()) simplex.warm_start = &basis_;
-    const lp::Solution sol = lp::solve(rmp_, simplex);
+    const lp::Solution& sol = master_->solve();
     if (!sol.optimal() || sol.audit_contested()) return Probe::kContested;
-    if (!sol.basis.empty()) basis_ = sol.basis;
     if (sol.objective >= coverage_target) return Probe::kFeasible;
-
-    for (JobId j = 0; j < n; ++j) {
-      dual_job_[j] = std::max(0.0, sol.duals[job_row_[j]]);
-    }
-    for (MachineId i = 0; i < m; ++i) {
-      dual_machine_[i] = std::max(0.0, sol.duals[machine_row_[i]]);
-    }
+    master_->update_duals();
 
     bool added = false;
     for (MachineId i = 0; i < m; ++i) {
       PricedConfig priced =
-          price_machine_config(inst_, i, t_eff, dual_job_, opt_.grid,
-                               kCgPricingTol, &pinned_);
+          price_machine_config(inst_, i, t_eff, master_->job_duals(),
+                               opt_.grid, kCgPricingTol, &pinned_);
       // The jobs pinned to machine i alone overflow the grid: their true
       // load exceeds the probe T in every completion (grid conservatism).
       if (!priced.pins_fit) return Probe::kInfeasible;
       if (priced.jobs.empty()) continue;
-      if (priced.value <= dual_machine_[i] + kCgPricingTol) continue;
+      if (priced.value <= master_->machine_duals()[i] + kCgPricingTol) {
+        continue;
+      }
       add_column(i, std::move(priced.jobs));
       added = true;
     }
@@ -156,7 +133,7 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
 }
 
 bool ConfigLpBounder::probe_verdict(double T, std::size_t max_rounds) {
-  if (!available_ || T <= 0.0) return true;  // no bounder, no pruning
+  if (!master_ || T <= 0.0) return true;  // no bounder, no pruning
   ++probes_;
   const double t_eff = T / (1.0 - slack_);
   if (t_eff != current_T_) retune(t_eff);
@@ -183,7 +160,7 @@ bool ConfigLpBounder::feasible(double T) {
 }
 
 double ConfigLpBounder::root_lower_bound(double lo, double hi) {
-  if (!available_ || hi <= 0.0 || lo >= hi) return lo;
+  if (!master_ || hi <= 0.0 || lo >= hi) return lo;
   double certified = lo;
   double ceiling = hi;
   const std::size_t rounds = std::max(opt_.rounds_per_node, opt_.root_rounds);
@@ -213,8 +190,19 @@ double ConfigLpBounder::root_lower_bound(double lo, double hi) {
   return certified;
 }
 
+EffortCounters ConfigLpBounder::effort() const {
+  EffortCounters out;
+  if (master_) out = master_->session().effort();
+  out.cg_columns = pool_.size();
+  out.cg_pricing_rounds = pricing_rounds_;
+  out.cg_fallbacks = fallbacks_;
+  return out;
+}
+
 bool ConfigLpBounder::check_invariants() const {
-  if (!available_) return true;
+  if (!master_) return true;
+  const lp::Session& session = master_->session();
+  const lp::Model& rmp = session.model();
   for (const PoolColumn& c : pool_) {
     int blocks = 0;
     for (JobId j = 0; j < inst_.num_jobs(); ++j) {
@@ -223,13 +211,13 @@ bool ConfigLpBounder::check_invariants() const {
     }
     if (blocks != c.pin_blocks) return false;
     const bool disabled = c.pin_blocks > 0 || c.load_blocked;
-    if (rmp_.upper(c.z) != (disabled ? 0.0 : 1.0)) return false;
-    if (c.z >= rmp_.num_variables()) return false;
+    if (rmp.upper(c.z) != (disabled ? 0.0 : 1.0)) return false;
+    if (c.z >= rmp.num_variables()) return false;
   }
   // Columns are append-only, so a warm basis carried across backtracking may
   // never reference more structurals than the model holds.
-  if (basis_.structurals.size() > rmp_.num_variables()) return false;
-  if (basis_.logicals.size() > rmp_.num_constraints()) return false;
+  if (session.basis().structurals.size() > rmp.num_variables()) return false;
+  if (session.basis().logicals.size() > rmp.num_constraints()) return false;
   return true;
 }
 

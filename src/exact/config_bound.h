@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "colgen/config_lp.h"
+#include "colgen/coverage_master.h"
+#include "core/counters.h"
 #include "core/instance.h"
-#include "lp/model.h"
 #include "lp/simplex.h"
 
 namespace setsched::exact {
@@ -38,10 +39,9 @@ struct ConfigBoundOptions {
 };
 
 /// Configuration-LP bounds for the branch-and-bound: branch-and-price. The
-/// restricted master (job-coverage maximization over configuration columns,
-/// colgen/config_lp.h) is built ONCE and only ever grows; every probe
-/// warm-starts from the previous node's basis exactly like the T-search warm
-/// chain, and pricing at a node is restricted to configurations consistent
+/// restricted master (colgen/coverage_master.h) is built ONCE and only ever
+/// grows; every probe warm-starts from the previous node's basis on the
+/// master's lp::Session, exactly like the T-search warm chain, and pricing at a node is restricted to configurations consistent
 /// with the node's partial schedule (price_machine_config pins). The column
 /// pool and basis survive backtracking: columns are never erased — a column
 /// inconsistent with the current pins (or too loaded for the current probe
@@ -70,7 +70,7 @@ class ConfigLpBounder {
   ConfigLpBounder(const Instance& instance, double T_build,
                   const ConfigBoundOptions& options);
 
-  [[nodiscard]] bool available() const noexcept { return available_; }
+  [[nodiscard]] bool available() const noexcept { return master_.has_value(); }
 
   /// Pin/unpin the branching decision "job j runs on machine i". Pool
   /// columns conflicting with the pin (machine-i columns missing j, other
@@ -93,13 +93,12 @@ class ConfigLpBounder {
   [[nodiscard]] double root_lower_bound(double lo, double hi);
 
   // --- effort counters (SolverStats cg_* trio + internals) -----------------
+  /// Everything the bounder spent: the RMP session's lp_solves (one per
+  /// pricing round), lp_iterations, lp_dual_solves and guard counters, plus
+  /// cg_columns, cg_pricing_rounds and cg_fallbacks.
+  [[nodiscard]] EffortCounters effort() const;
   /// Configuration columns priced into the RMP (pool size; append-only).
   [[nodiscard]] std::size_t columns() const noexcept { return pool_.size(); }
-  /// Pricing rounds across all probes (each runs one RMP solve + one
-  /// all-machines pricing pass).
-  [[nodiscard]] std::size_t pricing_rounds() const noexcept {
-    return pricing_rounds_;
-  }
   /// Probes demoted to "no bound": contested/non-optimal RMP solves plus
   /// round-limit stalls. The caller's auto-mode demotion adds to this.
   [[nodiscard]] std::size_t fallbacks() const noexcept { return fallbacks_; }
@@ -148,20 +147,15 @@ class ConfigLpBounder {
 
   const Instance& inst_;
   ConfigBoundOptions opt_;
-  bool available_ = false;
   /// Conservative grid inflation (n + classes) / grid; probes at T price at
   /// T / (1 - slack_).
   double slack_ = 0.0;
   double current_T_ = -1.0;  ///< T_eff the pool's load-blocking is tuned to
 
-  lp::Model rmp_;
-  std::vector<std::size_t> job_row_;
-  std::vector<std::size_t> machine_row_;
+  /// The RMP; empty when the bounder is unavailable.
+  std::optional<CoverageMaster> master_;
   std::vector<PoolColumn> pool_;
-  lp::Basis basis_;
   std::vector<MachineId> pinned_;
-  std::vector<double> dual_job_;
-  std::vector<double> dual_machine_;
 
   std::size_t pricing_rounds_ = 0;
   std::size_t fallbacks_ = 0;

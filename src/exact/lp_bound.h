@@ -98,9 +98,9 @@ class LpBounder {
     return lp_ && lp_->pair_fixed(j, i);
   }
 
-  /// Probe effort: lp_solves == lp_bounds_used (root search + node probes),
-  /// lp_iterations, lp_dual_solves, the guard counters, and fixed_vars
-  /// (total pairs ever fixed by fix_dominated, cumulative before undos).
+  /// Probe effort: the chain's lp_* and guard counters, lp_bounds_used (the
+  /// probe count: root solve + node probes), and fixed_vars (total pairs
+  /// ever fixed by fix_dominated, cumulative before undos).
   [[nodiscard]] EffortCounters effort() const noexcept {
     EffortCounters out;
     if (lp_) out = lp_->effort();
@@ -117,8 +117,7 @@ class LpBounder {
   /// True when the most recent probe's answer must not be acted on: the
   /// audit contested it even after the full recovery ladder.
   [[nodiscard]] bool last_contested() const {
-    return lp_->last_verdict() == lp::AuditVerdict::kSuspect ||
-           lp_->last_verdict() == lp::AuditVerdict::kFailed;
+    return lp_->session().last().audit_contested();
   }
 
   std::optional<ParametricAssignmentLp> lp_;

@@ -1,0 +1,37 @@
+#include "lp/session.h"
+
+#include <utility>
+
+namespace setsched::lp {
+
+Session::Session(Model model, const SimplexOptions& options,
+                 std::size_t audit_interval)
+    : model_(std::move(model)),
+      options_(options),
+      audit_interval_(audit_interval) {}
+
+const Solution& Session::solve() {
+  SimplexOptions simplex = options_;
+  if (audit_interval_ > 0 && effort_.lp_solves % audit_interval_ == 0) {
+    simplex.guard = true;
+  }
+  if (!basis_.empty()) simplex.warm_start = &basis_;
+  last_ = lp::solve(model_, simplex);
+  ++effort_.lp_solves;
+  effort_.lp_iterations += last_.iterations;
+  if (last_.via_dual) ++effort_.lp_dual_solves;
+  last_.add_guard_counters(effort_);
+  if (!last_.basis.empty() && (last_.optimal() || last_.via_dual)) {
+    basis_ = last_.basis;
+  }
+  return last_;
+}
+
+const Solution& Session::record_infeasible() {
+  ++effort_.lp_solves;
+  last_ = Solution{};
+  last_.status = SolveStatus::kInfeasible;
+  return last_;
+}
+
+}  // namespace setsched::lp

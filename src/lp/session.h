@@ -1,0 +1,68 @@
+#pragma once
+
+#include <cstddef>
+
+#include "core/counters.h"
+#include "lp/model.h"
+#include "lp/simplex.h"
+
+namespace setsched::lp {
+
+/// One mutable LP solved again and again as a warm chain: the assignment-LP
+/// T-search and branch-and-bound probes, and the column-generation masters.
+/// The caller edits model() between solves (rhs, bounds, coefficients,
+/// appended columns); the session owns everything else the chain needs:
+///
+///   * the retained basis. Every solve warm-starts from it, and the end
+///     basis replaces it iff it is non-empty and the solve was optimal or
+///     dual-terminal (via_dual). A dual-terminal infeasible basis is still
+///     dual-feasible and re-optimizes the next solve in a few pivots; a
+///     primal phase-1 end basis is a degenerate artifact that poisons the
+///     chain, so it is dropped. A guarded solve whose audit stays contested
+///     never leaves a basis: the guard ladder's last rung is the dense
+///     tableau, which returns none.
+///   * the audit cadence. Solve 1, N+1, 2N+1, ... of the chain runs under
+///     the lp::solve guard (N = audit_interval; 0 = never), on top of
+///     options.guard, which guards every solve.
+///   * the effort counters: lp_solves, lp_iterations, lp_dual_solves and the
+///     guard counters of every solve.
+class Session {
+ public:
+  explicit Session(Model model, const SimplexOptions& options = {},
+                   std::size_t audit_interval = 0);
+
+  /// The model, to edit between solves. Column indices must stay stable:
+  /// the retained basis refers to them.
+  [[nodiscard]] Model& model() noexcept { return model_; }
+  [[nodiscard]] const Model& model() const noexcept { return model_; }
+
+  /// Solves the model warm from the retained basis, applies the retention
+  /// rule and adds the solve to effort(). The returned reference stays
+  /// valid until the next solve() or record_infeasible().
+  const Solution& solve();
+
+  /// Counts a solve that the caller settled as infeasible without the
+  /// simplex (exact combinatorial knowledge, e.g. an impossible pin). It
+  /// adds one lp_solves and advances the audit cadence, keeps the basis,
+  /// and sets last() to an unaudited kInfeasible solution.
+  const Solution& record_infeasible();
+
+  /// The most recent solve (or recorded infeasibility).
+  [[nodiscard]] const Solution& last() const noexcept { return last_; }
+  /// The basis the next solve starts from (empty before the first keeper).
+  [[nodiscard]] const Basis& basis() const noexcept { return basis_; }
+  /// Work of the chain so far.
+  [[nodiscard]] const EffortCounters& effort() const noexcept {
+    return effort_;
+  }
+
+ private:
+  Model model_;
+  SimplexOptions options_;
+  std::size_t audit_interval_;
+  Basis basis_;
+  Solution last_;
+  EffortCounters effort_;
+};
+
+}  // namespace setsched::lp

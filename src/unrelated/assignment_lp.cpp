@@ -21,7 +21,8 @@ ParametricAssignmentLp::ParametricAssignmentLp(
     : instance_(&instance),
       options_(options),
       T_build_(T_build),
-      model_(lp::Objective::kMinimize),
+      session_(lp::Model(lp::Objective::kMinimize), options.simplex,
+               options.audit_interval),
       xv_(instance.num_machines(), instance.num_jobs(), kNoVar),
       yv_(instance.num_machines(), instance.num_classes(), kNoVar),
       packing_row_(instance.num_machines(), instance.num_classes(), kNoVar),
@@ -36,6 +37,7 @@ ParametricAssignmentLp::ParametricAssignmentLp(
   const std::size_t kc = instance.num_classes();
   const double T = T_build;
   const bool min_T = options.makespan_objective;
+  lp::Model& model = session_.model();
 
   // x variables for pairs allowed by (5) (and (9) when strengthening) at the
   // loosest guess T_build; tighter probes shrink the set via upper bounds.
@@ -47,7 +49,7 @@ ParametricAssignmentLp::ParametricAssignmentLp(
           instance.proc(i, j) + instance.setup_for_job(i, j) > T) {
         continue;
       }
-      xv_(i, j) = model_.add_variable(0.0, 1.0, 0.0);
+      xv_(i, j) = model.add_variable(0.0, 1.0, 0.0);
     }
   }
   // y variables; objective = minimize total fractional setups (or nothing in
@@ -57,10 +59,10 @@ ParametricAssignmentLp::ParametricAssignmentLp(
     for (ClassId k = 0; k < kc; ++k) {
       if (instance.setup(i, k) >= kInfinity) continue;
       if (options.strengthen && instance.setup(i, k) > T) continue;  // (10)
-      yv_(i, k) = model_.add_variable(0.0, 1.0, min_T ? 0.0 : 1.0);
+      yv_(i, k) = model.add_variable(0.0, 1.0, min_T ? 0.0 : 1.0);
     }
   }
-  if (min_T) tvar_ = model_.add_variable(0.0, kInfinity, 1.0);
+  if (min_T) tvar_ = model.add_variable(0.0, kInfinity, 1.0);
 
   // (2): every job fully assigned.
   for (JobId j = 0; j < n; ++j) {
@@ -72,7 +74,7 @@ ParametricAssignmentLp::ParametricAssignmentLp(
       structurally_infeasible_ = true;
       return;
     }
-    model_.add_constraint(std::move(row), lp::Sense::kEqual, 1.0);
+    model.add_constraint(std::move(row), lp::Sense::kEqual, 1.0);
   }
 
   // (1): machine load, rhs = T (re-parameterized per probe). In makespan
@@ -89,9 +91,9 @@ ParametricAssignmentLp::ParametricAssignmentLp(
     }
     if (!row.empty()) {
       if (min_T) row.push_back({tvar_, -1.0});
-      load_row_[i] = model_.add_constraint(std::move(row),
-                                           lp::Sense::kLessEqual,
-                                           min_T ? 0.0 : T);
+      load_row_[i] = model.add_constraint(std::move(row),
+                                          lp::Sense::kLessEqual,
+                                          min_T ? 0.0 : T);
     }
   }
 
@@ -104,8 +106,8 @@ ParametricAssignmentLp::ParametricAssignmentLp(
         structurally_infeasible_ = true;  // validated instances)
         return;
       }
-      model_.add_constraint({{yv_(i, k), 1.0}, {xv_(i, j), -1.0}},
-                            lp::Sense::kGreaterEqual, 0.0);
+      model.add_constraint({{yv_(i, k), 1.0}, {xv_(i, j), -1.0}},
+                           lp::Sense::kGreaterEqual, 0.0);
     }
   }
 
@@ -124,7 +126,7 @@ ParametricAssignmentLp::ParametricAssignmentLp(
         if (row.empty()) continue;
         row.push_back({yv_(i, k), instance.setup(i, k) - T});
         packing_row_(i, k) =
-            model_.add_constraint(std::move(row), lp::Sense::kLessEqual, 0.0);
+            model.add_constraint(std::move(row), lp::Sense::kLessEqual, 0.0);
       }
     }
   }
@@ -132,6 +134,7 @@ ParametricAssignmentLp::ParametricAssignmentLp(
 
 void ParametricAssignmentLp::reparameterize(double T) {
   const Instance& inst = *instance_;
+  lp::Model& model = session_.model();
   const std::size_t n = inst.num_jobs();
   const std::size_t m = inst.num_machines();
   const std::size_t kc = inst.num_classes();
@@ -146,28 +149,28 @@ void ParametricAssignmentLp::reparameterize(double T) {
         // exceeds its rhs (infeasible), in makespan mode T_var absorbs the
         // load and min_makespan() returns a value > T that feasible()
         // rejects against its threshold.
-        model_.set_bounds(v, pinned_[j] == i ? 1.0 : 0.0,
-                          pinned_[j] == i ? 1.0 : 0.0);
+        model.set_bounds(v, pinned_[j] == i ? 1.0 : 0.0,
+                         pinned_[j] == i ? 1.0 : 0.0);
         continue;
       }
       const bool allowed =
           fixed_zero_(i, j) == 0 && inst.proc(i, j) <= T &&
           (!options_.strengthen ||
            inst.proc(i, j) + inst.setup_for_job(i, j) <= T);
-      model_.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
+      model.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
     }
     for (ClassId k = 0; k < kc; ++k) {
       const std::size_t v = yv_(i, k);
       if (v == kNoVar) continue;
       const bool allowed = !options_.strengthen || inst.setup(i, k) <= T;
-      model_.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
+      model.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
       if (packing_row_(i, k) != kNoVar) {
-        model_.update_entry(packing_row_(i, k), v, inst.setup(i, k) - T);
+        model.update_entry(packing_row_(i, k), v, inst.setup(i, k) - T);
       }
     }
     // Makespan mode keeps the load rhs at 0 (T lives in the T_var column).
     if (!options_.makespan_objective && load_row_[i] != kNoVar) {
-      model_.set_rhs(load_row_[i], T);
+      model.set_rhs(load_row_[i], T);
     }
   }
 }
@@ -185,54 +188,26 @@ void ParametricAssignmentLp::unpin_job(JobId j) {
   if (!structurally_infeasible_ && xv_(i, j) == kNoVar) --impossible_pins_;
 }
 
-lp::Solution ParametricAssignmentLp::run_solve(double T) {
-  ++effort_.lp_solves;
-  last_iterations_ = 0;
-  last_via_dual_ = false;
+const lp::Solution& ParametricAssignmentLp::run_solve(double T) {
   // Infeasibility by structure (a pin onto a variable absent from the model)
-  // is exact combinatorial knowledge, not simplex output — trusted without
-  // an audit, so the verdict resets to the "unaudited" state.
-  last_verdict_ = lp::AuditVerdict::kSkipped;
-  lp::Solution sol;
-  sol.status = lp::SolveStatus::kInfeasible;
-  if (structurally_infeasible_ || impossible_pins_ > 0) return sol;
+  // is exact combinatorial knowledge, not simplex output: trusted without an
+  // audit, but still counted as a probe of the chain.
+  if (structurally_infeasible_ || impossible_pins_ > 0) {
+    return session_.record_infeasible();
+  }
   check(T <= T_build_ * (1.0 + 1e-9) + 1e-12,
         "parametric assignment LP probed above its build guess");
   reparameterize(T);
-
-  lp::SimplexOptions simplex = options_.simplex;
-  if (options_.audit_interval > 0 &&
-      (effort_.lp_solves - 1) % options_.audit_interval == 0) {
-    simplex.guard = true;
-  }
-  if (!basis_.empty()) simplex.warm_start = &basis_;
-  sol = lp::solve(model_, simplex);
-  effort_.lp_iterations += sol.iterations;
-  last_iterations_ = sol.iterations;
-  last_via_dual_ = sol.via_dual;
-  last_verdict_ = sol.audit_verdict;
-  sol.add_guard_counters(effort_);
-  if (sol.via_dual) ++effort_.lp_dual_solves;
-  // Optimal bases always join the warm-start chain. An infeasible probe's
-  // basis joins only when the dual simplex produced it: a dual-terminal
-  // basis is still dual-feasible and re-optimizes the next probe in a few
-  // pivots, whereas a primal phase-1 end basis is a degenerate artifact
-  // (pinned against the violated rows) that measurably poisons the chain.
-  if (!sol.basis.empty() && (sol.optimal() || sol.via_dual)) {
-    basis_ = sol.basis;
-  }
-  return sol;
+  return session_.solve();
 }
 
 std::optional<double> ParametricAssignmentLp::min_makespan(double T_filter) {
   check(options_.makespan_objective,
         "min_makespan needs AssignmentLpOptions::makespan_objective");
-  lp::Solution sol = run_solve(T_filter);
+  const lp::Solution& sol = run_solve(T_filter);
   if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
   check(sol.optimal(), "makespan LP solve failed (not optimal/infeasible)");
-  const double value = sol.objective;
-  last_solution_ = std::move(sol);
-  return value;
+  return sol.objective;
 }
 
 void ParametricAssignmentLp::compute_reduced_costs() {
@@ -240,15 +215,17 @@ void ParametricAssignmentLp::compute_reduced_costs() {
   // is a minimization, so a nonbasic-at-lower column satisfies d_j >= 0 and
   // the sensitivity bound obj(x_j >= t) >= value + d_j * t). The scratch
   // buffer is a member: this runs on every LP-probed branch-and-bound node.
+  const lp::Model& model = session_.model();
+  const std::vector<double>& duals = session_.last().duals;
   std::vector<double>& reduced = reduced_scratch_;
-  reduced.assign(model_.num_variables(), 0.0);
-  for (std::size_t v = 0; v < model_.num_variables(); ++v) {
-    reduced[v] = model_.objective(v);
+  reduced.assign(model.num_variables(), 0.0);
+  for (std::size_t v = 0; v < model.num_variables(); ++v) {
+    reduced[v] = model.objective(v);
   }
-  for (std::size_t r = 0; r < model_.num_constraints(); ++r) {
-    const double y = last_solution_.duals[r];
+  for (std::size_t r = 0; r < model.num_constraints(); ++r) {
+    const double y = duals[r];
     if (y == 0.0) continue;
-    for (const lp::Entry& e : model_.row(r)) reduced[e.col] -= y * e.value;
+    for (const lp::Entry& e : model.row(r)) reduced[e.col] -= y * e.value;
   }
 }
 
@@ -256,12 +233,13 @@ std::size_t ParametricAssignmentLp::fix_dominated(
     double cutoff, std::vector<std::pair<JobId, MachineId>>* out) {
   check(options_.makespan_objective,
         "fix_dominated needs AssignmentLpOptions::makespan_objective");
-  if (!last_solution_.optimal()) return 0;
+  const lp::Solution& last = session_.last();
+  if (!last.optimal()) return 0;
   // Reduced-cost fixing acts only on audited (or unaudited-but-trusted)
   // duals: a contested solve's sensitivity bounds could exclude pairs the
   // true relaxation allows, which would silently cut off optimal schedules.
-  if (last_solution_.audit_contested()) return 0;
-  const double value = last_solution_.objective;
+  if (last.audit_contested()) return 0;
+  const double value = last.objective;
   const double margin = 1e-7 * std::max(1.0, std::abs(cutoff));
   if (value >= cutoff) return 0;  // the whole node prunes anyway
 
@@ -277,7 +255,7 @@ std::size_t ParametricAssignmentLp::fix_dominated(
       // Only nonbasic-at-lower columns carry the sensitivity bound; a basic
       // or at-upper column has d <= 0 and never passes the threshold, but
       // exclude columns sitting away from 0 explicitly for clarity.
-      if (last_solution_.x[v] > 1e-9) continue;
+      if (last.x[v] > 1e-9) continue;
       if (value + reduced[v] >= cutoff + margin) {
         ++fixed_zero_(i, j);
         out->push_back({j, i});
@@ -303,16 +281,18 @@ bool ParametricAssignmentLp::save_root_snapshot() {
   for (const MachineId pin : pinned_) {
     check(pin == kUnassigned, "root snapshot taken with pins set");
   }
-  if (!last_solution_.optimal()) return false;
+  const lp::Solution& last = session_.last();
+  if (!last.optimal()) return false;
   // A contested root solve must not become the permanent fixing certificate
   // for the entire search (refix_root re-applies it at every incumbent
   // improvement with no further audit).
-  if (last_solution_.audit_contested()) return false;
+  if (last.audit_contested()) return false;
   compute_reduced_costs();
-  const double value = last_solution_.objective;
-  root_bound_.assign(model_.num_variables(), -kInfinity);
-  for (std::size_t v = 0; v < model_.num_variables(); ++v) {
-    if (last_solution_.x[v] > 1e-9) continue;  // no bound off the lower bound
+  const double value = last.objective;
+  const std::size_t vars = session_.model().num_variables();
+  root_bound_.assign(vars, -kInfinity);
+  for (std::size_t v = 0; v < vars; ++v) {
+    if (last.x[v] > 1e-9) continue;  // no bound off the lower bound
     root_bound_[v] = value + reduced_scratch_[v];
   }
   return true;
@@ -349,14 +329,14 @@ bool ParametricAssignmentLp::feasible(double T) {
     const std::optional<double> value = min_makespan(T);
     return value.has_value() && *value <= T * (1.0 + 1e-9) + 1e-9;
   }
-  const lp::Solution sol = run_solve(T);
+  const lp::Solution& sol = run_solve(T);
   if (sol.status == lp::SolveStatus::kInfeasible) return false;
   check(sol.optimal(), "assignment LP probe failed (not optimal/infeasible)");
   return true;
 }
 
 std::optional<FractionalAssignment> ParametricAssignmentLp::solve(double T) {
-  const lp::Solution sol = run_solve(T);
+  const lp::Solution& sol = run_solve(T);
   if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
   check(sol.optimal(), "assignment LP solve failed (not optimal/infeasible)");
 

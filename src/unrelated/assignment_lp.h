@@ -7,7 +7,7 @@
 #include "common/matrix.h"
 #include "core/counters.h"
 #include "core/instance.h"
-#include "lp/simplex.h"
+#include "lp/session.h"
 
 namespace setsched {
 
@@ -130,34 +130,29 @@ class ParametricAssignmentLp {
     return fixed_zero_(i, j) != 0;
   }
 
-  /// Work of the chain so far: lp_solves (solve() calls), lp_iterations,
+  /// Work of the chain so far: lp_solves (every probe, including the ones
+  /// impossible pins settle without the simplex), lp_iterations,
   /// lp_dual_solves, and the guard counters (guarded solves whose audit was
   /// contested — each solve's ladder can contest more than once — and how
   /// they were recovered).
   [[nodiscard]] const EffortCounters& effort() const noexcept {
-    return effort_;
+    return session_.effort();
   }
-  /// Simplex iterations of the most recent solve.
-  [[nodiscard]] std::size_t last_iterations() const noexcept {
-    return last_iterations_;
-  }
-  /// True iff the most recent solve went through the dual simplex.
-  [[nodiscard]] bool last_via_dual() const noexcept { return last_via_dual_; }
-  /// Audit verdict of the most recent solve (kSkipped when the guard did not
-  /// run — an unaudited solve is trusted, preserving pre-guard behavior;
-  /// only kSuspect/kFailed mark the answer as unusable).
-  [[nodiscard]] lp::AuditVerdict last_verdict() const noexcept {
-    return last_verdict_;
+  /// The warm chain itself; session().last() is the most recent probe (its
+  /// iterations, via_dual and audit verdict — kSkipped when the guard did
+  /// not run, so only kSuspect/kFailed mark the answer as unusable).
+  [[nodiscard]] const lp::Session& session() const noexcept {
+    return session_;
   }
 
  private:
   void reparameterize(double T);
-  /// Fills reduced_scratch_ with the reduced costs of last_solution_.
+  /// Fills reduced_scratch_ with the reduced costs of the last solve.
   void compute_reduced_costs();
-  /// Shared solve path: re-parameterizes, runs the simplex, maintains the
-  /// warm-start chain. Returns the solution (status kInfeasible on infeasible
-  /// probes and on pins whose variable does not exist in the model).
-  [[nodiscard]] lp::Solution run_solve(double T);
+  /// Shared solve path: re-parameterizes and solves on the session. Returns
+  /// the solution (status kInfeasible on infeasible probes and on pins whose
+  /// variable does not exist in the model).
+  const lp::Solution& run_solve(double T);
 
   const Instance* instance_;
   AssignmentLpOptions options_;
@@ -165,7 +160,8 @@ class ParametricAssignmentLp {
   /// True when the model could not be built at T_build (a job fits nowhere);
   /// every probe at T <= T_build is then infeasible a fortiori.
   bool structurally_infeasible_ = false;
-  lp::Model model_;
+  /// The model and its warm chain across probes.
+  lp::Session session_;
   Matrix<std::size_t> xv_;              ///< m x n variable ids (SIZE_MAX = none)
   Matrix<std::size_t> yv_;              ///< m x K variable ids
   std::size_t tvar_ = SIZE_MAX;         ///< makespan column (makespan mode)
@@ -185,16 +181,8 @@ class ParametricAssignmentLp {
   /// Pins pointing at variables absent from the model (filtered at T_build):
   /// every probe is infeasible while > 0.
   std::size_t impossible_pins_ = 0;
-  lp::Basis basis_;                     ///< warm-start chain across probes
-  /// Last optimal solution (makespan mode only; fix_dominated reads its
-  /// duals and objective).
-  lp::Solution last_solution_;
   /// Reduced-cost scratch for fix_dominated (hot on B&B node probes).
   std::vector<double> reduced_scratch_;
-  EffortCounters effort_;
-  std::size_t last_iterations_ = 0;
-  bool last_via_dual_ = false;
-  lp::AuditVerdict last_verdict_ = lp::AuditVerdict::kSkipped;
 };
 
 /// Solves the relaxation of ILP-UM for makespan guess T. Among feasible

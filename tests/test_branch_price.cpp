@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/presets.h"
 #include "core/bounds.h"
 #include "core/generators.h"
 #include "core/schedule.h"
@@ -274,6 +275,22 @@ TEST(CgColumnPool, SurvivesPinProbeUnpinWalkWithoutDroppingColumns) {
   // Fully unwound, the root probe must still run clean on the same pool.
   EXPECT_TRUE(bounder.feasible(T));
   EXPECT_TRUE(bounder.check_invariants());
+}
+
+// Every RMP solve of a branch-and-price run, node probes and the fine-grid
+// root pass alike, is an LP solve of the run: lp_solves is the assignment
+// probes (lp_bounds_used) plus one RMP solve per pricing round.
+TEST(CgEffort, RmpSolvesCountAsLpSolves) {
+  const ProblemInput input = generate_preset("unrelated-tiny", 1);
+  ExactOptions opt;
+  opt.bound = BoundMode::kAuto;
+  opt.initial_upper_bound = unrelated_upper_bound(input.instance);
+  const ExactResult r = solve_exact(input.instance, opt);
+  ASSERT_TRUE(r.proven_optimal);
+  ASSERT_GT(r.cg_pricing_rounds, 0u);
+  ASSERT_GT(r.lp_bounds_used, 0u);
+  EXPECT_EQ(r.lp_solves, r.lp_bounds_used + r.cg_pricing_rounds);
+  EXPECT_LE(r.lp_dual_solves, r.lp_solves);
 }
 
 // Tentpole acceptance pin: on the pinned n=14 instance the config bound must

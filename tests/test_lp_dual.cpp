@@ -175,24 +175,24 @@ TEST(DualWarmStart, TSearchProbesReoptimizeDually) {
 
   ParametricAssignmentLp warm_chain(inst, hi);
   ASSERT_TRUE(warm_chain.solve(hi).has_value());
-  EXPECT_FALSE(warm_chain.last_via_dual());  // cold primal seed
-  EXPECT_GT(warm_chain.last_iterations(), 0u);
+  EXPECT_FALSE(warm_chain.session().last().via_dual);  // cold primal seed
+  EXPECT_GT(warm_chain.session().last().iterations, 0u);
 
   double probe = hi;
   bool dual_fired = false;
   for (int step = 0; step < 20 && !dual_fired; ++step) {
     probe *= 0.92;
     if (!warm_chain.solve(probe).has_value()) break;
-    dual_fired = warm_chain.last_via_dual();
+    dual_fired = warm_chain.session().last().via_dual;
   }
   ASSERT_TRUE(dual_fired)
       << "no descending feasible probe ever took the dual path";
-  const std::size_t warm_iterations = warm_chain.last_iterations();
+  const std::size_t warm_iterations = warm_chain.session().last().iterations;
   EXPECT_GE(warm_chain.effort().lp_dual_solves, 1u);
 
   ParametricAssignmentLp cold(inst, probe);
   ASSERT_TRUE(cold.solve(probe).has_value());
-  const std::size_t cold_probe_iterations = cold.last_iterations();
+  const std::size_t cold_probe_iterations = cold.session().last().iterations;
 
   EXPECT_LT(warm_iterations, cold_probe_iterations)
       << "dual re-optimization must beat a cold solve";

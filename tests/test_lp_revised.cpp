@@ -1,7 +1,8 @@
 // Differential suite pinning the sparse revised simplex against the dense
 // two-phase tableau (the reference oracle), on seeded random LPs and on the
 // real scheduling LPs the algorithms build, plus warm-start regression
-// coverage for the re-parameterized assignment-LP T-search.
+// coverage for the lp::Session warm chain and the re-parameterized
+// assignment-LP T-search built on it.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "core/bounds.h"
 #include "core/generators.h"
 #include "lp/model.h"
+#include "lp/session.h"
 #include "lp/simplex.h"
 #include "restricted/relaxed_lp.h"
 #include "unrelated/assignment_lp.h"
@@ -216,6 +218,102 @@ TEST(DifferentialLp, WarmStartSurvivesAppendedColumns) {
   EXPECT_NEAR(second.objective, 1.25, 1e-6);
 }
 
+/// min x + y + z  s.t.  x + y >= 2,  y + z >= 2,  all in [0, 2]: optimal
+/// at y = 2 with x = z = 0.
+Model two_cover_model() {
+  Model m(Objective::kMinimize);
+  const auto x = m.add_variable(0, 2, 1);
+  const auto y = m.add_variable(0, 2, 1);
+  const auto z = m.add_variable(0, 2, 1);
+  m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 2);
+  m.add_constraint({{y, 1}, {z, 1}}, Sense::kGreaterEqual, 2);
+  return m;
+}
+
+/// Caps every variable so that x + y <= 1.5 < 2: infeasible.
+void make_infeasible(Model& m) {
+  m.set_bounds(0, 0, 1);
+  m.set_bounds(1, 0, 0.5);
+  m.set_bounds(2, 0, 1);
+}
+
+bool same_basis(const Basis& a, const Basis& b) {
+  return a.structurals == b.structurals && a.logicals == b.logicals;
+}
+
+TEST(Session, DualTerminalInfeasibleBasisReplacesTheRetainedOne) {
+  Session session(two_cover_model());
+  ASSERT_TRUE(session.solve().optimal());
+  const Basis optimal = session.basis();
+  ASSERT_FALSE(optimal.empty());
+
+  // Bound edits keep the warm basis dual-feasible: the dual simplex runs
+  // into the infeasibility, and its end basis seeds the next solve.
+  make_infeasible(session.model());
+  const Solution& sol = session.solve();
+  ASSERT_EQ(sol.status, SolveStatus::kInfeasible);
+  ASSERT_TRUE(sol.via_dual);
+  ASSERT_FALSE(sol.basis.empty());
+  EXPECT_FALSE(same_basis(sol.basis, optimal)) << "no dual pivot was made";
+  EXPECT_TRUE(same_basis(session.basis(), sol.basis));
+}
+
+TEST(Session, PrimalPhaseOneInfeasibleBasisIsDropped) {
+  Session session(two_cover_model());
+  ASSERT_TRUE(session.solve().optimal());
+  const Basis optimal = session.basis();
+
+  // A negative cost on the nonbasic x makes the warm basis dual-infeasible,
+  // so the infeasibility is found by the primal phase 1 instead; its end
+  // basis must not replace the retained one.
+  session.model().set_objective(0, -5);
+  make_infeasible(session.model());
+  const Solution& sol = session.solve();
+  ASSERT_EQ(sol.status, SolveStatus::kInfeasible);
+  ASSERT_FALSE(sol.via_dual);
+  ASSERT_FALSE(sol.basis.empty());
+  EXPECT_FALSE(same_basis(sol.basis, optimal));
+  EXPECT_TRUE(same_basis(session.basis(), optimal));
+}
+
+TEST(Session, AuditCadenceGuardsEveryNthSolve) {
+  Session session(two_cover_model(), SimplexOptions{}, /*audit_interval=*/3);
+  for (std::size_t solve = 1; solve <= 8; ++solve) {
+    const Solution& sol = session.solve();
+    ASSERT_TRUE(sol.optimal());
+    const bool guarded = solve % 3 == 1;  // solves 1, 4, 7
+    EXPECT_EQ(sol.audit_verdict != AuditVerdict::kSkipped, guarded)
+        << "solve " << solve;
+  }
+  // A recorded infeasibility advances the cadence like a solve: solve 9 is
+  // recorded, so solve 10 is guarded.
+  EXPECT_EQ(session.record_infeasible().audit_verdict, AuditVerdict::kSkipped);
+  EXPECT_NE(session.solve().audit_verdict, AuditVerdict::kSkipped);
+}
+
+TEST(Session, CountersAreTheSumOfTheReturnedSolutions) {
+  SimplexOptions guarded;
+  guarded.guard = true;
+  Session session(two_cover_model(), guarded);
+  EffortCounters sum;
+  const auto add = [&sum](const Solution& sol) {
+    ++sum.lp_solves;
+    sum.lp_iterations += sol.iterations;
+    if (sol.via_dual) ++sum.lp_dual_solves;
+    sol.add_guard_counters(sum);
+  };
+  add(session.solve());
+  session.model().set_rhs(0, 3);
+  add(session.solve());
+  add(session.record_infeasible());
+  make_infeasible(session.model());
+  add(session.solve());
+  EXPECT_EQ(sum.lp_solves, 4u);
+  EXPECT_GT(sum.lp_iterations, 0u);
+  EXPECT_GT(sum.lp_dual_solves, 0u);
+  EXPECT_EQ(session.effort(), sum);
+}
+
 }  // namespace
 }  // namespace setsched::lp
 
@@ -321,16 +419,16 @@ TEST(WarmStart, ProbeAfterSeedTakesFewerIterationsThanColdOnMedium) {
 
   ParametricAssignmentLp warm_chain(inst, hi);
   ASSERT_TRUE(warm_chain.solve(hi).has_value());
-  const std::size_t cold_iterations = warm_chain.last_iterations();
+  const std::size_t cold_iterations = warm_chain.session().last().iterations;
   EXPECT_GT(cold_iterations, 0u);
 
   const double probe = hi * 0.9;  // next T-search step stays feasible
   ASSERT_TRUE(warm_chain.solve(probe).has_value());
-  const std::size_t warm_iterations = warm_chain.last_iterations();
+  const std::size_t warm_iterations = warm_chain.session().last().iterations;
 
   ParametricAssignmentLp cold(inst, probe);
   ASSERT_TRUE(cold.solve(probe).has_value());
-  const std::size_t cold_probe_iterations = cold.last_iterations();
+  const std::size_t cold_probe_iterations = cold.session().last().iterations;
 
   EXPECT_LT(warm_iterations, cold_probe_iterations)
       << "warm-started probe must beat a cold solve";

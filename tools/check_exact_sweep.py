@@ -11,6 +11,9 @@ traced, and asserts:
     proven_optimal <=> gap == 0;
   * every LP-bounded search reports dual re-optimizations
     (0 < lp_dual_solves <= lp_solves);
+  * every row counts each LP solve it ran: lp_solves == lp_bounds_used +
+    cg_pricing_rounds (assignment probes plus one RMP solve per
+    branch-and-price pricing round);
   * on the small preset, dive-then-prove pays no more total nodes than the
     cold prove on the seeds both close;
   * branch-and-price (the config bound) pays no more nodes than exact (the
@@ -71,6 +74,9 @@ def check_rows(records: list[dict]) -> None:
     for r in records:
         assert r["status"] == "ok", r
         assert "proven_optimal" in r and "gap" in r, r
+        assert r["lp_solves"] == \
+            r["lp_bounds_used"] + r.get("cg_pricing_rounds", 0), \
+            f"LP solves missing from lp_solves: {r}"
         if r["solver"] == "greedy":
             assert not r["proven_optimal"] and r["gap"] == -1.0, r
             continue
