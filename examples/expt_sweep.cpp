@@ -2,7 +2,7 @@
 // ExperimentPlan in code, run the sharded sweep, then slice the structured
 // RunRecords three ways — raw JSONL, a per-(solver, preset) aggregate table,
 // and a custom query the CLI does not offer (worst cell per solver). The
-// programmatic counterpart of `setsched_expt` / `setsched_cli --batch`.
+// programmatic counterpart of `setsched_expt`.
 //
 //   ./examples/example_expt_sweep
 

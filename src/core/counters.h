@@ -7,13 +7,11 @@
 namespace setsched {
 
 /// The effort counters every solver reports, declared once. Each row is
-/// X(field, label, optional):
-///   field     the struct field and the JSONL/CSV key;
-///   label     the column header of the expt summary table;
-///   optional  true when JSONL written before the counter existed may omit
-///             the key (it then parses as 0).
-/// Rows are in JSONL/CSV column order. The struct, the record I/O and the
-/// aggregates are all generated from this list, so a new counter is one
+/// X(field, label):
+///   field  the struct field and the JSONL/CSV key;
+///   label  the column header of the expt summary table.
+/// Rows are in JSONL/CSV column order. The struct, the record writers and
+/// the aggregates are all generated from this list, so a new counter is one
 /// row here plus its docs/BENCH_SCHEMA.md entry.
 ///
 ///   lp_solves            LP solves, summed over every lp::Session the
@@ -40,25 +38,25 @@ namespace setsched {
 ///                        bounding (exact solvers: lp_solves minus the
 ///                        branch-and-price RMP solves, one per pricing
 ///                        round).
-#define SETSCHED_EFFORT_COUNTERS(X)            \
-  X(lp_solves, "lp_solves", false)             \
-  X(lp_iterations, "lp_iters", false)          \
-  X(lp_dual_solves, "lp_dual", false)          \
-  X(fixed_vars, "fixed", false)                \
-  X(lp_audits_suspect, "suspect", true)        \
-  X(lp_recoveries, "recov", true)              \
-  X(lp_oracle_fallbacks, "oracle", true)       \
-  X(cg_columns, "cg_cols", true)               \
-  X(cg_pricing_rounds, "cg_rounds", true)      \
-  X(cg_fallbacks, "cg_fb", true)               \
-  X(nodes, "nodes", false)                     \
-  X(lp_bounds_used, "lp_bounds", false)
+#define SETSCHED_EFFORT_COUNTERS(X) \
+  X(lp_solves, "lp_solves")         \
+  X(lp_iterations, "lp_iters")      \
+  X(lp_dual_solves, "lp_dual")      \
+  X(fixed_vars, "fixed")            \
+  X(lp_audits_suspect, "suspect")   \
+  X(lp_recoveries, "recov")         \
+  X(lp_oracle_fallbacks, "oracle")  \
+  X(cg_columns, "cg_cols")          \
+  X(cg_pricing_rounds, "cg_rounds") \
+  X(cg_fallbacks, "cg_fb")          \
+  X(nodes, "nodes")                 \
+  X(lp_bounds_used, "lp_bounds")
 
 /// Solver effort, zero for solvers without the corresponding machinery.
 /// Result types inherit it, so `result.lp_solves` reads the counter
 /// directly and `a.effort() = b.effort()` copies every counter at once.
 struct EffortCounters {
-#define SETSCHED_COUNTER_FIELD(field, label, optional) std::size_t field = 0;
+#define SETSCHED_COUNTER_FIELD(field, label) std::size_t field = 0;
   SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_FIELD)
 #undef SETSCHED_COUNTER_FIELD
 
@@ -66,7 +64,7 @@ struct EffortCounters {
   [[nodiscard]] const EffortCounters& effort() const noexcept { return *this; }
 
   EffortCounters& operator+=(const EffortCounters& other) noexcept {
-#define SETSCHED_COUNTER_ADD(field, label, optional) field += other.field;
+#define SETSCHED_COUNTER_ADD(field, label) field += other.field;
     SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_ADD)
 #undef SETSCHED_COUNTER_ADD
     return *this;
@@ -79,7 +77,7 @@ struct EffortCounters {
 /// `summary.counter_mean[counter::nodes]`.
 namespace counter {
 enum Index : std::size_t {
-#define SETSCHED_COUNTER_INDEX(field, label, optional) field,
+#define SETSCHED_COUNTER_INDEX(field, label) field,
   SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_INDEX)
 #undef SETSCHED_COUNTER_INDEX
 };
@@ -89,13 +87,12 @@ enum Index : std::size_t {
 struct CounterInfo {
   std::string_view name;   ///< JSONL/CSV key
   std::string_view label;  ///< summary-table column
-  bool optional;           ///< may be missing on JSONL read
   std::size_t EffortCounters::*field;
 };
 
 inline constexpr std::array kCounters = {
-#define SETSCHED_COUNTER_INFO(field, label, optional) \
-  CounterInfo{#field, label, optional, &EffortCounters::field},
+#define SETSCHED_COUNTER_INFO(field, label) \
+  CounterInfo{#field, label, &EffortCounters::field},
     SETSCHED_EFFORT_COUNTERS(SETSCHED_COUNTER_INFO)
 #undef SETSCHED_COUNTER_INFO
 };

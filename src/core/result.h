@@ -2,7 +2,6 @@
 
 #include "core/counters.h"
 #include "core/schedule.h"
-#include "obs/phase.h"
 
 namespace setsched {
 
@@ -18,10 +17,6 @@ struct SolverStats : EffortCounters {
   /// Certified relative optimality gap, >= 0 (0 iff proven_optimal).
   /// Negative means the solver issues no certificate (heuristics).
   double gap = -1.0;
-  /// Per-phase wall-time breakdown (src/obs phase accounting), captured at
-  /// the measurement boundary (harness / CLI) as the thread-local delta
-  /// around solve(). All zeros when phase timing is off.
-  obs::PhaseTimes phase_ms;
 
   [[nodiscard]] bool operator==(const SolverStats&) const = default;
 };

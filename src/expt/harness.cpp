@@ -43,7 +43,6 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
   record.num_jobs = point.input.instance.num_jobs();
   record.num_machines = point.input.instance.num_machines();
   record.num_classes = point.input.instance.num_classes();
-  record.lower_bound = point.lower_bound;
   record.epsilon = plan.epsilon;
   record.precision = plan.precision;
   record.time_limit_s = plan.time_limit_s;
@@ -65,41 +64,59 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
                            std::chrono::duration<double>(plan.cell_timeout_s));
   }
   // Cells are the unit of parallelism; solvers must not nest into the pool
-  // that is running them (same rule as setsched_cli --all).
+  // that is running them (same rule as setsched_cli --all). Phase accounting
+  // is thread-local, so with no pool the delta across solve() is the cell's
+  // complete breakdown.
   context.pool = nullptr;
 
+  const Timer timer;
+  record = validated_solve(*SolverRegistry::global().create(solver_name),
+                           point.input, context, point.lower_bound,
+                           plan.record_timing, std::move(record));
+  // Watchdog verdict comes last: the schedule was still validated (a
+  // timed-out cell is a budget statement, not a correctness one), but the
+  // row must not enter quality aggregates as kOk.
+  if (record.status == RunStatus::kOk && plan.cell_timeout_s > 0.0 &&
+      timer.elapsed_seconds() > plan.cell_timeout_s) {
+    record.status = RunStatus::kTimeout;
+  }
+  return record;
+}
+
+}  // namespace
+
+RunRecord validated_solve(const Solver& solver, const ProblemInput& input,
+                          const SolverContext& context, double lower_bound,
+                          bool record_timing, RunRecord record) {
+  record.lower_bound = lower_bound;
   try {
-    const std::unique_ptr<Solver> solver =
-        SolverRegistry::global().create(solver_name);
-    if (!solver->supports(point.input)) {
+    if (!solver.supports(input)) {
       record.status = RunStatus::kSkipped;
       return record;
     }
-    // One solve span per cell, named by the solver. Constructed only when a
-    // trace is live so the name-interning mutex is never touched otherwise.
+    // One solve span, named by the solver. Constructed only when a trace is
+    // live so the name-interning mutex is never touched otherwise.
     std::optional<obs::TraceSpan> span;
     if (obs::trace_enabled()) {
-      span.emplace(obs::intern(solver_name), "solve");
-      span->set_arg("preset", obs::intern(preset_name));
-      span->set_arg("seed", static_cast<double>(key.seed));
+      span.emplace(obs::intern(solver.name()), "solve");
+      if (!record.preset.empty()) {
+        span->set_arg("preset", obs::intern(record.preset));
+        span->set_arg("seed", static_cast<double>(record.seed));
+      }
     }
-    // Phase accounting is thread-local and cells run solvers single-threaded
-    // (context.pool == nullptr above), so the delta across solve() is the
-    // cell's complete breakdown.
     const obs::PhaseTimes phases_before = obs::phase_snapshot();
-    Timer timer;
-    const ScheduleResult result = solver->solve(point.input, context);
-    if (plan.record_timing) {
+    const Timer timer;
+    const ScheduleResult result = solver.solve(input, context);
+    if (record_timing) {
       record.time_ms = timer.elapsed_ms();
       record.phase_ms = obs::phase_snapshot() - phases_before;
     }
-    if (const auto error =
-            schedule_error(point.input.instance, result.schedule)) {
+    if (const auto error = schedule_error(input.instance, result.schedule)) {
       record.status = RunStatus::kInvalid;
       record.error = "invalid schedule: " + *error;
       return record;
     }
-    const double evaluated = makespan(point.input.instance, result.schedule);
+    const double evaluated = makespan(input.instance, result.schedule);
     if (std::abs(evaluated - result.makespan) >
         1e-9 * std::max(1.0, evaluated)) {
       record.status = RunStatus::kInvalid;
@@ -108,27 +125,17 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
     }
     record.status = RunStatus::kOk;
     record.makespan = result.makespan;
-    record.ratio =
-        point.lower_bound > 0.0 ? result.makespan / point.lower_bound : 1.0;
-    record.setups = total_setups(point.input.instance, result.schedule);
+    record.ratio = lower_bound > 0.0 ? result.makespan / lower_bound : 1.0;
+    record.setups = total_setups(input.instance, result.schedule);
     record.effort() = result.stats.effort();
     record.proven_optimal = result.stats.proven_optimal;
     record.gap = result.stats.gap;
-    // Watchdog verdict comes last: the schedule above was still validated
-    // (a timed-out cell is a budget statement, not a correctness one), but
-    // the row must not enter quality aggregates as kOk.
-    if (plan.cell_timeout_s > 0.0 &&
-        timer.elapsed_seconds() > plan.cell_timeout_s) {
-      record.status = RunStatus::kTimeout;
-    }
   } catch (const std::exception& e) {
     record.status = RunStatus::kError;
     record.error = e.what();
   }
   return record;
 }
-
-}  // namespace
 
 std::vector<RunRecord> run_experiment(const ExperimentPlan& plan,
                                       const ProgressFn& progress) {

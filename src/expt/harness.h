@@ -4,10 +4,30 @@
 #include <functional>
 #include <vector>
 
+#include "api/solver.h"
 #include "expt/plan.h"
 #include "expt/record.h"
 
 namespace setsched::expt {
+
+/// The one solve-and-validate path, shared by sweep cells and setsched_cli
+/// single runs. Returns `record` (whose key fields the caller has set) with
+/// lower_bound and the outcome filled in:
+///   - kSkipped when `solver` does not support `input`;
+///   - otherwise one solve() under `context`, inside a "solve" trace span
+///     named by the solver (tagged with record.preset and record.seed when
+///     the preset is set), with time_ms and the phase_ms delta of the
+///     calling thread when `record_timing`;
+///   - kInvalid when the schedule is infeasible or the reported makespan
+///     disagrees with the evaluated one (relative 1e-9);
+///   - kOk with ratio against `lower_bound` (1.0 when it is 0), setups, the
+///     effort counters and the certificate;
+///   - kError with the message when anything throws.
+[[nodiscard]] RunRecord validated_solve(const Solver& solver,
+                                        const ProblemInput& input,
+                                        const SolverContext& context,
+                                        double lower_bound,
+                                        bool record_timing, RunRecord record);
 
 /// Optional live-progress hook for run_experiment: called after every
 /// completed cell with (cells_done, cells_total). Calls are serialized under

@@ -17,14 +17,19 @@
 // --trace records a span trace of the whole sweep (per-cell solve spans over
 // named worker tracks, LP/search sub-spans, search-tree node instants) and
 // writes Chrome trace-event JSON loadable in chrome://tracing or Perfetto.
-// Flags override the corresponding plan-file keys.
+// Every sweep-knob flag is a plan key (see apply_plan_key in expt/plan.h):
+// --plan is loaded first, then the flags are applied in order, so a flag
+// overrides the file wherever it appears on the line.
 
+#include <algorithm>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/presets.h"
@@ -39,21 +44,30 @@
 namespace setsched::expt {
 namespace {
 
+/// `--flag=value` flags and the plan key each one sets.
+constexpr std::pair<std::string_view, std::string_view> kPlanFlags[] = {
+    {"--presets", "presets"},
+    {"--solvers", "solvers"},
+    {"--seeds", "seeds"},
+    {"--epsilon", "epsilon"},
+    {"--precision", "precision"},
+    {"--time-limit", "time_limit_s"},
+    {"--cell-timeout", "cell_timeout_s"},
+    {"--inject", "inject"},
+    {"--lp-audit-interval", "lp_audit_interval"},
+    {"--threads", "threads"},
+};
+
 struct ExptOptions {
   std::string plan_path;
-  bool all_solvers = false;
   bool quiet = false;
   bool progress = false;
   std::string jsonl_path;
   std::string csv_path;
   std::string bench_json_path;
   std::string trace_path;
-
-  // Overrides applied on top of a plan file (only when given on the line).
-  std::optional<std::string> presets, solvers, seeds, inject;
-  std::optional<double> epsilon, precision, time_limit_s, cell_timeout_s;
-  std::optional<std::size_t> threads, lp_audit_interval;
-  std::optional<bool> record_timing;
+  /// (plan key, value) overrides in command-line order.
+  std::vector<std::pair<std::string, std::string>> plan_keys;
 };
 
 void print_usage(std::ostream& os) {
@@ -77,64 +91,51 @@ void print_usage(std::ostream& os) {
   os << '\n';
 }
 
-bool consume(const std::string& arg, const std::string& key,
+bool consume(const std::string& arg, std::string_view key,
              std::string* value) {
-  if (arg.rfind(key + "=", 0) != 0) return false;
+  if (arg.rfind(std::string(key) + "=", 0) != 0) return false;
   *value = arg.substr(key.size() + 1);
   return true;
+}
+
+/// Sets the plan key of a kPlanFlags flag; false if `arg` is none of them.
+bool consume_plan_flag(const std::string& arg, ExptOptions* options) {
+  std::string value;
+  for (const auto& [flag, key] : kPlanFlags) {
+    if (consume(arg, flag, &value)) {
+      options->plan_keys.emplace_back(key, std::move(value));
+      return true;
+    }
+  }
+  return false;
 }
 
 std::optional<ExptOptions> parse_args(int argc, char** argv) {
   ExptOptions options;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
+    if (consume_plan_flag(arg, &options)) continue;
     std::string value;
-    try {
-      if (arg == "--all-solvers") {
-        options.all_solvers = true;
-      } else if (arg == "--no-timing") {
-        options.record_timing = false;
-      } else if (arg == "--quiet") {
-        options.quiet = true;
-      } else if (arg == "--progress") {
-        options.progress = true;
-      } else if (consume(arg, "--plan", &value)) {
-        options.plan_path = value;
-      } else if (consume(arg, "--presets", &value)) {
-        options.presets = value;
-      } else if (consume(arg, "--solvers", &value)) {
-        options.solvers = value;
-      } else if (consume(arg, "--seeds", &value)) {
-        options.seeds = value;
-      } else if (consume(arg, "--epsilon", &value)) {
-        options.epsilon = std::stod(value);
-      } else if (consume(arg, "--precision", &value)) {
-        options.precision = std::stod(value);
-      } else if (consume(arg, "--time-limit", &value)) {
-        options.time_limit_s = std::stod(value);
-      } else if (consume(arg, "--cell-timeout", &value)) {
-        options.cell_timeout_s = std::stod(value);
-      } else if (consume(arg, "--inject", &value)) {
-        options.inject = value;
-      } else if (consume(arg, "--lp-audit-interval", &value)) {
-        options.lp_audit_interval =
-            static_cast<std::size_t>(parse_u64(value, "lp_audit_interval"));
-      } else if (consume(arg, "--threads", &value)) {
-        options.threads = static_cast<std::size_t>(parse_u64(value, "threads"));
-      } else if (consume(arg, "--jsonl", &value)) {
-        options.jsonl_path = value;
-      } else if (consume(arg, "--csv", &value)) {
-        options.csv_path = value;
-      } else if (consume(arg, "--bench-json", &value)) {
-        options.bench_json_path = value;
-      } else if (consume(arg, "--trace", &value)) {
-        options.trace_path = value;
-      } else {
-        std::cerr << "setsched_expt: unknown argument '" << arg << "'\n";
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      std::cerr << "setsched_expt: bad numeric value in '" << arg << "'\n";
+    if (arg == "--all-solvers") {
+      options.plan_keys.emplace_back("solvers", "all");
+    } else if (arg == "--no-timing") {
+      options.plan_keys.emplace_back("timing", "off");
+    } else if (arg == "--quiet") {
+      options.quiet = true;
+    } else if (arg == "--progress") {
+      options.progress = true;
+    } else if (consume(arg, "--plan", &value)) {
+      options.plan_path = value;
+    } else if (consume(arg, "--jsonl", &value)) {
+      options.jsonl_path = value;
+    } else if (consume(arg, "--csv", &value)) {
+      options.csv_path = value;
+    } else if (consume(arg, "--bench-json", &value)) {
+      options.bench_json_path = value;
+    } else if (consume(arg, "--trace", &value)) {
+      options.trace_path = value;
+    } else {
+      std::cerr << "setsched_expt: unknown argument '" << arg << "'\n";
       return std::nullopt;
     }
   }
@@ -144,22 +145,9 @@ std::optional<ExptOptions> parse_args(int argc, char** argv) {
 ExperimentPlan build_plan(const ExptOptions& options) {
   ExperimentPlan plan;
   if (!options.plan_path.empty()) plan = load_plan(options.plan_path);
-  if (options.presets) plan.presets = split_list(*options.presets);
-  if (options.solvers) plan.solvers = split_list(*options.solvers);
-  if (options.all_solvers) plan.solvers = SolverRegistry::global().names();
-  if (options.seeds) {
-    parse_seed_range(*options.seeds, &plan.seed_begin, &plan.seed_end);
+  for (const auto& [key, value] : options.plan_keys) {
+    apply_plan_key(plan, key, value);
   }
-  if (options.epsilon) plan.epsilon = *options.epsilon;
-  if (options.precision) plan.precision = *options.precision;
-  if (options.time_limit_s) plan.time_limit_s = *options.time_limit_s;
-  if (options.cell_timeout_s) plan.cell_timeout_s = *options.cell_timeout_s;
-  if (options.inject) plan.inject = *options.inject;
-  if (options.lp_audit_interval) {
-    plan.lp_audit_interval = *options.lp_audit_interval;
-  }
-  if (options.threads) plan.threads = *options.threads;
-  if (options.record_timing) plan.record_timing = *options.record_timing;
   plan.validate();
   return plan;
 }
@@ -178,7 +166,12 @@ int expt_main(int argc, char** argv) {
     print_usage(std::cerr);
     return 1;
   }
-  if (options->plan_path.empty() && !options->presets) {
+  const auto sets_presets = [](const auto& entry) {
+    return entry.first == "presets";
+  };
+  if (options->plan_path.empty() &&
+      std::none_of(options->plan_keys.begin(), options->plan_keys.end(),
+                   sets_presets)) {
     std::cerr << "setsched_expt: pick --plan=<file> or --presets=<a,b>\n";
     print_usage(std::cerr);
     return 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <system_error>
@@ -38,12 +39,15 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-double parse_positive_double(std::string_view token, const std::string& what) {
+/// Strict whole-token parse of a finite double; the sign is left to the
+/// caller.
+double parse_double(std::string_view token, const std::string& what) {
   double value = 0.0;
   const auto [end, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
-  check(ec == std::errc{} && end == token.data() + token.size() && value > 0.0,
-        "bad " + what + " '" + std::string(token) + "' (want a positive number)");
+  check(ec == std::errc{} && end == token.data() + token.size() &&
+            std::isfinite(value),
+        "bad " + what + " '" + std::string(token) + "' (want a number)");
   return value;
 }
 
@@ -55,6 +59,13 @@ std::uint64_t parse_u64(std::string_view token, const std::string& what) {
       std::from_chars(token.data(), token.data() + token.size(), value);
   check(ec == std::errc{} && end == token.data() + token.size(),
         "bad " + what + " '" + std::string(token) + "'");
+  return value;
+}
+
+double parse_positive_double(std::string_view token, const std::string& what) {
+  const double value = parse_double(token, what);
+  check(value > 0.0,
+        "bad " + what + " '" + std::string(token) + "' (want a positive number)");
   return value;
 }
 
@@ -134,6 +145,41 @@ void parse_seed_range(std::string_view text, std::uint64_t* begin,
   check(*end >= *begin, "seed range '" + std::string(text) + "' is empty");
 }
 
+void apply_plan_key(ExperimentPlan& plan, std::string_view key,
+                    std::string_view value) {
+  if (key == "presets") {
+    plan.presets = split_list(value);
+  } else if (key == "solvers") {
+    plan.solvers =
+        value == "all" ? SolverRegistry::global().names() : split_list(value);
+  } else if (key == "seeds") {
+    parse_seed_range(value, &plan.seed_begin, &plan.seed_end);
+  } else if (key == "epsilon") {
+    plan.epsilon = parse_positive_double(value, "epsilon");
+  } else if (key == "precision") {
+    plan.precision = parse_positive_double(value, "precision");
+  } else if (key == "time_limit_s") {
+    plan.time_limit_s = parse_positive_double(value, "time_limit_s");
+  } else if (key == "cell_timeout_s") {
+    // 0 turns the watchdog off; validate() rejects negative values.
+    plan.cell_timeout_s = parse_double(value, "cell_timeout_s");
+  } else if (key == "inject") {
+    plan.inject = std::string(value);
+  } else if (key == "lp_audit_interval") {
+    plan.lp_audit_interval =
+        static_cast<std::size_t>(parse_u64(value, "lp_audit_interval"));
+  } else if (key == "threads") {
+    plan.threads = static_cast<std::size_t>(parse_u64(value, "threads"));
+  } else if (key == "timing") {
+    check(value == "on" || value == "off",
+          "plan timing must be 'on' or 'off', got '" + std::string(value) +
+              "'");
+    plan.record_timing = value == "on";
+  } else {
+    check(false, "unknown plan key '" + std::string(key) + "'");
+  }
+}
+
 ExperimentPlan parse_plan(std::istream& is) {
   ExperimentPlan plan;
   std::string line;
@@ -151,39 +197,7 @@ ExperimentPlan parse_plan(std::istream& is) {
     check(eq != std::string_view::npos,
           "plan line " + std::to_string(line_no) + " is not 'key = value': '" +
               std::string(view) + "'");
-    const std::string_view key = trim(view.substr(0, eq));
-    const std::string_view value = trim(view.substr(eq + 1));
-    if (key == "presets") {
-      plan.presets = split_list(value);
-    } else if (key == "solvers") {
-      plan.solvers = value == "all" ? SolverRegistry::global().names()
-                                    : split_list(value);
-    } else if (key == "seeds") {
-      parse_seed_range(value, &plan.seed_begin, &plan.seed_end);
-    } else if (key == "epsilon") {
-      plan.epsilon = parse_positive_double(value, "epsilon");
-    } else if (key == "precision") {
-      plan.precision = parse_positive_double(value, "precision");
-    } else if (key == "time_limit_s") {
-      plan.time_limit_s = parse_positive_double(value, "time_limit_s");
-    } else if (key == "cell_timeout_s") {
-      plan.cell_timeout_s = parse_positive_double(value, "cell_timeout_s");
-    } else if (key == "inject") {
-      plan.inject = std::string(value);
-    } else if (key == "lp_audit_interval") {
-      plan.lp_audit_interval =
-          static_cast<std::size_t>(parse_u64(value, "lp_audit_interval"));
-    } else if (key == "threads") {
-      plan.threads = static_cast<std::size_t>(parse_u64(value, "threads"));
-    } else if (key == "timing") {
-      check(value == "on" || value == "off",
-            "plan timing must be 'on' or 'off', got '" + std::string(value) +
-                "'");
-      plan.record_timing = value == "on";
-    } else {
-      check(false, "unknown plan key '" + std::string(key) + "' on line " +
-                       std::to_string(line_no));
-    }
+    apply_plan_key(plan, trim(view.substr(0, eq)), trim(view.substr(eq + 1)));
   }
   plan.validate();
   return plan;

@@ -82,17 +82,23 @@ struct CellKey {
                                       std::uint64_t seed,
                                       std::string_view solver);
 
-/// Parses a plan file: `key = value` lines, '#' comments, commas separating
-/// list items. Keys: presets, solvers ("all" expands to the full registry),
-/// seeds (`N` means 1..N, `A..B` is inclusive), epsilon, precision,
-/// time_limit_s, cell_timeout_s, threads, timing (on/off), inject (fault
-/// spec), lp_audit_interval.
-/// Throws CheckError on unknown keys or malformed values; the result is
+/// Parses a plan file: `key = value` lines, '#' comments, each line handed
+/// to apply_plan_key(). Throws CheckError on malformed lines; the result is
 /// validate()d.
 [[nodiscard]] ExperimentPlan parse_plan(std::istream& is);
 [[nodiscard]] ExperimentPlan load_plan(const std::string& path);
 
-/// Parses the `seeds` syntax above into [begin, end]; throws on empty ranges.
+/// Sets one plan key from its text value. This is the one parser of every
+/// sweep knob: plan-file lines and setsched_expt's override flags both land
+/// here. Keys: presets, solvers ("all" expands to the full registry), seeds
+/// (`N` means 1..N, `A..B` is inclusive), epsilon, precision, time_limit_s,
+/// cell_timeout_s (0 = off), threads, timing (on/off), inject (fault spec),
+/// lp_audit_interval. Throws CheckError on unknown keys or malformed values;
+/// cross-key checks are left to validate().
+void apply_plan_key(ExperimentPlan& plan, std::string_view key,
+                    std::string_view value);
+
+/// Parses the `seeds` syntax of apply_plan_key into [begin, end]; throws on empty ranges.
 void parse_seed_range(std::string_view text, std::uint64_t* begin,
                       std::uint64_t* end);
 
@@ -104,5 +110,10 @@ void parse_seed_range(std::string_view text, std::uint64_t* begin,
 /// naming `what`. Shared by the plan parser and the CLI flag parsers.
 [[nodiscard]] std::uint64_t parse_u64(std::string_view token,
                                       const std::string& what);
+
+/// Strict whole-token parse of a finite double > 0 (std::stod would accept
+/// "0.5abc" as 0.5); throws CheckError naming `what`.
+[[nodiscard]] double parse_positive_double(std::string_view token,
+                                           const std::string& what);
 
 }  // namespace setsched::expt

@@ -25,9 +25,6 @@ enum class RunStatus {
 
 [[nodiscard]] std::string_view run_status_name(RunStatus status);
 
-/// Parses a run_status_name() string; throws CheckError on unknown names.
-[[nodiscard]] RunStatus run_status_from_name(std::string_view name);
-
 /// One structured result row of an experiment sweep: the cell key
 /// (solver, preset, seed), the instance shape, the measured outcome, and an
 /// echo of the solver-context knobs so a record is self-describing. The
@@ -51,8 +48,7 @@ struct RunRecord : EffortCounters {
   std::size_t setups = 0;    ///< total setups paid across machines
   double time_ms = 0.0;      ///< wall time of solve(); 0 when timing is off
   /// Per-phase breakdown of time_ms (src/obs accounting); all zeros when
-  /// timing is off. Optional on JSONL read: lines written before the phase
-  /// ledger parse with an empty breakdown.
+  /// timing is off.
   obs::PhaseTimes phase_ms;
 
   // Search certificate (SolverStats echo). Every record carries these so

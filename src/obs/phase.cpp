@@ -16,16 +16,6 @@ std::string_view phase_name(Phase phase) {
   return kPhaseNames[static_cast<std::size_t>(phase)];
 }
 
-bool phase_from_name(std::string_view name, Phase* out) {
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    if (kPhaseNames[i] == name) {
-      *out = static_cast<Phase>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace internal {
 
 std::atomic<bool> g_timing_enabled{false};

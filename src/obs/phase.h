@@ -42,9 +42,6 @@ inline constexpr std::size_t kPhaseCount = 13;
 /// Stable serialization name ("lp_solve", "root_bound", ...).
 [[nodiscard]] std::string_view phase_name(Phase phase);
 
-/// Inverse of phase_name; returns false on unknown names.
-[[nodiscard]] bool phase_from_name(std::string_view name, Phase* out);
-
 /// Per-phase wall-time totals in milliseconds. A fixed array keyed by Phase
 /// so equality, serialization order, and zero-initialization are all
 /// trivial; rides SolverStats -> RunRecord -> JSONL/CSV/BENCH_expt.json.

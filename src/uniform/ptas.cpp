@@ -66,6 +66,9 @@ Probe probe_T(const UniformInstance& original, double T, double epsilon,
 PtasResult ptas_uniform(const UniformInstance& instance,
                         const PtasOptions& options) {
   instance.validate();
+  // floor_epsilon_to_power_of_two never terminates for epsilon <= 0.
+  check(std::isfinite(options.epsilon) && options.epsilon > 0.0,
+        "ptas_uniform: epsilon must be finite and positive");
   const double epsilon = floor_epsilon_to_power_of_two(options.epsilon);
 
   // Bootstrap bounds via Lemma 2.1 LPT.

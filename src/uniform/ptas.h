@@ -7,6 +7,7 @@ namespace setsched {
 
 struct PtasOptions {
   /// Accuracy parameter; floored internally to a power of two (<= 1/2).
+  /// Must be finite and > 0 (ptas_uniform throws CheckError otherwise).
   double epsilon = 0.5;
   /// DP state budget per feasibility probe.
   std::size_t max_states = 300'000;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/presets.h"
 #include "api/registry.h"
 #include "common/check.h"
 #include "core/counters.h"
@@ -109,6 +112,48 @@ TEST(ExptPlan, RejectsMalformedFiles) {
                CheckError);
 }
 
+// README and plan.h document cell_timeout_s = 0 as "watchdog off"; the key
+// accepts it like the flag does, and still rejects negative values.
+TEST(ExptPlan, CellTimeoutZeroMeansOff) {
+  std::istringstream is(
+      "presets = uniform-small\n"
+      "solvers = greedy\n"
+      "cell_timeout_s = 0\n");
+  EXPECT_DOUBLE_EQ(parse_plan(is).cell_timeout_s, 0.0);
+  std::istringstream negative(
+      "presets = uniform-small\n"
+      "solvers = greedy\n"
+      "cell_timeout_s = -1\n");
+  EXPECT_THROW((void)parse_plan(negative), CheckError);
+}
+
+// The plan keys are also setsched_expt's flags: applying a key after a file
+// overrides the file's value, and numeric values parse strictly.
+TEST(ExptPlan, ApplyPlanKeyOverridesAndParsesStrictly) {
+  std::istringstream is(
+      "presets = uniform-small\n"
+      "solvers = greedy\n"
+      "epsilon = 0.25\n");
+  ExperimentPlan plan = parse_plan(is);
+  apply_plan_key(plan, "epsilon", "0.125");
+  apply_plan_key(plan, "solvers", "all");
+  apply_plan_key(plan, "timing", "off");
+  EXPECT_DOUBLE_EQ(plan.epsilon, 0.125);
+  EXPECT_EQ(plan.solvers, SolverRegistry::global().names());
+  EXPECT_FALSE(plan.record_timing);
+  EXPECT_THROW(apply_plan_key(plan, "no_such_key", "1"), CheckError);
+  for (const char* bad : {"0.5abc", "-1", "0", "", "nan", "inf", " 1"}) {
+    EXPECT_THROW(apply_plan_key(plan, "epsilon", bad), CheckError) << bad;
+    EXPECT_THROW((void)parse_positive_double(bad, "x"), CheckError) << bad;
+  }
+  for (const char* bad : {"-1", "3abc", "", "1.5"}) {
+    EXPECT_THROW(apply_plan_key(plan, "threads", bad), CheckError) << bad;
+    EXPECT_THROW((void)parse_u64(bad, "seed"), CheckError) << bad;
+  }
+  EXPECT_DOUBLE_EQ(parse_positive_double("2.5", "x"), 2.5);
+  EXPECT_EQ(parse_u64("18446744073709551615", "seed"), UINT64_MAX);
+}
+
 TEST(ExptPlan, CellKeyOrderIsPresetSeedSolver) {
   ExperimentPlan plan;
   plan.presets = {"uniform-small", "unrelated-small"};
@@ -178,188 +223,86 @@ RunRecord sample_record() {
   return r;
 }
 
-TEST(ExptRecordIo, JsonlRoundTripIsExact) {
-  std::vector<RunRecord> records{sample_record(), sample_record()};
-  records[1].status = RunStatus::kError;
-  records[1].makespan = 0.0;
-  records[1].ratio = 0.0;
-  records[1].error = "quote \" backslash \\ newline \n tab \t ctrl \x01 end";
-
-  std::stringstream stream;
-  write_jsonl(stream, records);
-  const std::vector<RunRecord> back = read_jsonl(stream);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0], records[0]);
-  EXPECT_EQ(back[1], records[1]);
-}
-
-// Lines written before the phase ledger carry no phase_ms key; they must
-// parse with an empty breakdown.
-TEST(ExptRecordIo, ReadAcceptsLegacyLinesWithoutPhaseMs) {
-  std::stringstream stream;
-  write_jsonl(stream, sample_record());
-  std::string line = stream.str();
-  const std::size_t at = line.find(",\"phase_ms\":{");
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t end = line.find('}', at);
-  ASSERT_NE(end, std::string::npos);
-  line.erase(at, end + 1 - at);
-  EXPECT_EQ(line.find("phase_ms"), std::string::npos);
-
-  std::istringstream legacy(line);
-  const std::vector<RunRecord> back = read_jsonl(legacy);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_TRUE(back[0].phase_ms.empty());
-  RunRecord expected = sample_record();
-  expected.phase_ms = obs::PhaseTimes{};
-  EXPECT_EQ(back[0], expected);
-}
-
-// The reader enforces each counter-table row: every counter round-trips, a
-// missing optional key (JSONL written before the counter existed) parses as
-// 0, and a missing required key or a duplicated key is rejected.
-TEST(ExptRecordIo, ReadEnforcesTheCounterTable) {
-  const auto read = [](const std::string& text) {
-    std::istringstream is(text);
-    return read_jsonl(is);
-  };
-  const RunRecord sample = sample_record();
-  std::set<std::size_t> values;
-  for (const CounterInfo& c : kCounters) {
-    EXPECT_GT(sample.*c.field, 0u) << c.name;
-    values.insert(sample.*c.field);
-  }
-  EXPECT_EQ(values.size(), kCounterCount) << "sample counters must differ";
-
-  std::stringstream stream;
-  write_jsonl(stream, sample);
-  const std::string line = stream.str();
-  EXPECT_EQ(read(line), std::vector<RunRecord>{sample});
-  for (const CounterInfo& c : kCounters) {
-    const std::string pair = ",\"" + std::string(c.name) +
-                             "\":" + std::to_string(sample.*c.field);
-    const std::size_t at = line.find(pair + ",");
-    ASSERT_NE(at, std::string::npos) << c.name;
-
-    std::string without = line;
-    without.erase(at, pair.size());
-    if (c.optional) {
-      RunRecord expected = sample;
-      expected.*c.field = 0;
-      EXPECT_EQ(read(without), std::vector<RunRecord>{expected}) << c.name;
-    } else {
-      EXPECT_THROW(read(without), CheckError) << c.name;
-    }
-
-    std::string duplicated = line;
-    duplicated.insert(at, pair);
-    EXPECT_THROW(read(duplicated), CheckError) << c.name;
-  }
-}
-
 // The wire key names are a file format: a line written by the 32-key writer
-// that predates the counter table must keep parsing to the same fields, and
-// today's writer must reproduce it byte for byte. Spelled out here, not taken
-// from the table, so renaming a counter field cannot silently rename its key.
+// that predates the counter table must stay byte for byte what today's
+// writer emits. Spelled out here, not taken from the table, so renaming a
+// counter field cannot silently rename its key. The error text carries every
+// JSON escape the writer emits.
 TEST(ExptRecordIo, PinnedLineKeepsItsWireNames) {
   const std::string line =
       R"({"solver":"branch-and-price","preset":"unrelated-small","seed":3,)"
-      R"("cell_seed":9876543210123,"n":14,"m":3,"classes":5,"status":"ok",)"
-      R"("makespan":41.5,"lower_bound":40.25,"ratio":1.031055900621118,)"
+      R"("cell_seed":9876543210123,"n":14,"m":3,"classes":5,)"
+      R"("status":"error","makespan":41.5,"lower_bound":40.25,)"
+      R"("ratio":1.031055900621118,)"
       R"("setups":8,"time_ms":2.5,"phase_ms":{"lp_solve":1.25},)"
       R"("lp_solves":21,"lp_iterations":305,"lp_dual_solves":19,)"
       R"("fixed_vars":4,"lp_audits_suspect":9,"lp_recoveries":8,)"
       R"("lp_oracle_fallbacks":1,"cg_columns":77,"cg_pricing_rounds":12,)"
       R"("cg_fallbacks":2,"nodes":296,"lp_bounds_used":53,)"
       R"("proven_optimal":false,"gap":0.03125,"epsilon":0.25,)"
-      R"("precision":0.01,"time_limit_s":2,"error":""})"
+      R"("precision":0.01,"time_limit_s":2,)"
+      R"("error":"quote \" backslash \\ newline \n tab \t ctrl \u0001 end"})"
       "\n";
-  RunRecord expected;
-  expected.solver = "branch-and-price";
-  expected.preset = "unrelated-small";
-  expected.seed = 3;
-  expected.cell_seed = 9876543210123ULL;
-  expected.num_jobs = 14;
-  expected.num_machines = 3;
-  expected.num_classes = 5;
-  expected.status = RunStatus::kOk;
-  expected.makespan = 41.5;
-  expected.lower_bound = 40.25;
-  expected.ratio = expected.makespan / expected.lower_bound;
-  expected.setups = 8;
-  expected.time_ms = 2.5;
-  expected.phase_ms[obs::Phase::kLpSolve] = 1.25;
-  expected.lp_solves = 21;
-  expected.lp_iterations = 305;
-  expected.lp_dual_solves = 19;
-  expected.fixed_vars = 4;
-  expected.lp_audits_suspect = 9;
-  expected.lp_recoveries = 8;
-  expected.lp_oracle_fallbacks = 1;
-  expected.cg_columns = 77;
-  expected.cg_pricing_rounds = 12;
-  expected.cg_fallbacks = 2;
-  expected.nodes = 296;
-  expected.lp_bounds_used = 53;
-  expected.proven_optimal = false;
-  expected.gap = 0.03125;
-  expected.epsilon = 0.25;
-  expected.precision = 0.01;
-  expected.time_limit_s = 2.0;
+  RunRecord r;
+  r.solver = "branch-and-price";
+  r.preset = "unrelated-small";
+  r.seed = 3;
+  r.cell_seed = 9876543210123ULL;
+  r.num_jobs = 14;
+  r.num_machines = 3;
+  r.num_classes = 5;
+  r.status = RunStatus::kError;
+  r.makespan = 41.5;
+  r.lower_bound = 40.25;
+  r.ratio = r.makespan / r.lower_bound;
+  r.setups = 8;
+  r.time_ms = 2.5;
+  r.phase_ms[obs::Phase::kLpSolve] = 1.25;
+  r.lp_solves = 21;
+  r.lp_iterations = 305;
+  r.lp_dual_solves = 19;
+  r.fixed_vars = 4;
+  r.lp_audits_suspect = 9;
+  r.lp_recoveries = 8;
+  r.lp_oracle_fallbacks = 1;
+  r.cg_columns = 77;
+  r.cg_pricing_rounds = 12;
+  r.cg_fallbacks = 2;
+  r.nodes = 296;
+  r.lp_bounds_used = 53;
+  r.proven_optimal = false;
+  r.gap = 0.03125;
+  r.epsilon = 0.25;
+  r.precision = 0.01;
+  r.time_limit_s = 2.0;
+  r.error = "quote \" backslash \\ newline \n tab \t ctrl \x01 end";
 
-  std::istringstream is(line);
-  EXPECT_EQ(read_jsonl(is), std::vector<RunRecord>{expected});
   std::ostringstream os;
-  write_jsonl(os, expected);
+  write_jsonl(os, r);
   EXPECT_EQ(os.str(), line);
 }
 
-TEST(ExptRecordIo, TimeoutStatusRoundTrips) {
-  EXPECT_EQ(run_status_name(RunStatus::kTimeout), "timeout");
-  EXPECT_EQ(run_status_from_name("timeout"), RunStatus::kTimeout);
-  RunRecord r = sample_record();
+// A watchdog verdict on an otherwise default record: the "timeout" status
+// name, the empty phase object and the -1 no-certificate gap.
+TEST(ExptRecordIo, PinnedTimeoutLine) {
+  const std::string line =
+      R"({"solver":"exact","preset":"unrelated-midsize","seed":0,)"
+      R"("cell_seed":0,"n":0,"m":0,"classes":0,"status":"timeout",)"
+      R"("makespan":0,"lower_bound":0,"ratio":0,"setups":0,"time_ms":0,)"
+      R"("phase_ms":{},"lp_solves":0,"lp_iterations":0,"lp_dual_solves":0,)"
+      R"("fixed_vars":0,"lp_audits_suspect":0,"lp_recoveries":0,)"
+      R"("lp_oracle_fallbacks":0,"cg_columns":0,"cg_pricing_rounds":0,)"
+      R"("cg_fallbacks":0,"nodes":0,"lp_bounds_used":0,)"
+      R"("proven_optimal":false,"gap":-1,"epsilon":0,"precision":0,)"
+      R"("time_limit_s":0,"error":""})"
+      "\n";
+  RunRecord r;
+  r.solver = "exact";
+  r.preset = "unrelated-midsize";
   r.status = RunStatus::kTimeout;
-  r.proven_optimal = false;
-  std::stringstream stream;
-  write_jsonl(stream, r);
-  const std::vector<RunRecord> back = read_jsonl(stream);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0], r);
-}
-
-TEST(ExptRecordIo, ReadAcceptsBlankLinesAndAnyKeyOrder) {
-  std::stringstream stream;
-  write_jsonl(stream, sample_record());
-  std::string line = stream.str();
-  // Move the trailing "error" pair to the front: key order must not matter.
-  line = "{\"error\":\"\"," + line.substr(1);
-  line.erase(line.rfind(",\"error\":\"\""), 11);
-  std::istringstream shuffled("\n" + line + "\n\n");
-  const std::vector<RunRecord> back = read_jsonl(shuffled);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0], sample_record());
-}
-
-TEST(ExptRecordIo, ReadRejectsMalformedLines) {
-  const auto read = [](const std::string& text) {
-    std::istringstream is(text);
-    return read_jsonl(is);
-  };
-  std::stringstream good;
-  write_jsonl(good, sample_record());
-  const std::string line = good.str();
-
-  EXPECT_THROW(read("{\"solver\":\"x\"}"), CheckError);  // missing keys
-  EXPECT_THROW(read("not json"), CheckError);
-  EXPECT_THROW(read(line.substr(0, line.size() - 3)), CheckError);  // truncated
-  std::string unknown = line;
-  unknown.insert(1, "\"bogus\":1,");
-  EXPECT_THROW(read(unknown), CheckError);
-  std::string bad_status = line;
-  const std::size_t at = bad_status.find("\"ok\"");
-  ASSERT_NE(at, std::string::npos);
-  bad_status.replace(at, 4, "\"??\"");
-  EXPECT_THROW(read(bad_status), CheckError);
+  std::ostringstream os;
+  write_jsonl(os, r);
+  EXPECT_EQ(os.str(), line);
 }
 
 TEST(ExptRecordIo, CsvHeaderAndQuoting) {
@@ -543,6 +486,64 @@ TEST(ExptHarness, PhaseDeltasStayWithinOwnCellTime) {
           << ": phase total exceeds the cell's own wall time";
     }
   }
+}
+
+// --- validated solve ---------------------------------------------------------
+
+/// A solver whose result (or failure) the test supplies, for the branches
+/// of validated_solve that no registered solver reaches.
+class FakeSolver final : public Solver {
+ public:
+  explicit FakeSolver(std::function<ScheduleResult(const ProblemInput&)> result)
+      : result_(std::move(result)) {}
+  [[nodiscard]] std::string name() const override { return "fake"; }
+  [[nodiscard]] ScheduleResult solve(const ProblemInput& input,
+                                     const SolverContext&) const override {
+    return result_(input);
+  }
+
+ private:
+  std::function<ScheduleResult(const ProblemInput&)> result_;
+};
+
+ScheduleResult greedy_result(const ProblemInput& input) {
+  return SolverRegistry::global().create("greedy")->solve(input, {});
+}
+
+RunRecord run_fake(const FakeSolver& solver) {
+  const ProblemInput input = generate_preset("unrelated-small", 1);
+  return validated_solve(solver, input, SolverContext{}, 10.0,
+                         /*record_timing=*/false, RunRecord{});
+}
+
+TEST(ExptValidatedSolve, InfeasibleScheduleIsInvalid) {
+  const RunRecord r = run_fake(FakeSolver([](const ProblemInput& input) {
+    ScheduleResult result = greedy_result(input);
+    result.schedule = Schedule::empty(input.instance.num_jobs());
+    return result;
+  }));
+  EXPECT_EQ(r.status, RunStatus::kInvalid);
+  EXPECT_EQ(r.error.rfind("invalid schedule: ", 0), 0u) << r.error;
+  EXPECT_DOUBLE_EQ(r.makespan, 0.0);
+}
+
+TEST(ExptValidatedSolve, WrongMakespanIsInvalid) {
+  const RunRecord r = run_fake(FakeSolver([](const ProblemInput& input) {
+    ScheduleResult result = greedy_result(input);
+    result.makespan += 1.0;
+    return result;
+  }));
+  EXPECT_EQ(r.status, RunStatus::kInvalid);
+  EXPECT_EQ(r.error, "reported makespan disagrees with schedule");
+}
+
+TEST(ExptValidatedSolve, ThrowingSolverIsError) {
+  const RunRecord r =
+      run_fake(FakeSolver([](const ProblemInput&) -> ScheduleResult {
+        throw std::runtime_error("solver blew up");
+      }));
+  EXPECT_EQ(r.status, RunStatus::kError);
+  EXPECT_EQ(r.error, "solver blew up");
 }
 
 // --- aggregation -----------------------------------------------------------

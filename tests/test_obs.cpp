@@ -1,4 +1,4 @@
-// src/obs unit tests: phase-name round trips, PhaseTimer accumulation
+// src/obs unit tests: phase-name pins, PhaseTimer accumulation
 // semantics, and — the load-bearing one — trace-buffer thread safety: many
 // workers emitting spans concurrently under the real ThreadPool must lose
 // nothing, duplicate nothing, and keep per-track timestamps monotone after
@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,16 +32,14 @@ struct GateGuard {
   }
 };
 
-TEST(ObsPhase, NamesRoundTripAndStayStable) {
+TEST(ObsPhase, NamesAreDistinctAndStable) {
+  std::set<std::string_view> names;
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const Phase phase = static_cast<Phase>(i);
-    Phase back{};
-    ASSERT_TRUE(phase_from_name(phase_name(phase), &back));
-    EXPECT_EQ(back, phase);
+    const std::string_view name = phase_name(static_cast<Phase>(i));
+    EXPECT_FALSE(name.empty()) << i;
+    names.insert(name);
   }
-  Phase out{};
-  EXPECT_FALSE(phase_from_name("no_such_phase", &out));
-  EXPECT_FALSE(phase_from_name("", &out));
+  EXPECT_EQ(names.size(), kPhaseCount);
   // Serialization contract: these names are in JSONL files in the wild.
   EXPECT_EQ(phase_name(Phase::kLpSolve), "lp_solve");
   EXPECT_EQ(phase_name(Phase::kRootBound), "root_bound");

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/check.h"
 #include "core/bounds.h"
 #include "core/generators.h"
 #include "exact/branch_bound.h"
@@ -162,6 +165,15 @@ TEST(Ptas, SmallerEpsilonNoWorse) {
     // Finer eps probes a denser T grid; its accepted schedule should not be
     // meaningfully worse.
     EXPECT_LE(rf.makespan, rc.makespan * 1.25 + 1e-9);
+  }
+}
+
+TEST(Ptas, RejectsNonPositiveEpsilon) {
+  const UniformInstance u = tiny_uniform(5);
+  for (const double epsilon : {0.0, -1.0, std::nan("")}) {
+    PtasOptions opt;
+    opt.epsilon = epsilon;
+    EXPECT_THROW((void)ptas_uniform(u, opt), CheckError) << epsilon;
   }
 }
 
