@@ -259,17 +259,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
     state_[enter] = VarStatus::kBasic;
     xb_[leave] = enter_from + dir * step;
 
-    Eta eta;
-    eta.slot = leave;
-    eta.pivot_value = apivot;
-    for (std::size_t k = 0; k < nrows_; ++k) {
-      if (k != leave && alpha_[k] != 0.0) {
-        eta.entries.push_back({k, alpha_[k]});
-      }
-      alpha_[k] = 0.0;
-    }
-    etas_.push_back(std::move(eta));
-    maybe_flip_eta(etas_.back());
+    push_eta(leave);
 
     if (incremental && incremental_duals_ok_) {
       // Advance the duals in place of the next iteration's BTRAN: the new

@@ -4,15 +4,19 @@
 //   min  c^T x   s.t.  A x + s = b,   l <= (x, s) <= u
 // where one logical column s_r per row absorbs the row sense
 // (<=: s in [0, inf),  >=: s in (-inf, 0],  =: s fixed at 0). Structural
-// columns live in a CSC copy gathered once from the Model; logical columns
-// are implicit unit vectors. The basis matrix is kept as a sparse LU
-// factorization (left-looking elimination with partial pivoting) plus a
-// product-form eta file that absorbs basis changes between periodic
-// refactorizations. Primal feasibility is reached by minimizing the sum of
-// primal infeasibilities of the current basis ("composite" phase 1) — there
-// are no artificial columns, so a warm-started basis that is only slightly
-// infeasible after a re-parameterization (the T-search, column generation)
-// is repaired in a handful of pivots instead of a full cold phase 1.
+// columns live in a CSC copy gathered from the Model on every solve;
+// logical columns are implicit unit vectors.
+// The basis matrix is kept as a sparse LU factorization (left-looking
+// Gilbert-Peierls elimination with partial pivoting, whose work follows the
+// nonzeros) plus a product-form eta file that absorbs basis changes between
+// periodic refactorizations. One RevisedSolver serves a whole warm chain
+// (lp::Workspace): its storage carries over, but every solve refactorizes
+// its starting basis from the model data. Primal feasibility is reached by
+// minimizing the sum of primal infeasibilities of the current basis
+// ("composite" phase 1) — there are no artificial columns, so a warm-started
+// basis that is only slightly infeasible after a re-parameterization (the
+// T-search, column generation) is repaired in a handful of pivots instead of
+// a full cold phase 1.
 //
 // Since PR 5 the solver has a second engine, the bounded-variable dual
 // simplex in dual.cpp: whenever the starting basis is primal-infeasible but
@@ -23,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -41,51 +46,50 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = SIZE_MAX;
 }  // namespace
 
-SparseColumns SparseColumns::gather(const Model& model) {
+void SparseColumns::gather(const Model& model) {
   const std::size_t nstruct = model.num_variables();
   const std::size_t nrows = model.num_constraints();
-  SparseColumns csc;
-  std::vector<std::size_t> count(nstruct, 0);
+  // Count into start[j + 1], prefix-sum, then fill with start[j] as column
+  // j's cursor; the fill leaves start shifted down by one column.
+  start.assign(nstruct + 1, 0);
   for (std::size_t r = 0; r < nrows; ++r) {
-    for (const Entry& e : model.row(r)) ++count[e.col];
+    for (const Entry& e : model.row(r)) ++start[e.col + 1];
   }
-  csc.start.assign(nstruct + 1, 0);
-  for (std::size_t j = 0; j < nstruct; ++j) {
-    csc.start[j + 1] = csc.start[j] + count[j];
-  }
-  csc.row.resize(csc.start[nstruct]);
-  csc.value.resize(csc.start[nstruct]);
-  std::vector<std::size_t> cursor(csc.start.begin(), csc.start.end() - 1);
+  for (std::size_t j = 0; j < nstruct; ++j) start[j + 1] += start[j];
+  row.resize(start[nstruct]);
+  value.resize(start[nstruct]);
   for (std::size_t r = 0; r < nrows; ++r) {
     for (const Entry& e : model.row(r)) {
-      csc.row[cursor[e.col]] = r;
-      csc.value[cursor[e.col]] = e.value;
-      ++cursor[e.col];
+      const std::size_t at = start[e.col]++;
+      row[at] = r;
+      value[at] = e.value;
     }
   }
-  return csc;
+  for (std::size_t j = nstruct; j > 0; --j) start[j] = start[j - 1];
+  start[0] = 0;
 }
 
 void RevisedSolver::build() {
-  nrows_ = model_.num_constraints();
-  nstruct_ = model_.num_variables();
+  const Model& model = *model_;
+  nrows_ = model.num_constraints();
+  nstruct_ = model.num_variables();
   ncols_ = nstruct_ + nrows_;
-  sign_ = model_.objective_sense() == Objective::kMinimize ? 1.0 : -1.0;
+  sign_ = model.objective_sense() == Objective::kMinimize ? 1.0 : -1.0;
 
-  cols_ = SparseColumns::gather(model_);
+  cols_.gather(model);
 
   lower_.resize(ncols_);
   upper_.resize(ncols_);
   cost2_.assign(ncols_, 0.0);
   rhs_.resize(nrows_);
   for (std::size_t j = 0; j < nstruct_; ++j) {
-    lower_[j] = model_.lower(j);
-    upper_[j] = model_.upper(j);
-    cost2_[j] = sign_ * model_.objective(j);
+    lower_[j] = model.lower(j);
+    upper_[j] = model.upper(j);
+    cost2_[j] = sign_ * model.objective(j);
   }
   for (std::size_t r = 0; r < nrows_; ++r) {
     const std::size_t s = nstruct_ + r;
-    switch (model_.row_sense(r)) {
+    switch (model.row_sense(r)) {
       case Sense::kLessEqual:
         lower_[s] = 0.0;
         upper_[s] = kInf;
@@ -99,7 +103,7 @@ void RevisedSolver::build() {
         upper_[s] = 0.0;
         break;
     }
-    rhs_[r] = model_.rhs(r);
+    rhs_[r] = model.rhs(r);
   }
 
   work_rows_.assign(nrows_, 0.0);
@@ -108,7 +112,10 @@ void RevisedSolver::build() {
   cslot_.assign(nrows_, 0.0);
   y_.assign(nrows_, 0.0);
   rho_.assign(nrows_, 0.0);
+  in_reach_.assign(nrows_, 0);
   shunned_.assign(ncols_, 0);
+  any_shunned_ = false;
+  candidates_.clear();
 
   max_iterations_ = opt_.max_iterations != 0
                         ? opt_.max_iterations
@@ -146,8 +153,8 @@ void RevisedSolver::init_basis(const Basis* warm) {
     state_[nstruct_ + r] = warm->logicals[r];
   }
 
-  std::vector<std::size_t> basic;
-  basic.reserve(nrows_);
+  std::vector<std::size_t>& basic = basic_;
+  basic.clear();
   for (std::size_t j = 0; j < ncols_; ++j) {
     if (state_[j] == VarStatus::kBasic) basic.push_back(j);
   }
@@ -168,7 +175,7 @@ void RevisedSolver::init_basis(const Basis* warm) {
     return;
   }
   std::sort(basic.begin(), basic.end());
-  basis_ = std::move(basic);
+  basis_ = basic;
 
   // Nonbasic statuses must sit on a finite bound.
   for (std::size_t j = 0; j < ncols_; ++j) {
@@ -181,12 +188,14 @@ void RevisedSolver::init_basis(const Basis* warm) {
 }
 
 bool RevisedSolver::try_factorize() {
-  lcols_.assign(nrows_, {});
-  ucols_.assign(nrows_, {});
+  lcols_.clear();
+  ucols_.clear();
   udiag_.assign(nrows_, 0.0);
   rowof_.assign(nrows_, kNone);
   posof_.assign(nrows_, kNone);
   etas_.clear();
+  eta_slot_.clear();
+  eta_pivot_.clear();
 
   // Eliminate thin columns first (unit logicals, then the 2-nonzero
   // dominance columns, ...): a cheap static approximation of Markowitz
@@ -204,33 +213,66 @@ bool RevisedSolver::try_factorize() {
                      return col_nnz(a) < col_nnz(b);
                    });
 
+  // Left-looking Gilbert-Peierls elimination: step k solves L u = b_k for
+  // the basis column b_k eliminated at step k, touching only the rows its
+  // nonzeros reach through the L columns of steps 0..k-1. The earlier steps
+  // are applied in ascending order and the unclaimed rows scanned in
+  // ascending order, exactly the order of a dense sweep over all steps and
+  // rows, so L, U and the pivot choices are the dense elimination's bit for
+  // bit: rows outside the reach hold exact zeros, which a dense sweep skips.
   const double lu_tol = opt_.lu_pivot_floor();
   std::vector<double>& w = work_rows_;  // invariant: all zero on entry/exit
-  std::vector<std::size_t> deficient;
+  deficient_.clear();
+  const auto reach = [&](std::size_t r) {
+    if (in_reach_[r] == 0) {
+      in_reach_[r] = 1;
+      reach_.push_back(r);
+    }
+  };
 
   for (std::size_t k = 0; k < nrows_; ++k) {
     // Scatter the basis column eliminated at step k.
+    reach_.clear();
     const std::size_t col = basis_[colperm_[k]];
     if (col < nstruct_) {
       for (std::size_t t = cols_.start[col]; t < cols_.start[col + 1]; ++t) {
         w[cols_.row[t]] += cols_.value[t];
+        reach(cols_.row[t]);
       }
     } else {
       w[col - nstruct_] += 1.0;
+      reach(col - nstruct_);
     }
-    // Left-looking elimination against the pivots chosen so far.
-    for (std::size_t t = 0; t < k; ++t) {
-      if (rowof_[t] == kNone) continue;  // deficient earlier step
+    // Symbolic reach: a nonzero in a row claimed at step t spreads to the
+    // rows of L column t.
+    for (std::size_t i = 0; i < reach_.size(); ++i) {
+      const std::size_t t = posof_[reach_[i]];
+      if (t == kNone) continue;
+      for (const auto& [r, v] : lcols_[t]) reach(r);
+    }
+    steps_.clear();
+    free_rows_.clear();
+    for (const std::size_t r : reach_) {
+      if (posof_[r] != kNone) {
+        steps_.push_back(posof_[r]);
+      } else {
+        free_rows_.push_back(r);
+      }
+    }
+    std::sort(steps_.begin(), steps_.end());
+    std::sort(free_rows_.begin(), free_rows_.end());
+    // Numeric elimination against the reached pivots.
+    for (const std::size_t t : steps_) {
       const double ut = w[rowof_[t]];
       if (ut == 0.0) continue;
-      ucols_[k].push_back({t, ut});
+      ucols_.entries.push_back({t, ut});
       for (const auto& [r, v] : lcols_[t]) w[r] -= v * ut;
     }
-    // Partial pivoting over the rows not yet claimed.
+    // Partial pivoting over the reached rows not yet claimed; the lowest
+    // row wins a tie.
     std::size_t pivot_row = kNone;
     double best = lu_tol;
-    for (std::size_t r = 0; r < nrows_; ++r) {
-      if (posof_[r] != kNone) continue;
+    for (const std::size_t r : free_rows_) {
       const double mag = std::abs(w[r]);
       if (mag > best) {
         best = mag;
@@ -238,22 +280,26 @@ bool RevisedSolver::try_factorize() {
       }
     }
     if (pivot_row == kNone) {
-      deficient.push_back(k);
-      ucols_[k].clear();
-      std::fill(w.begin(), w.end(), 0.0);
-      continue;
+      deficient_.push_back(k);
+      ucols_.discard_open();
+    } else {
+      udiag_[k] = w[pivot_row];
+      rowof_[k] = pivot_row;
+      posof_[pivot_row] = k;
+      for (const std::size_t r : free_rows_) {
+        if (r == pivot_row || w[r] == 0.0) continue;
+        lcols_.entries.push_back({r, w[r] / udiag_[k]});
+      }
     }
-    udiag_[k] = w[pivot_row];
-    rowof_[k] = pivot_row;
-    posof_[pivot_row] = k;
-    for (std::size_t r = 0; r < nrows_; ++r) {
-      if (posof_[r] != kNone || w[r] == 0.0) continue;
-      lcols_[k].push_back({r, w[r] / udiag_[k]});
+    lcols_.close();
+    ucols_.close();
+    for (const std::size_t r : reach_) {
+      w[r] = 0.0;
+      in_reach_[r] = 0;
     }
-    std::fill(w.begin(), w.end(), 0.0);
   }
 
-  if (deficient.empty()) {
+  if (deficient_.empty()) {
     // Fault site (lp/fault.h): one U diagonal perturbed by
     // 1 +/- kFactorPerturbScale per firing — the shape of a marginally
     // unstable pivot.
@@ -268,18 +314,19 @@ bool RevisedSolver::try_factorize() {
   // unclaimed row (those logicals are provably nonbasic only in the common
   // case; when one is not, fall back to the always-valid all-logical basis).
   factor_repaired_ = true;
-  std::vector<std::size_t> free_rows;
+  std::vector<std::size_t>& free_rows = free_rows_;
+  free_rows.clear();
   for (std::size_t r = 0; r < nrows_; ++r) {
     if (posof_[r] == kNone && state_[nstruct_ + r] != VarStatus::kBasic) {
       free_rows.push_back(r);
     }
   }
-  if (free_rows.size() < deficient.size()) {
+  if (free_rows.size() < deficient_.size()) {
     reset_to_logical_basis();
     return false;
   }
-  for (std::size_t i = 0; i < deficient.size(); ++i) {
-    const std::size_t slot = colperm_[deficient[i]];
+  for (std::size_t i = 0; i < deficient_.size(); ++i) {
+    const std::size_t slot = colperm_[deficient_[i]];
     const std::size_t old = basis_[slot];
     state_[old] = std::isfinite(lower_[old]) ? VarStatus::kAtLower
                                              : VarStatus::kAtUpper;
@@ -287,6 +334,23 @@ bool RevisedSolver::try_factorize() {
     state_[basis_[slot]] = VarStatus::kBasic;
   }
   return false;
+}
+
+void RevisedSolver::push_eta(std::size_t slot) {
+  eta_slot_.push_back(slot);
+  eta_pivot_.push_back(alpha_[slot]);
+  for (std::size_t k = 0; k < nrows_; ++k) {
+    if (k != slot && alpha_[k] != 0.0) etas_.entries.push_back({k, alpha_[k]});
+    alpha_[k] = 0.0;
+  }
+  etas_.close();
+  // Fault site (lp/fault.h): one entry of the fresh eta negated — the shape
+  // of a corrupted update.
+  const std::size_t first = etas_.start[etas_.size() - 1];
+  const std::size_t count = etas_.entries.size() - first;
+  if (injector_.armed() && count > 0 && injector_.fire(FaultKind::kEtaFlip)) {
+    etas_.entries[first + injector_.pick(count)].second *= -1.0;
+  }
 }
 
 void RevisedSolver::factorize() {
@@ -319,12 +383,13 @@ void RevisedSolver::ftran(std::vector<double>& slots) {
   }
   // The coefficient solved at elimination step k belongs to slot colperm_[k].
   for (std::size_t k = 0; k < nrows_; ++k) slots[colperm_[k]] = z_[k];
-  for (const Eta& e : etas_) {
-    const double xp = slots[e.slot] / e.pivot_value;
+  for (std::size_t i = 0; i < etas_.size(); ++i) {
+    const std::size_t slot = eta_slot_[i];
+    const double xp = slots[slot] / eta_pivot_[i];
     if (xp != 0.0) {
-      for (const auto& [q, v] : e.entries) slots[q] -= v * xp;
+      for (const auto& [q, v] : etas_[i]) slots[q] -= v * xp;
     }
-    slots[e.slot] = xp;
+    slots[slot] = xp;
   }
   // Fault site (lp/fault.h): a NaN dropped into one FTRAN result entry —
   // the shape of an uninitialized read or a 0/0 slipping through.
@@ -339,10 +404,10 @@ void RevisedSolver::btran(std::vector<double>& slots,
   const obs::PhaseTimer timer(obs::Phase::kLpBtran);
   // Solve B^T y = `slots` (costs per slot); the result lands in `rows_out`.
   for (std::size_t i = etas_.size(); i-- > 0;) {
-    const Eta& e = etas_[i];
-    double acc = slots[e.slot];
-    for (const auto& [q, v] : e.entries) acc -= v * slots[q];
-    slots[e.slot] = acc / e.pivot_value;
+    const std::size_t slot = eta_slot_[i];
+    double acc = slots[slot];
+    for (const auto& [q, v] : etas_[i]) acc -= v * slots[q];
+    slots[slot] = acc / eta_pivot_[i];
   }
   for (std::size_t k = 0; k < nrows_; ++k) z_[k] = slots[colperm_[k]];
   for (std::size_t k = 0; k < nrows_; ++k) {
@@ -414,7 +479,8 @@ std::size_t RevisedSolver::full_scan(bool phase1, bool bland) {
   candidates_.clear();
   const std::size_t list_size =
       std::max<std::size_t>(16, ncols_ / 8);
-  std::vector<std::pair<double, std::size_t>> eligible;
+  std::vector<std::pair<double, std::size_t>>& eligible = eligible_;
+  eligible.clear();
   std::size_t best = kNone;
   double best_score = opt_.opt_tol;
   for (std::size_t j = 0; j < ncols_; ++j) {
@@ -510,7 +576,7 @@ Solution RevisedSolver::extract(SolveStatus status) {
   }
   sol.objective = 0.0;
   for (std::size_t j = 0; j < nstruct_; ++j) {
-    sol.objective += model_.objective(j) * sol.x[j];
+    sol.objective += model_->objective(j) * sol.x[j];
   }
   // Duals from the last phase-2 BTRAN, converted to the user's sense.
   sol.duals.resize(nrows_);
@@ -709,17 +775,7 @@ Solution RevisedSolver::run_primal() {
       any_shunned_ = false;
     }
 
-    Eta eta;
-    eta.slot = leave_slot;
-    eta.pivot_value = alpha_[leave_slot];
-    for (std::size_t k = 0; k < nrows_; ++k) {
-      if (k != leave_slot && alpha_[k] != 0.0) {
-        eta.entries.push_back({k, alpha_[k]});
-      }
-      alpha_[k] = 0.0;
-    }
-    etas_.push_back(std::move(eta));
-    maybe_flip_eta(etas_.back());
+    push_eta(leave_slot);
 
     // kSkipRefactor suppresses one periodic trigger: the eta file keeps
     // growing and roundoff accumulates — exactly the failure a forgotten
@@ -732,7 +788,19 @@ Solution RevisedSolver::run_primal() {
   }
 }
 
-Solution RevisedSolver::run() {
+Solution RevisedSolver::run(const Model& model,
+                            const SimplexOptions& options) {
+  model_ = &model;
+  opt_ = options;
+  injector_ = FaultInjector(options.fault_plan);
+  iterations_ = 0;
+  use_bland_ = false;
+  stall_count_ = 0;
+  factor_repaired_ = false;
+  via_dual_ = false;
+  incremental_duals_ok_ = true;
+  dual_drift_events_ = 0;
+
   build();
   init_basis(opt_.warm_start);
   factorize();
@@ -779,13 +847,21 @@ Solution RevisedSolver::run() {
 
 }  // namespace internal
 
-Solution solve_revised(const Model& model, const SimplexOptions& options) {
+Workspace::Workspace() = default;
+Workspace::~Workspace() = default;
+Workspace::Workspace(Workspace&&) noexcept = default;
+Workspace& Workspace::operator=(Workspace&&) noexcept = default;
+
+Solution solve_revised(const Model& model, const SimplexOptions& options,
+                       Workspace& workspace) {
   check(model.num_constraints() > 0, "LP needs at least one constraint");
   check(model.num_variables() > 0, "LP needs at least one variable");
   const obs::PhaseTimer timer(obs::Phase::kLpSolve);
   obs::TraceSpan span("lp_solve", "lp");
-  internal::RevisedSolver solver(model, options);
-  Solution sol = solver.run();
+  if (!workspace.solver_) {
+    workspace.solver_ = std::make_unique<internal::RevisedSolver>();
+  }
+  Solution sol = workspace.solver_->run(model, options);
   span.set_arg("iterations", static_cast<double>(sol.iterations));
   return sol;
 }

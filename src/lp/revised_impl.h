@@ -8,6 +8,7 @@
 // Not part of the public API; include lp/simplex.h instead.
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -17,34 +18,50 @@
 
 namespace setsched::lp::internal {
 
-/// Column-wise sparse (CSC) copy of the structural part of [A | I], gathered
-/// once per solve from the row-wise Model.
+/// Column-wise sparse (CSC) copy of the structural part of [A | I],
+/// gathered once per solve into storage a warm chain reuses.
 struct SparseColumns {
   std::vector<std::size_t> start;  ///< nstruct + 1 offsets
   std::vector<std::size_t> row;
   std::vector<double> value;
 
-  static SparseColumns gather(const Model& model);
+  /// Re-gathers from `model`, reusing the storage.
+  void gather(const Model& model);
 };
 
-/// One product-form update: the basis column at `slot` was replaced by a
-/// column whose FTRAN image was `pivot_value` at `slot` and `entries`
-/// elsewhere.
-struct Eta {
-  std::size_t slot = 0;
-  double pivot_value = 1.0;
-  std::vector<std::pair<std::size_t, double>> entries;  ///< excludes the slot
+/// Sparse columns stored back to back, appended one at a time: column k is
+/// entries[start[k], start[k + 1]). clear() keeps the capacity, so
+/// refactorizations and eta pushes reuse the storage of the solves before.
+struct PackedColumns {
+  std::vector<std::size_t> start{0};
+  std::vector<std::pair<std::size_t, double>> entries;
+
+  void clear() {
+    start.assign(1, 0);
+    entries.clear();
+  }
+  /// Ends the column being appended.
+  void close() { start.push_back(entries.size()); }
+  /// Drops the entries appended since the last close().
+  void discard_open() { entries.resize(start.back()); }
+  [[nodiscard]] std::size_t size() const { return start.size() - 1; }
+  [[nodiscard]] std::span<const std::pair<std::size_t, double>> operator[](
+      std::size_t k) const {
+    return {entries.data() + start[k], start[k + 1] - start[k]};
+  }
 };
 
+/// The solver and every buffer it needs. One instance serves a whole warm
+/// chain (lp::Workspace): run() resets the per-solve state, and the buffers
+/// keep their capacity from one solve to the next.
 class RevisedSolver {
  public:
-  RevisedSolver(const Model& model, const SimplexOptions& options)
-      : model_(model), opt_(options), injector_(options.fault_plan) {}
-
-  Solution run();
+  Solution run(const Model& model, const SimplexOptions& options);
 
  private:
   // --- setup (revised.cpp) -------------------------------------------------
+  /// Gathers the CSC copy, reads bounds, costs and rhs from the model and
+  /// sizes the scratch.
   void build();
   void init_basis(const Basis* warm);
   void reset_to_logical_basis();
@@ -52,6 +69,9 @@ class RevisedSolver {
   // --- factorization (revised.cpp) -----------------------------------------
   void factorize();             ///< LU of the current basis, with repair
   bool try_factorize();         ///< one elimination pass; false => repaired
+  /// Appends the eta of a pivot on `slot` from alpha_ (the FTRAN image of
+  /// the entering column) and zeroes alpha_.
+  void push_eta(std::size_t slot);
   void compute_basics();        ///< xb = B^-1 (b - N x_N)
   void ftran(std::vector<double>& slots);  ///< rows in work_rows_ -> slots
   /// Solves B^T y = `slots` (costs per slot) into `rows_out` (row space).
@@ -88,7 +108,7 @@ class RevisedSolver {
 
   [[nodiscard]] Solution extract(SolveStatus status);
 
-  const Model& model_;
+  const Model* model_ = nullptr;
   SimplexOptions opt_;
 
   std::size_t nrows_ = 0;
@@ -110,14 +130,25 @@ class RevisedSolver {
   // scheduling LPs, whose bases mix unit logicals, 2-nonzero dominance
   // columns, and a few dense load columns), rows chosen by partial
   // pivoting P. Everything below is indexed by elimination step.
-  std::vector<std::vector<std::pair<std::size_t, double>>> lcols_;  // (row, v)
-  std::vector<std::vector<std::pair<std::size_t, double>>> ucols_;  // (step, v)
+  PackedColumns lcols_;  ///< per step: (row, multiplier) below the pivot
+  PackedColumns ucols_;  ///< per step: (earlier step, U entry)
   std::vector<double> udiag_;
   std::vector<std::size_t> rowof_;    ///< elimination step -> pivot row
   std::vector<std::size_t> posof_;    ///< row -> elimination step
   std::vector<std::size_t> colperm_;  ///< elimination step -> basis slot
   std::vector<double> z_;             ///< scratch, elimination space
-  std::vector<Eta> etas_;
+  // Elimination scratch: the rows a column's nonzeros reach (reach_), split
+  // into the earlier steps to apply (steps_) and the unclaimed rows
+  // (free_rows_); in_reach_ marks reach_ and is all zero between columns.
+  std::vector<std::size_t> reach_, steps_, free_rows_, deficient_;
+  std::vector<char> in_reach_;
+
+  // Product-form eta file: update i replaced the basis column at
+  // eta_slot_[i]; its FTRAN image was eta_pivot_[i] at that slot and
+  // etas_[i] elsewhere.
+  PackedColumns etas_;
+  std::vector<std::size_t> eta_slot_;
+  std::vector<double> eta_pivot_;
 
   /// One kink of the piecewise-linear phase-1 objective along the entering
   /// direction (see the primal ratio test).
@@ -136,6 +167,8 @@ class RevisedSolver {
   std::vector<double> y_;          ///< duals over rows (last BTRAN)
   std::vector<double> rho_;        ///< B^-T e_r (pivot-row BTRAN image)
   std::vector<std::size_t> candidates_;
+  std::vector<std::pair<double, std::size_t>> eligible_;  ///< full_scan
+  std::vector<std::size_t> basic_;                        ///< init_basis
   std::vector<Kink> kinks_;
   std::vector<char> shunned_;  ///< columns with numerically unusable pivots
   bool any_shunned_ = false;
@@ -161,13 +194,6 @@ class RevisedSolver {
   /// trigger (kSkipRefactor), and the dual's Devex weight updates
   /// (kStaleDevex).
   FaultInjector injector_;
-  /// Corrupts one entry of a freshly pushed eta when kEtaFlip fires; shared
-  /// by the primal and dual eta-push sites.
-  void maybe_flip_eta(Eta& eta) {
-    if (!injector_.armed() || eta.entries.empty()) return;
-    if (!injector_.fire(FaultKind::kEtaFlip)) return;
-    eta.entries[injector_.pick(eta.entries.size())].second *= -1.0;
-  }
 
   /// Incremental-duals state (dual.cpp): when true, y_ currently holds the
   /// exact duals of basis_ and the dual loop may advance it per pivot via

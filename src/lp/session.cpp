@@ -16,7 +16,7 @@ const Solution& Session::solve() {
     simplex.guard = true;
   }
   if (!basis_.empty()) simplex.warm_start = &basis_;
-  last_ = lp::solve(model_, simplex);
+  last_ = lp::solve(model_, simplex, workspace_);
   ++effort_.lp_solves;
   effort_.lp_iterations += last_.iterations;
   if (last_.via_dual) ++effort_.lp_dual_solves;

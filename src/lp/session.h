@@ -26,6 +26,10 @@ namespace setsched::lp {
 ///     options.guard, which guards every solve.
 ///   * the effort counters: lp_solves, lp_iterations, lp_dual_solves and the
 ///     guard counters of every solve.
+///   * the solver's workspace (lp::Workspace): the storage of the
+///     column-wise copy of the model, the LU, the eta file and the scratch,
+///     reused by every solve of the chain. Each solve still re-gathers the
+///     columns and refactorizes its starting basis from the model data.
 class Session {
  public:
   explicit Session(Model model, const SimplexOptions& options = {},
@@ -63,6 +67,7 @@ class Session {
   Basis basis_;
   Solution last_;
   EffortCounters effort_;
+  Workspace workspace_;
 };
 
 }  // namespace setsched::lp

@@ -474,14 +474,15 @@ Solution solve_tableau(const Model& model, const SimplexOptions& options) {
 
 namespace {
 
-Solution dispatch(const Model& model, const SimplexOptions& options) {
+Solution dispatch(const Model& model, const SimplexOptions& options,
+                  Workspace& workspace) {
   switch (options.algorithm) {
     case SimplexAlgorithm::kTableau:
       return solve_tableau(model, options);
     case SimplexAlgorithm::kDual:
       // The sparse revised solver, preferring the dual loop for every
       // dual-feasible start (solve_revised reads options.algorithm).
-      return solve_revised(model, options);
+      return solve_revised(model, options, workspace);
     case SimplexAlgorithm::kAuto:
       break;
   }
@@ -489,7 +490,7 @@ Solution dispatch(const Model& model, const SimplexOptions& options) {
   // other automatic solve takes the sparse revised path (which re-optimizes
   // warm primal-infeasible/dual-feasible bases with the dual simplex).
   if (options.audit) return solve_tableau(model, options);
-  return solve_revised(model, options);
+  return solve_revised(model, options, workspace);
 }
 
 /// Guarded solve: audit the primary answer, and on a contested verdict walk
@@ -497,8 +498,9 @@ Solution dispatch(const Model& model, const SimplexOptions& options) {
 /// contested basis, then a cold solve, then the audited dense tableau
 /// oracle. Recovery solves run fault-free: injected faults model transient
 /// corruption, and the ladder's job is to clear it, not re-roll the dice.
-Solution solve_guarded(const Model& model, const SimplexOptions& options) {
-  Solution sol = dispatch(model, options);
+Solution solve_guarded(const Model& model, const SimplexOptions& options,
+                       Workspace& workspace) {
+  Solution sol = dispatch(model, options, workspace);
   const AuditReport primary = audit_solution(model, sol, options);
   sol.audit_verdict = primary.verdict;
   if (!sol.audit_contested()) return sol;
@@ -532,7 +534,7 @@ Solution solve_guarded(const Model& model, const SimplexOptions& options) {
     } else {
       retry.warm_start = nullptr;
     }
-    Solution again = solve_revised(model, retry);
+    Solution again = solve_revised(model, retry, workspace);
     iterations += again.iterations;
     const AuditReport audit = audit_solution(model, again, retry);
     again.audit_verdict = audit.verdict;
@@ -572,8 +574,14 @@ Solution solve_guarded(const Model& model, const SimplexOptions& options) {
 }  // namespace
 
 Solution solve(const Model& model, const SimplexOptions& options) {
-  if (options.guard) return solve_guarded(model, options);
-  return dispatch(model, options);
+  Workspace workspace;
+  return solve(model, options, workspace);
+}
+
+Solution solve(const Model& model, const SimplexOptions& options,
+               Workspace& workspace) {
+  if (options.guard) return solve_guarded(model, options, workspace);
+  return dispatch(model, options, workspace);
 }
 
 }  // namespace setsched::lp

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -11,6 +12,9 @@
 namespace setsched::lp {
 
 struct FaultPlan;  // lp/fault.h — deterministic fault-injection plan
+namespace internal {
+class RevisedSolver;  // lp/revised_impl.h
+}  // namespace internal
 
 enum class SolveStatus {
   kOptimal,
@@ -206,6 +210,27 @@ struct SimplexOptions {
   }
 };
 
+/// What the sparse revised simplex keeps from one solve to the next: the
+/// storage of its column-wise copy of the model, of its LU and eta file and
+/// of its scratch vectors. Every solve still re-gathers the columns and
+/// refactorizes on entry from the model data, so a workspace saves
+/// allocation, never changes a result. lp::Session owns one per
+/// warm chain; the overloads without one use a temporary. One solve at a
+/// time: a workspace is not shared between threads.
+class Workspace {
+ public:
+  Workspace();
+  ~Workspace();
+  Workspace(Workspace&&) noexcept;
+  Workspace& operator=(Workspace&&) noexcept;
+
+ private:
+  friend Solution solve_revised(const Model& model,
+                                const SimplexOptions& options,
+                                Workspace& workspace);
+  std::unique_ptr<internal::RevisedSolver> solver_;
+};
+
 /// Solves the LP. The default (kAuto) runs the sparse revised simplex; the
 /// dense two-phase tableau remains available as the reference oracle (and is
 /// what audit mode instruments). Both implementations use bounded-variable
@@ -214,6 +239,9 @@ struct SimplexOptions {
 /// feasible region, a property Theorem 3.10's pseudoforest rounding relies
 /// on.
 [[nodiscard]] Solution solve(const Model& model, const SimplexOptions& options = {});
+/// solve() on a caller-owned workspace (guard-ladder re-solves included).
+[[nodiscard]] Solution solve(const Model& model, const SimplexOptions& options,
+                             Workspace& workspace);
 
 /// The dense two-phase tableau, directly (reference oracle).
 [[nodiscard]] Solution solve_tableau(const Model& model,
@@ -225,8 +253,9 @@ struct SimplexOptions {
 /// starting from SimplexOptions::warm_start, and a bounded-variable dual
 /// simplex that re-optimizes warm bases which are primal-infeasible but
 /// dual-feasible (forced for every dual-feasible start by
-/// SimplexAlgorithm::kDual).
+/// SimplexAlgorithm::kDual), on `workspace`'s storage.
 [[nodiscard]] Solution solve_revised(const Model& model,
-                                     const SimplexOptions& options = {});
+                                     const SimplexOptions& options,
+                                     Workspace& workspace);
 
 }  // namespace setsched::lp

@@ -314,6 +314,172 @@ TEST(Session, CountersAreTheSumOfTheReturnedSolutions) {
   EXPECT_EQ(session.effort(), sum);
 }
 
+/// Status and objective of `sol` against the tableau oracle on `m`.
+void expect_matches_tableau(const Model& m, const Solution& sol) {
+  const Solution oracle = solve(m, with(SimplexAlgorithm::kTableau));
+  ASSERT_EQ(sol.status, oracle.status);
+  if (!oracle.optimal()) return;
+  EXPECT_NEAR(sol.objective, oracle.objective,
+              1e-6 * std::max(1.0, std::abs(oracle.objective)));
+  expect_optimality_certificate(m, sol);
+}
+
+/// min x0 + 2 x1 + x2  s.t.  x0 + x1 >= 1,  x0 + x1 + x2 >= 2,  x2 <= 3,
+/// all in [0, 4]. Columns x0 and x1 are identical, so no basis holds both.
+Model twin_column_model() {
+  Model m(Objective::kMinimize);
+  const auto x0 = m.add_variable(0, 4, 1);
+  const auto x1 = m.add_variable(0, 4, 2);
+  const auto x2 = m.add_variable(0, 4, 1);
+  m.add_constraint({{x0, 1}, {x1, 1}}, Sense::kGreaterEqual, 1);
+  m.add_constraint({{x0, 1}, {x1, 1}, {x2, 1}}, Sense::kGreaterEqual, 2);
+  m.add_constraint({{x2, 1}}, Sense::kLessEqual, 3);
+  return m;
+}
+
+TEST(FactorRepair, SingularWarmBasesAreRepairedToTheOracleOptimum) {
+  const Model m = twin_column_model();
+  const auto basis = [](std::vector<VarStatus> structurals) {
+    return Basis{std::move(structurals),
+                 std::vector<VarStatus>(3, VarStatus::kAtLower)};
+  };
+  // Both twins basic: the second one eliminates to an all-zero column.
+  const Basis twins = basis(
+      {VarStatus::kBasic, VarStatus::kBasic, VarStatus::kBasic});
+  // One structural basic, padded with the logicals of rows 0 and 1: x0's
+  // column lies in their span, so it eliminates to zero and row 2 is left
+  // without a pivot.
+  const Basis short_of_logicals = basis(
+      {VarStatus::kBasic, VarStatus::kAtLower, VarStatus::kAtLower});
+  for (const Basis* warm : {&twins, &short_of_logicals}) {
+    for (const std::size_t refactor_interval : {std::size_t{1},
+                                                std::size_t{64}}) {
+      SimplexOptions options;
+      options.warm_start = warm;
+      options.refactor_interval = refactor_interval;
+      const Solution sol = solve(m, options);
+      expect_matches_tableau(m, sol);
+      ASSERT_EQ(sol.basis.structurals.size(), 3u);
+      EXPECT_FALSE(sol.basis.structurals[0] == VarStatus::kBasic &&
+                   sol.basis.structurals[1] == VarStatus::kBasic);
+    }
+  }
+}
+
+/// Random LPs sparser and larger than random_lp: 12..39 rows, 15..59
+/// columns of 1..4 nonzeros each, so bases mix logicals with structurals
+/// and an eliminated column reaches only a few rows.
+Model random_sparse_lp(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const std::size_t nrows = 12 + rng.next_below(28);
+  const std::size_t nvars = 15 + rng.next_below(45);
+  Model m(rng.next_bernoulli(0.5) ? Objective::kMaximize
+                                  : Objective::kMinimize);
+  std::vector<std::vector<Entry>> rows(nrows);
+  std::vector<double> activity(nrows, 0.0);
+  for (std::size_t j = 0; j < nvars; ++j) {
+    const double ub = rng.next_real(0.5, 4.0);
+    m.add_variable(0, ub, rng.next_real(-3, 3));
+    const double point = rng.next_real(0, ub);
+    const std::size_t nnz = 1 + rng.next_below(4);
+    for (std::size_t t = 0; t < nnz; ++t) {
+      const std::size_t r = rng.next_below(nrows);
+      const double coef = rng.next_real(-1.5, 2.5);
+      rows[r].push_back({j, coef});  // duplicates are summed by the model
+      activity[r] += coef * point;
+    }
+  }
+  for (std::size_t r = 0; r < nrows; ++r) {
+    if (rows[r].empty()) continue;
+    const double u = rng.next_real(0, 1);
+    if (u < 0.4) {
+      m.add_constraint(std::move(rows[r]), Sense::kLessEqual,
+                       activity[r] + rng.next_real(0, 2));
+    } else if (u < 0.7) {
+      m.add_constraint(std::move(rows[r]), Sense::kGreaterEqual,
+                       activity[r] - rng.next_real(0, 2));
+    } else {
+      m.add_constraint(std::move(rows[r]), Sense::kEqual, activity[r]);
+    }
+  }
+  return m;
+}
+
+class SparseRefactorEveryPivotTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SparseRefactorEveryPivotTest, WarmChainMatchesTableauOracle) {
+  // refactor_interval = 1 refactorizes after every pivot, so the
+  // elimination runs on every basis the chain visits, cold and warm.
+  SimplexOptions every_pivot;
+  every_pivot.refactor_interval = 1;
+  Session session(random_sparse_lp(GetParam() * 104729 + 7), every_pivot);
+  ASSERT_GT(session.model().num_constraints(), 0u);
+  expect_matches_tableau(session.model(), session.solve());
+  // Warm re-solves after rhs and bound edits.
+  Xoshiro256 rng(GetParam());
+  for (int round = 0; round < 3; ++round) {
+    Model& m = session.model();
+    for (std::size_t r = 0; r < m.num_constraints(); ++r) {
+      if (rng.next_bernoulli(0.3)) {
+        m.set_rhs(r, m.rhs(r) + rng.next_real(-0.5, 0.5));
+      }
+    }
+    const std::size_t j = rng.next_below(m.num_variables());
+    m.set_bounds(j, 0, m.upper(j) * 0.5);
+    expect_matches_tableau(session.model(), session.solve());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseRefactorEveryPivotTest,
+                         ::testing::Range<std::uint64_t>(0, 40));
+
+/// The session's warm answer after an edit equals a cold one-shot solve of
+/// the edited model (each edit below leaves a unique optimum).
+void expect_matches_cold(Session& session) {
+  const Solution& warm = session.solve();
+  const Solution cold = solve(session.model());
+  ASSERT_EQ(warm.status, cold.status);
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
+  ASSERT_EQ(warm.x.size(), cold.x.size());
+  for (std::size_t j = 0; j < cold.x.size(); ++j) {
+    EXPECT_NEAR(warm.x[j], cold.x[j], 1e-9) << "x" << j;
+  }
+}
+
+TEST(Workspace, SessionSolvesSeeEveryModelEdit) {
+  // min 3x + 2y + 4z  s.t.  x + y >= 2,  x + 2y + z >= 3,  all in [0, 5]:
+  // y = 2, objective 4.
+  Model base(Objective::kMinimize);
+  const auto x = base.add_variable(0, 5, 3);
+  const auto y = base.add_variable(0, 5, 2);
+  const auto z = base.add_variable(0, 5, 4);
+  const auto r0 = base.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 2);
+  const auto r1 = base.add_constraint({{x, 1}, {y, 2}, {z, 1}},
+                                      Sense::kGreaterEqual, 3);
+  Session session(std::move(base));
+  ASSERT_TRUE(session.solve().optimal());
+  EXPECT_NEAR(session.last().objective, 4.0, 1e-9);
+
+  // A coefficient edit: x + 0.5y + z >= 3 -> x = 3, objective 9.
+  session.model().update_entry(r1, y, 0.5);
+  expect_matches_cold(session);
+  EXPECT_NEAR(session.last().objective, 9.0, 1e-9);
+
+  // An appended column covering both rows at cost 1: w = 3, objective 3.
+  const auto w = session.model().add_variable(0, 5, 1);
+  session.model().add_to_row(r0, w, 1);
+  session.model().add_to_row(r1, w, 1);
+  expect_matches_cold(session);
+  EXPECT_NEAR(session.last().objective, 3.0, 1e-9);
+
+  // A bound edit: w = 1, x = 2, objective 7.
+  session.model().set_bounds(w, 0, 1);
+  expect_matches_cold(session);
+  EXPECT_NEAR(session.last().objective, 7.0, 1e-9);
+}
+
 }  // namespace
 }  // namespace setsched::lp
 
