@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Golden behaviour sweeps for setsched (runs as ctest `expt_golden`).
 
-Re-runs two fixed setsched_expt sweeps with --no-timing and asserts that
-their sorted JSONL is byte-identical to the files under tests/golden/:
+Re-runs three fixed setsched_expt sweeps with --no-timing and asserts that
+their sorted JSONL is byte-identical to the files under tests/golden/. All
+three use a 600 s budget so every exact proof closes:
 
   * sweep A (tests/golden/sweep_a.jsonl): every solver on unrelated-tiny and
-    unrelated-small, seeds 1-2, a 600 s budget so every exact proof closes;
+    unrelated-small, seeds 1-2;
   * sweep I (tests/golden/sweep_i.jsonl): every solver on unrelated-tiny,
-    seeds 1-2, with the LP fault injector armed (--inject=all@0.05).
+    seeds 1-2, with the LP fault injector armed (--inject=all@0.05);
+  * sweep E (tests/golden/sweep_e.jsonl): the four exact solvers (exact,
+    exact-dive, dive-then-prove, branch-and-price) on unrelated-small,
+    seeds 1-12. It pins the node and LP-iteration counts of the beam dive
+    and the depth-first search.
 
 Every node count, iteration count, ratio and guard counter is in those
 rows, so a refactor that claims "same behaviour" either passes this check
@@ -19,15 +24,17 @@ On a mismatch the script prints, per differing row, the fields that moved.
 Usage:
   python3 tools/check_golden_sweep.py --expt build/setsched_expt --out DIR
 
-The sorted JSONL of both sweeps is left in DIR. To regenerate the golden
+The sorted JSONL of every sweep is left in DIR. To regenerate the golden
 files after an intended behaviour change, run the sweeps by hand and sort:
 
-  for s in a i; do
+  for s in a i e; do
     case $s in
-      a) args="--presets=unrelated-tiny,unrelated-small" ;;
-      i) args="--presets=unrelated-tiny --inject=all@0.05" ;;
+      a) args="--all-solvers --seeds=2 --presets=unrelated-tiny,unrelated-small" ;;
+      i) args="--all-solvers --seeds=2 --presets=unrelated-tiny --inject=all@0.05" ;;
+      e) args="--presets=unrelated-small --seeds=12 \\
+           --solvers=exact,exact-dive,dive-then-prove,branch-and-price" ;;
     esac
-    build/setsched_expt $args --all-solvers --seeds=2 --time-limit=600 \\
+    build/setsched_expt $args --time-limit=600 \\
       --no-timing --threads=4 --quiet --jsonl=/tmp/sweep_$s.jsonl
     sort /tmp/sweep_$s.jsonl > tests/golden/sweep_$s.jsonl
   done
@@ -42,11 +49,15 @@ import subprocess
 import sys
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
-COMMON = ("--all-solvers", "--seeds=2", "--time-limit=600", "--no-timing",
-          "--threads=4", "--quiet")
+COMMON = ("--time-limit=600", "--no-timing", "--threads=4", "--quiet")
 SWEEPS = {
-    "sweep_a": ("--presets=unrelated-tiny,unrelated-small",),
-    "sweep_i": ("--presets=unrelated-tiny", "--inject=all@0.05"),
+    "sweep_a": ("--all-solvers", "--seeds=2",
+                "--presets=unrelated-tiny,unrelated-small"),
+    "sweep_i": ("--all-solvers", "--seeds=2", "--presets=unrelated-tiny",
+                "--inject=all@0.05"),
+    "sweep_e": ("--presets=unrelated-small", "--seeds=12",
+                "--solvers=exact,exact-dive,dive-then-prove,"
+                "branch-and-price"),
 }
 
 
