@@ -1,9 +1,13 @@
 #include "core/io.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <system_error>
 
 #include "common/check.h"
@@ -45,6 +49,22 @@ void expect_header(std::istream& is, const std::string& kind) {
   check(version == 1, "unsupported instance format version");
 }
 
+/// Reads the "m n K" line. Each dimension must fit the 32-bit MachineId /
+/// JobId / ClassId (kUnassigned is reserved), and the m x n and m x K matrix
+/// sizes must fit size_t: a wrapped size made the loader write past it.
+std::array<std::size_t, 3> read_dimensions(std::istream& is) {
+  std::array<std::size_t, 3> d{};
+  check(static_cast<bool>(is >> d[0] >> d[1] >> d[2]), "missing dimensions");
+  for (const std::size_t v : d) {
+    check(v < kUnassigned, "instance dimension " + std::to_string(v) +
+                               " is out of the 32-bit id range");
+  }
+  check(d[0] <= std::numeric_limits<std::size_t>::max() /
+                    std::max({d[1], d[2], std::size_t{1}}),
+        "instance dimensions overflow the matrix size");
+  return d;
+}
+
 }  // namespace
 
 void save_instance(std::ostream& os, const Instance& instance) {
@@ -70,8 +90,7 @@ void save_instance(std::ostream& os, const Instance& instance) {
 
 Instance load_instance(std::istream& is) {
   expect_header(is, "unrelated");
-  std::size_t m = 0, n = 0, kc = 0;
-  check(static_cast<bool>(is >> m >> n >> kc), "missing dimensions");
+  const auto [m, n, kc] = read_dimensions(is);
   std::vector<ClassId> job_class(n);
   for (auto& k : job_class) {
     check(static_cast<bool>(is >> k), "missing job class");
@@ -110,8 +129,7 @@ void save_uniform(std::ostream& os, const UniformInstance& instance) {
 
 UniformInstance load_uniform(std::istream& is) {
   expect_header(is, "uniform");
-  std::size_t m = 0, n = 0, kc = 0;
-  check(static_cast<bool>(is >> m >> n >> kc), "missing dimensions");
+  const auto [m, n, kc] = read_dimensions(is);
   UniformInstance inst;
   inst.job_class.resize(n);
   inst.job_size.resize(n);

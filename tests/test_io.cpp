@@ -90,5 +90,27 @@ TEST(IoRejects, StructurallyInvalidInstance) {
   EXPECT_THROW((void)load_instance(stream), CheckError);
 }
 
+// Dimensions outside the 32-bit id range used to wrap the m x n matrix size
+// to 0 (and crash in set_proc) or escape as std::length_error.
+TEST(IoRejects, OversizedDimensions) {
+  for (const char* dims :
+       {"9223372036854775808 2 2", "-1 1 1", "1 -1 1", "1 1 -1",
+        "4294967295 1 1", "1 4294967295 1", "1 1 4294967295"}) {
+    std::stringstream stream(std::string("setsched unrelated 1\n") + dims +
+                             "\n0 1\n1 1 1 1\n");
+    EXPECT_THROW((void)load_instance(stream), CheckError) << dims;
+  }
+}
+
+TEST(IoRejects, OversizedUniformDimensions) {
+  for (const char* dims :
+       {"9223372036854775808 2 2", "-1 1 1", "1 -1 1", "1 1 -1",
+        "4294967295 1 1", "1 4294967295 1", "1 1 4294967295"}) {
+    std::stringstream stream(std::string("setsched uniform 1\n") + dims +
+                             "\n0 1\n1 1\n1 1\n1 1\n");
+    EXPECT_THROW((void)load_uniform(stream), CheckError) << dims;
+  }
+}
+
 }  // namespace
 }  // namespace setsched
