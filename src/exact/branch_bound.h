@@ -98,14 +98,6 @@ struct ExactOptions {
   std::size_t memo_limit = 256;
   /// kDive: beam width per level.
   std::size_t beam_width = 256;
-  /// kDive: how many kept states each candidate is checked against in the
-  /// per-level dominance prefilter (0 = scan them all). The default keeps
-  /// the prefilter O(1) per candidate; widening it drops more duplicate /
-  /// dominated states (freeing beam slots) but costs a longer scan. Sound
-  /// at any value — a kept dominated state is redundant, never wrong — so
-  /// the returned makespan does not depend on it when the beam is wide
-  /// enough to hold every survivor.
-  std::size_t dive_dominance_scan = 64;
   /// kDiveThenProve: wall-clock budget of the dive phase (further capped at
   /// half of time_limit_s); the prove phase gets whatever remains.
   double dive_time_limit_s = 0.5;
@@ -124,19 +116,13 @@ struct ExactOptions {
   /// probes and amortize only near the top of the tree). Also the pin depth
   /// of the config bounder.
   std::size_t cg_bound_depth = 6;
-  /// Pricing grid of the config bounder (ConfigBoundOptions::grid).
-  std::size_t cg_grid = 2048;
-  /// Pricing rounds per config-LP node probe before it stalls to "no bound".
-  std::size_t cg_rounds_per_node = 6;
-  /// Probe budget of the config-LP root-bound bisection.
-  std::size_t cg_root_probes = 12;
   /// Grid of the root-only fine bisection pass. The certified config bound
   /// loses (n + classes)/grid to the conservative probe inflation, which at
   /// mid-size instances eats most of the relaxation's edge over the
   /// assignment LP — a one-off fine-grid pass at the root buys the bound
   /// back at a cost that amortizes over the whole tree (node probes keep
-  /// the cheap cg_grid). Set <= cg_grid to disable the pass. Its wall clock
-  /// is capped at half the remaining budget.
+  /// the cheap ConfigBoundOptions::grid). Set <= that grid to disable the
+  /// pass. Its wall clock is capped at half the remaining budget.
   std::size_t cg_root_grid = 16384;
 };
 

@@ -13,7 +13,7 @@
 
 namespace setsched::exact {
 
-/// Knobs of the configuration-LP bounder (defaults match ExactOptions').
+/// Knobs of the configuration-LP bounder.
 struct ConfigBoundOptions {
   /// Pricing grid resolution (ConfigLpOptions::grid). The conservative probe
   /// inflation is (n + classes) / grid, so the grid must comfortably exceed

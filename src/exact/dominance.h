@@ -3,48 +3,41 @@
 #include <cstddef>
 #include <vector>
 
-#include "exact/tolerances.h"
+#include "exact/search_util.h"
 
 namespace setsched::exact {
 
 /// Dominance memo over branch-and-bound states. Because jobs are branched in
 /// a fixed order, the remaining-job set is determined by the depth, so a
 /// state is (depth, per-machine loads, per-machine paid-setup row). A new
-/// state is prunable when some previously explored state at the same depth
-/// has pointwise <= loads and a pointwise >= paid-setup row: every
-/// completion of the new state maps to a completion of the old one that is
-/// at most as large, and cutoffs only tighten over time, so the old
-/// subtree's exploration already covered it.
+/// node is prunable when some previously explored node at the same depth
+/// dominates it (exact::dominates): cutoffs only tighten over time, so the
+/// old subtree's exploration already covered it.
 ///
 /// Storage is flat per depth and capped at `limit` states; once a depth is
 /// full, new states are still checked against the stored ones but no longer
 /// recorded (the memo stays sound, it just stops growing).
 class DominanceTable {
  public:
-  DominanceTable(std::size_t depths, std::size_t machines,
-                 std::size_t classes_per_machine, std::size_t limit)
-      : m_(machines),
-        kc_(classes_per_machine),
-        limit_(limit),
-        levels_(depths) {}
+  DominanceTable(std::size_t depths, std::size_t limit)
+      : limit_(limit), levels_(depths) {}
 
-  [[nodiscard]] bool enabled() const noexcept { return limit_ > 0; }
-
-  /// True iff a recorded state at `depth` dominates (loads, class_on);
-  /// otherwise records the state (subject to the cap) and returns false.
-  bool dominated_or_record(std::size_t depth, const std::vector<double>& loads,
-                           const std::vector<char>& class_on) {
+  /// True iff a recorded node at `depth` dominates `node`; otherwise records
+  /// the node (subject to the cap) and returns false.
+  bool dominated_or_record(std::size_t depth, const Node& node) {
     Level& level = levels_[depth];
     for (std::size_t s = 0; s < level.count; ++s) {
-      if (dominates(level, s, loads, class_on)) {
+      if (dominates(level.loads.data() + s * node.loads.size(),
+                    level.class_on.data() + s * node.class_on.size(), node)) {
         ++hits_;
         return true;
       }
     }
     if (level.count < limit_) {
-      level.loads.insert(level.loads.end(), loads.begin(), loads.end());
-      level.class_on.insert(level.class_on.end(), class_on.begin(),
-                            class_on.end());
+      level.loads.insert(level.loads.end(), node.loads.begin(),
+                         node.loads.end());
+      level.class_on.insert(level.class_on.end(), node.class_on.begin(),
+                            node.class_on.end());
       ++level.count;
     }
     return false;
@@ -59,22 +52,6 @@ class DominanceTable {
     std::size_t count = 0;
   };
 
-  [[nodiscard]] bool dominates(const Level& level, std::size_t s,
-                               const std::vector<double>& loads,
-                               const std::vector<char>& class_on) const {
-    const double* old_loads = level.loads.data() + s * m_;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (old_loads[i] > loads[i] + kDominanceLoadSlack) return false;
-    }
-    const char* old_on = level.class_on.data() + s * m_ * kc_;
-    for (std::size_t e = 0; e < m_ * kc_; ++e) {
-      if (class_on[e] != 0 && old_on[e] == 0) return false;
-    }
-    return true;
-  }
-
-  std::size_t m_;
-  std::size_t kc_;
   std::size_t limit_;
   std::vector<Level> levels_;
   std::size_t hits_ = 0;

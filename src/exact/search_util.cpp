@@ -4,9 +4,12 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "core/bounds.h"
 #include "core/schedule.h"
 #include "core/types.h"
 #include "exact/tolerances.h"
+#include "obs/phase.h"
+#include "obs/trace.h"
 
 namespace setsched::exact {
 
@@ -66,35 +69,119 @@ SearchPlan build_search_plan(const Instance& instance) {
   return plan;
 }
 
+namespace {
+
+/// True iff machine `i` duplicates an earlier candidate under the node's
+/// state: some equivalent machine r < i has the same load and the same
+/// paid-setup row, so branching on r already covers i up to the swap
+/// automorphism.
 bool symmetric_duplicate(const Instance& instance, const SearchPlan& plan,
-                         MachineId i, const std::vector<double>& loads,
-                         const std::vector<char>& class_on) {
+                         MachineId i, const Node& node) {
   const MachineId rep = plan.machine_rep[i];
   if (rep == i) return false;
   const std::size_t kc = instance.num_classes();
   for (MachineId r = rep; r < i; ++r) {
     if (plan.machine_rep[r] != rep) continue;
-    if (loads[r] != loads[i]) continue;
+    if (node.loads[r] != node.loads[i]) continue;
     bool same = true;
     for (ClassId k = 0; k < kc && same; ++k) {
-      same = class_on[r * kc + k] == class_on[i * kc + k];
+      same = node.class_on[r * kc + k] == node.class_on[i * kc + k];
     }
     if (same) return true;
   }
   return false;
 }
 
-void adopt_initial_schedule(const Instance& instance, const Schedule& initial,
-                            Schedule* best, double* incumbent) {
-  const std::optional<std::string> error = schedule_error(instance, initial);
-  check(!error.has_value(),
-        "ExactOptions::initial_schedule is not a feasible schedule: " +
-            (error ? *error : std::string()));
-  const double value = makespan(instance, initial);
-  if (value < *incumbent) {
-    *best = initial;
-    *incumbent = value;
+/// The pruning cutoff. Ties with the incumbent are no improvement, so it
+/// sits a hair below the incumbent; the external bound is INCLUSIVE (a
+/// schedule equal to it is acceptable), so it enters with a small upward
+/// slack instead.
+double cutoff(double incumbent, const ExactOptions& opt) {
+  double prune_at = incumbent - kIncumbentPruneSlack;
+  if (opt.initial_upper_bound > 0.0) {
+    prune_at = std::min(
+        prune_at, opt.initial_upper_bound * (1.0 + kExternalBoundRelSlack) +
+                      kExternalBoundAbsSlack);
   }
+  return prune_at;
+}
+
+}  // namespace
+
+Search::Search(const Instance& instance, const ExactOptions& options)
+    : inst(instance),
+      opt(options),
+      plan(build_search_plan(instance)),
+      best(best_machine_schedule(instance)),
+      incumbent(makespan(instance, best)),
+      lower_bound(unrelated_lower_bound(instance)) {
+  if (opt.initial_schedule.has_value()) {
+    const std::optional<std::string> error =
+        schedule_error(inst, *opt.initial_schedule);
+    check(!error.has_value(),
+          "ExactOptions::initial_schedule is not a feasible schedule: " +
+              (error ? *error : std::string()));
+    const double value = makespan(inst, *opt.initial_schedule);
+    if (value < incumbent) {
+      best = *opt.initial_schedule;
+      incumbent = value;
+    }
+  }
+  prune_at = cutoff(incumbent, opt);
+}
+
+void Search::bound_root_lp() {
+  if (!opt.use_lp_bounds || prune_at <= 0.0) return;
+  const obs::PhaseTimer phase(obs::Phase::kRootBound);
+  const obs::TraceSpan span("root_bound", "exact");
+  bounder.emplace(inst, prune_at, opt.simplex);
+  if (bounder->available()) {
+    lower_bound =
+        std::max(lower_bound, bounder->root_lower_bound(lower_bound, prune_at));
+  }
+}
+
+void Search::fix_root() {
+  if (!bounder) return;
+  const obs::PhaseTimer phase(obs::Phase::kRootBound);
+  bounder->fix_dominated(prune_at, &fixes);
+  bounder->save_root_snapshot();
+}
+
+bool Search::improve(const Node& leaf) {
+  if (leaf.max_load >= incumbent) return false;
+  incumbent = leaf.max_load;
+  best.assignment = leaf.assignment;
+  prune_at = cutoff(incumbent, opt);
+  return true;
+}
+
+void Search::append_children(const Node& node, JobId j,
+                             std::vector<Child>* out) const {
+  const std::size_t kc = inst.num_classes();
+  const ClassId k = inst.job_class(j);
+  for (MachineId i = 0; i < inst.num_machines(); ++i) {
+    if (!inst.eligible(i, j)) continue;
+    if (bounder && bounder->pair_fixed(j, i)) continue;
+    if (symmetric_duplicate(inst, plan, i, node)) continue;
+    const std::size_t paid = i * kc + k;
+    const double add_setup = node.class_on[paid] != 0 ? 0.0 : inst.setup(i, k);
+    const double new_load = node.loads[i] + inst.proc(i, j) + add_setup;
+    if (new_load >= prune_at) continue;
+    out->push_back({i, paid, new_load, inst.proc(i, j) + add_setup});
+  }
+}
+
+ExactResult Search::result(std::size_t nodes, bool search_complete,
+                           const EffortCounters& extra) const {
+  ExactResult out;
+  out.schedule = best;
+  out.makespan = makespan(inst, best);
+  if (bounder) out.effort() = bounder->effort();
+  out += extra;
+  out.nodes = nodes;
+  certify(&out, lower_bound, search_complete);
+  return out;
 }
 
 void certify(ExactResult* out, double lower_bound, bool search_complete) {

@@ -1,9 +1,15 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
 #include "exact/branch_bound.h"
+#include "exact/lp_bound.h"
+#include "exact/tolerances.h"
 
 namespace setsched::exact {
 
@@ -26,15 +32,134 @@ struct SearchPlan {
 
 [[nodiscard]] SearchPlan build_search_plan(const Instance& instance);
 
-/// True iff machine `i` duplicates an earlier candidate under the current
-/// search state: some equivalent machine r < i has the same load and the
-/// same paid-setup row, so branching on r already covers i up to the swap
-/// automorphism. `class_on` is the m x num_classes paid-setup matrix in
-/// row-major layout.
-[[nodiscard]] bool symmetric_duplicate(const Instance& instance,
-                                       const SearchPlan& plan, MachineId i,
-                                       const std::vector<double>& loads,
-                                       const std::vector<char>& class_on);
+/// One child of a search node: the next job of the order on `machine`.
+struct Child {
+  MachineId machine;
+  /// Index of the (machine, job class) flag in Node::class_on.
+  std::size_t paid;
+  /// The machine's load with the job, plus its setup when not yet paid.
+  double new_load;
+  /// What the job adds to the machine: processing time plus that setup.
+  double added;
+};
+
+/// One search node: a partial schedule of a prefix of the job order with its
+/// load and setup state. The beam dive copies nodes; the DFS mutates one
+/// node in place and undoes each step.
+struct Node {
+  Node(std::size_t jobs, std::size_t machines, std::size_t classes)
+      : assignment(jobs, kUnassigned),
+        loads(machines, 0.0),
+        class_on(machines * classes, 0) {}
+
+  /// What place() overwrote; unplace() restores it.
+  struct Undo {
+    double load;
+    double max_load;
+    double total_load;
+    char paid;
+  };
+
+  Undo place(JobId j, const Child& c) {
+    const Undo undo{loads[c.machine], max_load, total_load, class_on[c.paid]};
+    assignment[j] = c.machine;
+    loads[c.machine] = c.new_load;
+    class_on[c.paid] = 1;
+    total_load += c.added;
+    max_load = std::max(max_load, c.new_load);
+    return undo;
+  }
+
+  void unplace(JobId j, const Child& c, const Undo& undo) {
+    assignment[j] = kUnassigned;
+    loads[c.machine] = undo.load;
+    class_on[c.paid] = undo.paid;
+    total_load = undo.total_load;
+    max_load = undo.max_load;
+  }
+
+  std::vector<MachineId> assignment;  ///< kUnassigned beyond the depth
+  std::vector<double> loads;
+  std::vector<char> class_on;  ///< m x K paid-setup matrix, row-major
+  double max_load = 0.0;
+  double total_load = 0.0;
+};
+
+/// The dominance rule of both searches. Jobs are placed in a fixed order, so
+/// nodes at the same depth have the same jobs left. A node with loads
+/// `old_loads` (m entries) and paid setups `old_paid` (m x K) makes
+/// `candidate` redundant when its loads are pointwise <= and it has paid
+/// every setup the candidate paid: every completion of the candidate maps
+/// to a completion of the old node that is at most as large.
+[[nodiscard]] inline bool dominates(const double* old_loads,
+                                    const char* old_paid,
+                                    const Node& candidate) {
+  for (std::size_t i = 0; i < candidate.loads.size(); ++i) {
+    if (old_loads[i] > candidate.loads[i] + kDominanceLoadSlack) return false;
+  }
+  for (std::size_t e = 0; e < candidate.class_on.size(); ++e) {
+    if (candidate.class_on[e] != 0 && old_paid[e] == 0) return false;
+  }
+  return true;
+}
+
+/// The incumbent, the bounds and the root step both search modes start
+/// from, and the child generator they both branch with.
+struct Search {
+  /// Incumbent: best_machine_schedule, replaced by
+  /// ExactOptions::initial_schedule when that is better (CheckError when it
+  /// is incomplete or infeasible: an invalid external incumbent must fail
+  /// loudly, not corrupt the ground truth). Lower bound: core/bounds.h's.
+  Search(const Instance& instance, const ExactOptions& options);
+
+  [[nodiscard]] bool incumbent_meets_lb() const {
+    return incumbent <= lower_bound + kCertRelTol * std::max(1.0, lower_bound);
+  }
+
+  /// Builds the assignment-LP bounder at the cutoff and raises lower_bound
+  /// to its root relaxation (nothing unless use_lp_bounds and prune_at > 0).
+  void bound_root_lp();
+
+  /// Root reduced-cost fixing: pairs the root relaxation proves
+  /// incompatible with beating the cutoff are excluded for the whole search
+  /// (the front of `fixes`, never undone). The snapshot keeps the root
+  /// solve's sensitivity bounds so every later incumbent can re-run the
+  /// fixing at its tighter cutoff (LpBounder::refix_root) without another
+  /// LP solve.
+  void fix_root();
+
+  /// Adopts `leaf` (a complete node) as the incumbent when it is better, and
+  /// tightens the cutoff. Returns whether it did.
+  bool improve(const Node& leaf);
+
+  /// Appends the children of `node` for job j, in machine order: eligible
+  /// machines that the bounder has not fixed away, that are no symmetric
+  /// duplicate of an earlier machine, and whose new load stays below the
+  /// cutoff (every completion of such a child is at least that load).
+  void append_children(const Node& node, JobId j,
+                       std::vector<Child>* out) const;
+
+  /// The result: the incumbent, the bounder's effort plus `extra`, `nodes`,
+  /// and the certificate (see certify).
+  [[nodiscard]] ExactResult result(std::size_t nodes, bool search_complete,
+                                   const EffortCounters& extra = {}) const;
+
+  const Instance& inst;
+  const ExactOptions& opt;
+  const SearchPlan plan;
+  Schedule best;
+  /// Makespan of `best`: always a schedule we hold. The external bound only
+  /// enters the cutoff.
+  double incumbent;
+  /// Certified lower bound on OPT.
+  double lower_bound;
+  /// Branches with load >= prune_at cannot lead to an acceptable schedule.
+  double prune_at = kInfinity;
+  std::optional<LpBounder> bounder;
+  /// Reduced-cost fix trail: the root fixes, then (in the DFS) the live
+  /// subtree fixes, which each node unfixes back to the size it saw.
+  std::vector<std::pair<JobId, MachineId>> fixes;
+};
 
 /// Fills the certificate fields of `out` (proven_optimal, lower_bound, gap)
 /// from the incumbent makespan, the best certified lower bound, and whether
@@ -42,13 +167,5 @@ struct SearchPlan {
 /// proven optimal even when the search was truncated; a complete search
 /// raises the lower bound to the incumbent.
 void certify(ExactResult* out, double lower_bound, bool search_complete);
-
-/// Adopts ExactOptions::initial_schedule as the search's starting incumbent
-/// when it beats the one in *best (shared by the prove and dive modes).
-/// Throws CheckError when the schedule is incomplete or infeasible for the
-/// instance — an invalid external incumbent must fail loudly, not silently
-/// corrupt the ground truth.
-void adopt_initial_schedule(const Instance& instance, const Schedule& initial,
-                            Schedule* best, double* incumbent);
 
 }  // namespace setsched::exact

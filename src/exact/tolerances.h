@@ -17,8 +17,8 @@
 
 namespace setsched::exact {
 
-/// Pointwise machine-load slack of the dominance tests (the beam's
-/// dominated_by scan and the per-depth dominance memo): a kept state's load
+/// Pointwise machine-load slack of the dominance test (exact::dominates,
+/// used by the beam's prefilter and the per-depth memo): a kept state's load
 /// may exceed the candidate's by this much and still count as <=. Absolute,
 /// not relative — loads are sums of O(n) doubles, whose representation error
 /// is far below this at every benchmarked scale.

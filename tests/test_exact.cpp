@@ -409,19 +409,28 @@ TEST(Exact, LpBoundsReportDualSolvesAndFixedVars) {
 TEST(ExactDive, FindsOptimumOnTinyInstancesAndProvesIt) {
   // With a beam wider than the full state space the dive is exhaustive, so
   // it must return the brute-force optimum and may claim proven_optimal.
+  // The n = 10 cases fill levels past the dominance prefilter's scan cap.
   UnrelatedGenParams p;
-  p.num_jobs = 7;
   p.num_machines = 3;
   p.num_classes = 3;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const Instance inst = generate_unrelated(p, seed);
+  struct Case {
+    std::size_t jobs;
+    std::uint64_t seed;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) cases.push_back({7, seed});
+  for (std::uint64_t seed = 40; seed < 46; ++seed) cases.push_back({10, seed});
+  for (const Case& c : cases) {
+    p.num_jobs = c.jobs;
+    const Instance inst = generate_unrelated(p, c.seed);
     const double reference = enumerate_opt(inst);
     ExactOptions opt;
     opt.mode = ExactMode::kDive;
     opt.beam_width = 100000;
     const ExactResult r = solve_exact(inst, opt);
-    EXPECT_TRUE(r.proven_optimal) << "seed " << seed;
-    EXPECT_NEAR(r.makespan, reference, 1e-9) << "seed " << seed;
+    EXPECT_TRUE(r.proven_optimal) << "n " << c.jobs << " seed " << c.seed;
+    EXPECT_NEAR(r.makespan, reference, 1e-9)
+        << "n " << c.jobs << " seed " << c.seed;
   }
 }
 
@@ -558,36 +567,6 @@ TEST(ExactDive, ExactFitBeamWithDominatedOverflowStaysProven) {
   const ExactResult t = solve_exact(inst, narrow);
   EXPECT_FALSE(t.proven_optimal);
   EXPECT_LT(t.lower_bound, 12.0 - 1e-9);
-}
-
-// The dominance prefilter cap is a speed/coverage dial, never a correctness
-// one: a kept dominated state wastes a beam slot but is never wrong, so on a
-// beam wide enough to hold every survivor the makespan must not depend on
-// the scan depth (1 = nearly no prefilter, 64 = default, 0 = scan all).
-TEST(ExactDive, DominanceScanCapNeverChangesTheMakespan) {
-  UnrelatedGenParams p;
-  p.num_jobs = 10;
-  p.num_machines = 3;
-  p.num_classes = 3;
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const Instance inst = generate_unrelated(p, seed + 40);
-    double reference = -1.0;
-    for (const std::size_t scan : {std::size_t{1}, std::size_t{64},
-                                   std::size_t{0}}) {
-      ExactOptions opt;
-      opt.mode = ExactMode::kDive;
-      opt.beam_width = 100000;
-      opt.dive_dominance_scan = scan;
-      const ExactResult r = solve_exact(inst, opt);
-      EXPECT_TRUE(r.proven_optimal) << "seed " << seed << " scan " << scan;
-      if (reference < 0.0) {
-        reference = r.makespan;
-      } else {
-        EXPECT_NEAR(r.makespan, reference, 1e-9)
-            << "seed " << seed << " scan " << scan;
-      }
-    }
-  }
 }
 
 TEST(ExactDive, NeverClaimsOptimalityBelowTheBound) {
