@@ -23,6 +23,15 @@ constexpr Preset kPresets[] = {
        return ProblemInput::from_unrelated(
            generate_class_uniform_processing({}, seed));
      }},
+    {"class-uniform-tiny",
+     [](std::uint64_t seed) {
+       ClassUniformGenParams params;
+       params.num_jobs = 10;
+       params.num_machines = 3;
+       params.num_classes = 3;
+       return ProblemInput::from_unrelated(
+           generate_class_uniform_processing(params, seed));
+     }},
     {"planted",
      [](std::uint64_t seed) {
        return ProblemInput::from_unrelated(
@@ -32,6 +41,15 @@ constexpr Preset kPresets[] = {
      [](std::uint64_t seed) {
        return ProblemInput::from_unrelated(
            generate_restricted_class_uniform({}, seed));
+     }},
+    {"restricted-tiny",
+     [](std::uint64_t seed) {
+       RestrictedGenParams params;
+       params.num_jobs = 10;
+       params.num_machines = 3;
+       params.num_classes = 3;
+       return ProblemInput::from_unrelated(
+           generate_restricted_class_uniform(params, seed));
      }},
     {"uniform-large",
      [](std::uint64_t seed) {
@@ -45,6 +63,14 @@ constexpr Preset kPresets[] = {
     {"uniform-small",
      [](std::uint64_t seed) {
        return ProblemInput::from_uniform(generate_uniform({}, seed));
+     }},
+    {"uniform-tiny",
+     [](std::uint64_t seed) {
+       UniformGenParams params;
+       params.num_jobs = 10;
+       params.num_machines = 3;
+       params.num_classes = 3;
+       return ProblemInput::from_uniform(generate_uniform(params, seed));
      }},
     {"unrelated-medium",
      [](std::uint64_t seed) {
@@ -77,6 +103,8 @@ constexpr Preset kPresets[] = {
        // Brute-forceable scale (m^n enumerable in test time): the preset the
        // branch-and-price differential tests compare against exhaustive
        // enumeration and the config-vs-assignment root-bound dominance check.
+       // The other *-tiny presets share its shape: bench/plans/paper.plan
+       // needs `exact` to prove every cell.
        UnrelatedGenParams params;
        params.num_jobs = 10;
        params.num_machines = 3;

@@ -319,7 +319,7 @@ RoundingResult randomized_rounding_config(const Instance& instance,
 
   const std::size_t rounds = static_cast<std::size_t>(std::max(
       1.0,
-      std::ceil(rounding.c *
+      std::ceil(kRoundingC *
                 std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
   out.rounds = rounds;
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <system_error>
 
 #include "api/presets.h"
@@ -74,16 +75,28 @@ void ExperimentPlan::validate() const {
   check(!solvers.empty(), "experiment plan has no solvers");
   check(seed_end >= seed_begin, "experiment plan has an empty seed range");
   const std::vector<std::string> known_presets = preset_names();
-  for (const std::string& preset : presets) {
-    check(std::find(known_presets.begin(), known_presets.end(), preset) !=
+  for (auto it = presets.begin(); it != presets.end(); ++it) {
+    check(std::find(known_presets.begin(), known_presets.end(), *it) !=
               known_presets.end(),
-          "unknown preset '" + preset + "' in experiment plan");
+          "unknown preset '" + *it + "' in experiment plan");
+    check(std::find(presets.begin(), it, *it) == it,
+          "preset '" + *it + "' repeats in experiment plan");
   }
   const SolverRegistry& registry = SolverRegistry::global();
-  for (const std::string& solver : solvers) {
-    check(registry.contains(solver),
-          "unknown solver '" + solver + "' in experiment plan");
+  for (auto it = solvers.begin(); it != solvers.end(); ++it) {
+    check(registry.contains(*it),
+          "unknown solver '" + *it + "' in experiment plan");
+    check(std::find(solvers.begin(), it, *it) == it,
+          "solver '" + *it + "' repeats in experiment plan");
   }
+  // The full 0..2^64-1 range wrapped num_seeds() to 0, and a larger total
+  // escaped from the harness's allocation as std::length_error. The name
+  // lists are duplicate-free and bounded by the registry, so only the seed
+  // count can make the product overflow.
+  check(seed_end - seed_begin < kMaxCells &&
+            num_seeds() <= kMaxCells / (presets.size() * solvers.size()),
+        "experiment plan has more than " + std::to_string(kMaxCells) +
+            " cells");
   check(epsilon > 0.0, "experiment plan epsilon must be positive");
   check(precision > 0.0, "experiment plan precision must be positive");
   check(time_limit_s > 0.0, "experiment plan time_limit_s must be positive");

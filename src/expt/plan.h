@@ -57,9 +57,14 @@ struct ExperimentPlan {
   }
 
   /// Throws CheckError unless: presets and solvers are non-empty, every
-  /// preset/solver name is known (preset_names() / SolverRegistry), the seed
-  /// range is non-empty, and the knobs are positive.
+  /// preset/solver name is known (preset_names() / SolverRegistry) and
+  /// appears once, the seed range is non-empty, the sweep has at most
+  /// kMaxCells cells, and the knobs are positive.
   void validate() const;
+
+  /// Largest sweep validate() accepts: cell indices stay far inside size_t,
+  /// and no sweep this size could run anyway.
+  static constexpr std::size_t kMaxCells = std::size_t{1} << 32;
 };
 
 /// (preset, seed, solver) key of one cell; `point` indexes the instance grid

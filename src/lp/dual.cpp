@@ -62,14 +62,12 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
   // re-running the same BTRAN (probes are only a few pivots long, so one
   // BTRAN per probe is measurable).
   bool duals_ready = true;
-  // Incremental dual maintenance: after each pivot y can be advanced in
+  // Incremental dual maintenance: after each pivot y is advanced in
   // place (y += theta_d * rho, rho = B^-T e_leave already computed for the
   // ratio test), replacing the per-iteration BTRAN. The update is
   // cross-checked against an exact BTRAN at every periodic refactorization;
   // drift beyond the audit slack restores the exact duals and drops back to
   // per-iteration BTRANs for the rest of the solve.
-  const bool incremental = opt_.incremental_duals;
-
   while (true) {
     if (iterations_ >= max_iterations_) return DualOutcome::kIterationLimit;
     if (devex_rows_.overflowed()) devex_rows_.reset(nrows_);
@@ -261,7 +259,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
 
     push_eta(leave);
 
-    if (incremental && incremental_duals_ok_) {
+    if (incremental_duals_ok_) {
       // Advance the duals in place of the next iteration's BTRAN: the new
       // basis's reduced costs are d'_j = d_j - theta_d * alpha_rj with
       // theta_d = d_enter / apivot, i.e. y' = y + theta_d * rho (rho_ still
@@ -285,7 +283,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
         return DualOutcome::kFallback;
       }
       compute_basics();
-      if (incremental && incremental_duals_ok_ && duals_ready) {
+      if (incremental_duals_ok_ && duals_ready) {
         // Periodic exact-BTRAN cross-check of the incremental duals: with
         // fresh factors, recompute y from scratch, measure the drift the
         // eta-era updates accumulated, and always adopt the exact values.

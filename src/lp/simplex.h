@@ -163,12 +163,6 @@ struct SimplexOptions {
   /// The caller keeps ownership for the duration of the solve. Recovery
   /// re-solves triggered by the guard run fault-free.
   const FaultPlan* fault_plan = nullptr;
-  /// Dual simplex: update the duals incrementally across pivots
-  /// (y += theta_d * rho) instead of recomputing them with one BTRAN per
-  /// iteration. Cross-checked against an exact BTRAN at every periodic
-  /// refactorization; detected drift restores the exact duals and disables
-  /// the incremental path for the rest of the solve.
-  bool incremental_duals = true;
 
   // Named derived tolerances — one contract shared by the solvers and the
   // guard instead of scattered magic constants.

@@ -75,7 +75,7 @@ RoundingResult randomized_rounding(const Instance& instance,
       search_assignment_lp(instance, options.search_precision, options.lp);
 
   const std::size_t rounds = static_cast<std::size_t>(std::max(
-      1.0, std::ceil(options.c * std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
+      1.0, std::ceil(kRoundingC * std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
 
   RoundingResult out;
   out.lp_T = lp.feasible_T;

@@ -9,9 +9,11 @@
 
 namespace setsched {
 
+/// Sampling rounds factor: a rounding runs ceil(kRoundingC * log2 n) rounds
+/// (paper: c log n).
+inline constexpr double kRoundingC = 3.0;
+
 struct RoundingOptions {
-  /// Number of sampling rounds = ceil(c * log2 n) (paper: c log n).
-  double c = 3.0;
   std::uint64_t seed = 1;
   /// Independent repetitions of the whole rounding; the best schedule wins.
   /// The paper uses a single run; more runs only sharpen the whp bound.

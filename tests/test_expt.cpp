@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <stdexcept>
 #include <sstream>
@@ -110,6 +111,46 @@ TEST(ExptPlan, RejectsMalformedFiles) {
   EXPECT_THROW(parse("presets = uniform-small\nsolvers = greedy\n"
                      "inject = all@2.0\n"),
                CheckError);
+  // A repeated name ran every cell twice under the same key.
+  EXPECT_THROW(parse("presets = unrelated-tiny, unrelated-tiny\n"
+                     "solvers = greedy\nseeds = 2\n"),
+               CheckError);
+  EXPECT_THROW(parse("presets = unrelated-tiny\n"
+                     "solvers = greedy, greedy\nseeds = 2\n"),
+               CheckError);
+  // The full range wrapped num_seeds() to 0 and ran nothing; a larger cell
+  // total escaped from the harness as std::length_error.
+  EXPECT_THROW(parse("presets = unrelated-tiny\nsolvers = greedy\n"
+                     "seeds = 0..18446744073709551615\n"),
+               CheckError);
+  EXPECT_THROW(parse("presets = unrelated-tiny, unrelated-small\n"
+                     "solvers = greedy\n"
+                     "seeds = 9223372036854775809..18446744073709551615\n"),
+               CheckError);
+  const ExperimentPlan widest =
+      parse("presets = unrelated-tiny\nsolvers = greedy\n"
+            "seeds = 1..4294967296\n");
+  EXPECT_EQ(widest.num_cells(), ExperimentPlan::kMaxCells);
+  EXPECT_THROW(parse("presets = unrelated-tiny\nsolvers = greedy\n"
+                     "seeds = 1..4294967297\n"),
+               CheckError);
+}
+
+// Every committed plan names only live presets, solvers and keys. This holds
+// in builds without Python too, where the sweep checks that run the plans
+// are not registered.
+TEST(ExptPlan, CommittedPlansLoad) {
+  const std::filesystem::path dir =
+      std::filesystem::path(SETSCHED_SOURCE_DIR) / "bench" / "plans";
+  std::size_t plans = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".plan") continue;
+    SCOPED_TRACE(entry.path().string());
+    const ExperimentPlan plan = load_plan(entry.path().string());
+    EXPECT_GT(plan.num_cells(), 0u);
+    ++plans;
+  }
+  EXPECT_GT(plans, 0u);
 }
 
 // README and plan.h document cell_timeout_s = 0 as "watchdog off"; the key

@@ -95,7 +95,7 @@ void expect_extreme_point(const Model& m, const Solution& sol,
   EXPECT_LE(basics, m.num_constraints());
 }
 
-/// bench_util-style seeded random LP: box-bounded variables, mixed <= / =
+/// Seeded random LP: box-bounded variables, mixed <= / =
 /// rows built around a known feasible point so the instance is never vacuous.
 Model random_lp(std::uint64_t seed) {
   Xoshiro256 rng(seed);

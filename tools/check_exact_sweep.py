@@ -22,6 +22,24 @@ traced, and asserts:
   * each sweep's Chrome trace validates against its JSONL rows
     (tools/analyze_trace.py --validate).
 
+A third leg, `paper`, runs bench/plans/paper.plan (the four brute-force
+*-tiny presets, seeds 1..12) and checks the paper's guarantees against the
+optimum that `exact` proves on every cell (OPT):
+
+  * Lemma 2.1: lpt <= kLptSetupFactor * OPT = 3 (1 + 1/sqrt 3) * OPT;
+  * Thm 3.10: restricted-2approx <= 2 (1 + precision) * OPT;
+  * Thm 3.11: classuniform-3approx <= 3 (1 + precision) * OPT;
+  * Thm 3.3: rounding <= 2 (log2 n + log2 m + 2) (1 + precision) * OPT, the
+    envelope tests/test_rounding.cpp asserts against lp_T;
+  * ptas <= lpt on every uniform cell (the PTAS keeps the LPT schedule as
+    its fallback), and no ok row beats OPT.
+
+The (1 + precision) factors are there because the T-search returns an lp_T
+within 1 + precision of the smallest LP-feasible T, which is at most OPT.
+Every checked solver must be ok on all seeds of the presets its
+precondition admits and skipped elsewhere, so no bound passes on an empty
+sample. The leg prints each solver's mean/max ratio to OPT per preset.
+
 The small preset runs with a budget far above its slowest proof (about 4 s
 in an unoptimized Debug build), so every search there proves and the node
 comparisons cover the same seeds in every build and under any machine
@@ -38,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -46,6 +65,30 @@ SEARCHERS = ("exact", "exact-dive", "dive-then-prove", "branch-and-price")
 PROVERS = ("exact", "dive-then-prove", "branch-and-price")
 # Preset -> per-cell time limit in seconds (see the module docstring).
 LEGS = {"unrelated-small": 60, "unrelated-midsize": 2}
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PAPER_PLAN = ROOT / "bench" / "plans" / "paper.plan"
+# Relative slack of the makespan comparisons (the rows carry doubles).
+TOL = 1e-9
+# Solver -> the factor of OPT its theorem allows, given the row (n, m,
+# precision). Thm 3.3 is asymptotic, so `rounding` gets the envelope
+# tests/test_rounding.cpp asserts.
+GUARANTEES = {
+    "lpt": lambda r: 3.0 * (1.0 + 1.0 / math.sqrt(3.0)),  # kLptSetupFactor
+    "restricted-2approx": lambda r: 2.0 * (1.0 + r["precision"]),
+    "classuniform-3approx": lambda r: 3.0 * (1.0 + r["precision"]),
+    "rounding": lambda r: 2.0 * (math.log2(r["n"]) + math.log2(r["m"]) +
+                                 2.0) * (1.0 + r["precision"]),
+}
+# Structure-gated solver -> the paper-plan presets its precondition admits;
+# every other solver runs on every preset.
+GATED = {
+    "lpt": {"uniform-tiny"},
+    "lpt-plain": {"uniform-tiny"},
+    "ptas": {"uniform-tiny"},
+    "restricted-2approx": {"restricted-tiny"},
+    "classuniform-3approx": {"class-uniform-tiny"},
+}
 
 
 def sweep(expt: str, out: pathlib.Path, preset: str) -> tuple[list, dict]:
@@ -115,6 +158,57 @@ def compare_nodes(by_cell: dict, solver: str, reference: str,
     return compared, ref_nodes, nodes
 
 
+def check_paper(expt: str, out: pathlib.Path) -> None:
+    """Runs bench/plans/paper.plan and checks the guarantees against OPT."""
+    jsonl = out / "paper.jsonl"
+    subprocess.run([expt, f"--plan={PAPER_PLAN}", "--threads=2", "--quiet",
+                    f"--jsonl={jsonl}"], check=True)
+    rows = [json.loads(line) for line in jsonl.read_text().splitlines()
+            if line.strip()]
+    presets = sorted({r["preset"] for r in rows})
+    solvers = sorted({r["solver"] for r in rows})
+    seeds = sorted({r["seed"] for r in rows})
+    # Every checked solver runs, on every preset its precondition admits.
+    assert {"exact", "ptas", *GUARANTEES} <= set(solvers), solvers
+    assert set().union(*GATED.values()) <= set(presets), presets
+    assert len(rows) == len(presets) * len(solvers) * len(seeds), \
+        f"{len(rows)} rows for {presets} x {solvers} x {len(seeds)} seeds"
+
+    opt = {}
+    for r in rows:
+        if r["solver"] == "exact":
+            assert r["status"] == "ok" and r["proven_optimal"] and \
+                r["gap"] == 0.0, f"exact did not prove the cell: {r}"
+            opt[(r["preset"], r["seed"])] = r["makespan"]
+    by_cell = {(r["solver"], r["preset"], r["seed"]): r for r in rows}
+    ratios: dict[tuple[str, str], list[float]] = {}
+    for r in rows:
+        admitted = r["preset"] in GATED.get(r["solver"], presets)
+        assert r["status"] == ("ok" if admitted else "skipped"), \
+            f"{r['solver']} on {r['preset']}: {r['status']}"
+        if not admitted:
+            continue
+        best = opt[(r["preset"], r["seed"])]
+        assert r["makespan"] >= best * (1.0 - TOL), f"beats OPT {best}: {r}"
+        if r["solver"] in GUARANTEES:
+            bound = GUARANTEES[r["solver"]](r) * best
+            assert r["makespan"] <= bound * (1.0 + TOL), \
+                f"{r['solver']} exceeds {bound:.4f} (OPT {best}): {r}"
+        if r["solver"] == "ptas":
+            lpt = by_cell[("lpt", r["preset"], r["seed"])]["makespan"]
+            assert r["makespan"] <= lpt * (1.0 + TOL), \
+                f"ptas worse than lpt {lpt}: {r}"
+        if r["solver"] != "exact":
+            ratios.setdefault((r["solver"], r["preset"]), []).append(
+                r["makespan"] / best)
+
+    print(f"paper plan ok: {len(seeds)} seeds, every cell proven; "
+          "makespan / OPT (mean, max):")
+    for (solver, preset), values in sorted(ratios.items()):
+        print(f"  {solver:21} {preset:19} {sum(values) / len(values):.3f} "
+              f"{max(values):.3f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--expt", required=True,
@@ -168,6 +262,7 @@ def main() -> int:
         "node totals (small, both proven):", cold_total, "->", chain_total,
         "assignment -> config bound (both proven):",
         assign_nodes, "->", config_nodes)
+    check_paper(args.expt, out)
     return 0
 
 
