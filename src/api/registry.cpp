@@ -219,8 +219,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
   add("exact", nullptr,
       solve_exact_entry<ExactMode::kProve, BoundMode::kAssignment>);
   // Configuration-LP bounds (exact/config_bound.h) on top of the assignment
-  // probes, riding the dive-then-prove chain: the dive's incumbent tightens
-  // the cutoff the config-LP root bisection works against, and the
+  // probes, riding the dive-then-prove chain: the polished dive incumbent
+  // tightens the cutoff the config-LP root bisection works against, and the
   // fine-grid root pass pushes the certified bound past what the assignment
   // LP can see. kAuto demotes the per-node pricing back to assignment-only
   // when it is not earning its keep, so the solver is never worse than

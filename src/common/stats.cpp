@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
@@ -22,21 +21,6 @@ double percentile(std::span<const double> sample, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-Summary summarize(std::span<const double> sample) {
-  Summary s;
-  if (sample.empty()) return s;
-  s.count = sample.size();
-  RunningStats rs;
-  for (double x : sample) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  s.median = percentile(sample, 0.5);
-  s.p90 = percentile(sample, 0.9);
-  return s;
-}
-
 double mean(std::span<const double> sample) {
   if (sample.empty()) return 0.0;
   RunningStats rs;
@@ -47,16 +31,6 @@ double mean(std::span<const double> sample) {
 double max_value(std::span<const double> sample) {
   if (sample.empty()) return 0.0;
   return *std::max_element(sample.begin(), sample.end());
-}
-
-double geometric_mean(std::span<const double> sample) {
-  if (sample.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : sample) {
-    if (x <= 0.0) return 0.0;
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(sample.size()));
 }
 
 void RunningStats::add(double x) noexcept {

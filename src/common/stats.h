@@ -2,24 +2,9 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace setsched {
-
-/// Summary statistics of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p90 = 0.0;
-};
-
-/// Computes summary statistics; returns all-zero Summary for empty input.
-[[nodiscard]] Summary summarize(std::span<const double> sample);
 
 /// Linear-interpolation percentile, q in [0, 1]. Input need not be sorted.
 /// Throws CheckError on an empty sample and on q outside [0, 1] (including
@@ -32,9 +17,6 @@ struct Summary {
 
 /// Maximum value; 0.0 for an empty sample (same contract as mean()).
 [[nodiscard]] double max_value(std::span<const double> sample);
-
-/// Geometric mean (requires strictly positive values; returns 0 otherwise).
-[[nodiscard]] double geometric_mean(std::span<const double> sample);
 
 /// Online mean/variance accumulator (Welford).
 class RunningStats {

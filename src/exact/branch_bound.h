@@ -23,11 +23,13 @@ enum class ExactMode : std::uint8_t {
   /// state (the dive degenerated to an exhaustive search).
   kDive,
   /// Dive-then-prove chain: a time-boxed kDive pass (dive_time_limit_s)
-  /// produces an incumbent schedule that seeds a kProve pass as its initial
-  /// incumbent/cutoff, so reduced-cost fixing and the load cuts bite from
-  /// node 1 instead of waiting for the B&B to rediscover a good schedule.
-  /// The two phases' effort counters are merged into one ExactResult; a
-  /// budget abort never returns a schedule worse than the dive's.
+  /// produces an incumbent schedule. The best of it, its local-search
+  /// polish and greedy after local search seeds a kProve pass as its
+  /// initial incumbent/cutoff, so reduced-cost fixing and the load cuts
+  /// bite from node 1 instead of waiting for the B&B to rediscover a good
+  /// schedule. The two phases' effort counters are merged into one
+  /// ExactResult; a budget abort never returns a schedule worse than the
+  /// dive's or the `local-search` solver's.
   kDiveThenProve,
 };
 
@@ -164,8 +166,9 @@ struct ExactResult : EffortCounters {
 /// kDive: best-first beam search over the same job order with the same
 /// symmetry reductions; reports the incumbent with its certified gap.
 ///
-/// kDiveThenProve: the dive's incumbent schedule seeds the prove pass
-/// (initial_schedule/cutoff); counters are merged across the two phases.
+/// kDiveThenProve: the dive's incumbent schedule, polished by local search,
+/// seeds the prove pass (initial_schedule/cutoff); counters are merged
+/// across the two phases.
 [[nodiscard]] ExactResult solve_exact(const Instance& instance,
                                       const ExactOptions& options = {});
 

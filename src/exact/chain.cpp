@@ -6,8 +6,32 @@
 #include "common/timer.h"
 #include "exact/dive.h"
 #include "exact/search_util.h"
+#include "improve/local_search.h"
+#include "unrelated/greedy.h"
 
 namespace setsched::exact {
+
+namespace {
+
+/// The prove phase's start: the best of the dive's schedule, the dive's
+/// schedule after local search, and greedy after local search (the schedule
+/// the `local-search` solver returns), so the chain is never worse than its
+/// dive or that solver. Ties keep the earlier candidate, the dive's first.
+Schedule polished_start(const Instance& inst, const ExactResult& dive) {
+  Schedule best = dive.schedule;
+  double best_makespan = dive.makespan;
+  const auto offer = [&](const LocalSearchResult& polished) {
+    if (polished.makespan < best_makespan) {
+      best = polished.schedule;
+      best_makespan = polished.makespan;
+    }
+  };
+  offer(local_search(inst, dive.schedule));
+  offer(local_search(inst, greedy_min_load(inst).schedule));
+  return best;
+}
+
+}  // namespace
 
 ExactResult dive_then_prove(const Instance& inst, const ExactOptions& opt) {
   Timer timer;
@@ -21,15 +45,15 @@ ExactResult dive_then_prove(const Instance& inst, const ExactOptions& opt) {
   ExactResult dive = dive_search(inst, dive_opt);
   if (dive.proven_optimal) return dive;
 
-  // Phase 2: prove, seeded with the dive's schedule as the starting
-  // incumbent (so root reduced-cost fixing bites at the dive's makespan from
-  // node 1, and a budget abort still returns at least that schedule). The
-  // dive's spent node/time budget is charged against the chain's total; an
-  // exhausted budget means the prove pass aborts on its first expansion and
-  // the chain degenerates to the dive result.
+  // Phase 2: prove, seeded with the polished dive schedule as the starting
+  // incumbent (so root reduced-cost fixing bites at its makespan from node
+  // 1, and a budget abort still returns at least that schedule). The dive's
+  // spent node budget and the time of both the dive and the polish are
+  // charged against the chain's total; an exhausted budget means the prove
+  // pass aborts on its first expansion and returns the polished start.
   ExactOptions prove_opt = opt;
   prove_opt.mode = ExactMode::kProve;
-  prove_opt.initial_schedule = dive.schedule;
+  prove_opt.initial_schedule = polished_start(inst, dive);
   prove_opt.time_limit_s =
       std::max(0.0, opt.time_limit_s - timer.elapsed_seconds());
   prove_opt.max_nodes =

@@ -28,8 +28,9 @@ struct LocalSearchResult {
 /// First-improvement local search over job moves, job swaps and whole-class
 /// batch moves, steered by makespan with total squared load as tie-breaker
 /// (so plateau moves that balance load are accepted). A post-optimizer for
-/// any schedule produced by the approximation algorithms (used by the A3
-/// ablation); it never worsens the input.
+/// any schedule; it never worsens the input. Callers: the `local-search`
+/// solver (applied to greedy_min_load) and the dive-then-prove chain
+/// (exact/chain.cpp), which polishes its dive's schedule before proving.
 [[nodiscard]] LocalSearchResult local_search(const Instance& instance,
                                              const Schedule& start,
                                              const LocalSearchOptions& options = {});

@@ -138,23 +138,6 @@ TEST(Matrix, RowPointerContiguous) {
   EXPECT_EQ(row[3], 13);
 }
 
-TEST(Stats, SummaryBasics) {
-  const std::vector<double> v{1, 2, 3, 4, 5};
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-}
-
-TEST(Stats, EmptySummaryIsZero) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
 TEST(Stats, PercentileInterpolates) {
   const std::vector<double> v{10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
@@ -194,24 +177,20 @@ TEST(Stats, MeanAndMaxValue) {
   EXPECT_DOUBLE_EQ(max_value(one), -3.5);
 }
 
-TEST(Stats, GeometricMean) {
-  const std::vector<double> v{1.0, 4.0};
-  EXPECT_NEAR(geometric_mean(v), 2.0, 1e-12);
-  const std::vector<double> with_zero{1.0, 0.0};
-  EXPECT_DOUBLE_EQ(geometric_mean(with_zero), 0.0);
-}
-
-TEST(Stats, RunningStatsMatchesSummary) {
+TEST(Stats, RunningStatsMatchesTwoPass) {
   Xoshiro256 rng(3);
   std::vector<double> v(1000);
   for (auto& x : v) x = rng.next_real(-5, 5);
   RunningStats rs;
   for (const double x : v) rs.add(x);
-  const Summary s = summarize(v);
-  EXPECT_NEAR(rs.mean(), s.mean, 1e-9);
-  EXPECT_NEAR(rs.stddev(), s.stddev, 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), s.min);
-  EXPECT_DOUBLE_EQ(rs.max(), s.max);
+  const double m = mean(v);
+  double squares = 0.0;
+  for (const double x : v) squares += (x - m) * (x - m);
+  EXPECT_EQ(rs.count(), v.size());
+  EXPECT_NEAR(rs.mean(), m, 1e-9);
+  EXPECT_NEAR(rs.stddev(), std::sqrt(squares / (v.size() - 1.0)), 1e-9);
+  EXPECT_DOUBLE_EQ(rs.min(), *std::min_element(v.begin(), v.end()));
+  EXPECT_DOUBLE_EQ(rs.max(), max_value(v));
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {

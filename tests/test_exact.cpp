@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "core/bounds.h"
 #include "core/generators.h"
 #include "core/schedule.h"
 #include "exact/branch_bound.h"
+#include "improve/local_search.h"
+#include "unrelated/greedy.h"
 
 namespace setsched {
 namespace {
@@ -725,6 +728,43 @@ TEST(DiveThenProve, BudgetAbortNeverWorseThanTheDivePhase) {
   EXPECT_LE(chained.makespan, dive.makespan + 1e-9)
       << "chain returned a worse schedule than its own dive phase";
   EXPECT_GE(chained.nodes, dive.nodes);  // merged counters include the dive
+}
+
+// The prove phase starts from the best of the dive's schedule, its local-
+// search polish, and greedy after local search (the `local-search` solver's
+// schedule), so on the unrelated-midsize shape, where no proof closes, the
+// chain is never worse than `local-search`. Node budgets, not the wall
+// clock, truncate both phases, so every case is deterministic.
+TEST(DiveThenProve, NeverWorseThanLocalSearch) {
+  UnrelatedGenParams p;
+  p.num_jobs = 40;
+  p.num_machines = 6;
+  p.num_classes = 8;
+  p.eligibility = 0.85;
+  p.correlated = true;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Instance inst = generate_unrelated(p, seed);
+    const double polished =
+        local_search(inst, greedy_min_load(inst).schedule).makespan;
+    for (const BoundMode bound : {BoundMode::kAssignment, BoundMode::kAuto}) {
+      for (const std::size_t max_nodes : {std::size_t{0}, std::size_t{200}}) {
+        ExactOptions opt;
+        opt.mode = ExactMode::kDiveThenProve;
+        opt.bound = bound;
+        opt.max_nodes = max_nodes;
+        opt.time_limit_s = 60.0;
+        opt.dive_time_limit_s = 10.0;
+        const ExactResult r = solve_exact(inst, opt);
+        const std::string where =
+            "seed " + std::to_string(seed) +
+            (bound == BoundMode::kAuto ? " kAuto" : " kAssignment") +
+            " max_nodes " + std::to_string(max_nodes);
+        EXPECT_FALSE(schedule_error(inst, r.schedule).has_value()) << where;
+        EXPECT_LE(r.makespan, polished + 1e-9) << where;
+        EXPECT_EQ(r.proven_optimal, r.gap == 0.0) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 """Exact ground-truth sweep check for setsched (runs as ctest `expt_exact`).
 
 Runs the exact searches (exact, exact-dive, dive-then-prove,
-branch-and-price) plus greedy over the small and mid-size unrelated presets,
-traced, and asserts:
+branch-and-price) plus greedy and local-search over the small and mid-size
+unrelated presets, traced, and asserts:
 
   * every row is ok and carries the proven_optimal/gap certificate; greedy
-    reports no certificate (gap -1), the searches a per-run gap;
+    and local-search report no certificate (gap -1), the searches a per-run
+    gap;
   * no budget-exhausted run masquerades as a proven optimum:
     proven_optimal <=> gap == 0;
   * every LP-bounded search reports dual re-optimizations
@@ -18,6 +19,10 @@ traced, and asserts:
     cold prove on the seeds both close;
   * branch-and-price (the config bound) pays no more nodes than exact (the
     assignment bound) on the seeds both prove, and prices some column;
+  * on both presets, dive-then-prove and branch-and-price are never worse
+    than local-search on the same cell: their prove phase starts from the
+    best of the dive's schedule, the dive's schedule after local search and
+    the local-search solver's schedule;
   * in BENCH_expt.json every search summary is certified on all ok cells;
   * each sweep's Chrome trace validates against its JSONL rows
     (tools/analyze_trace.py --validate).
@@ -63,6 +68,10 @@ import sys
 
 SEARCHERS = ("exact", "exact-dive", "dive-then-prove", "branch-and-price")
 PROVERS = ("exact", "dive-then-prove", "branch-and-price")
+# The chain solvers, whose prove phase starts from a polished incumbent.
+CHAINS = ("dive-then-prove", "branch-and-price")
+# Baselines without a certificate (gap -1).
+BASELINES = ("greedy", "local-search")
 # Preset -> per-cell time limit in seconds (see the module docstring).
 LEGS = {"unrelated-small": 60, "unrelated-midsize": 2}
 
@@ -97,7 +106,7 @@ def sweep(expt: str, out: pathlib.Path, preset: str) -> tuple[list, dict]:
     trace = out / f"exact_{preset}_trace.json"
     bench = out / f"BENCH_expt_exact_{preset}.json"
     subprocess.run([expt, f"--presets={preset}",
-                    "--solvers=" + ",".join(SEARCHERS + ("greedy",)),
+                    "--solvers=" + ",".join(SEARCHERS + BASELINES),
                     "--seeds=2", "--threads=2",
                     f"--time-limit={LEGS[preset]}", "--quiet",
                     f"--jsonl={jsonl}", f"--trace={trace}",
@@ -113,14 +122,14 @@ def sweep(expt: str, out: pathlib.Path, preset: str) -> tuple[list, dict]:
 
 
 def check_rows(records: list[dict]) -> None:
-    assert len(records) == 20, f"want 20 cells, got {len(records)}"
+    assert len(records) == 24, f"want 24 cells, got {len(records)}"
     for r in records:
         assert r["status"] == "ok", r
         assert "proven_optimal" in r and "gap" in r, r
         assert r["lp_solves"] == \
             r["lp_bounds_used"] + r.get("cg_pricing_rounds", 0), \
             f"LP solves missing from lp_solves: {r}"
-        if r["solver"] == "greedy":
+        if r["solver"] in BASELINES:
             assert not r["proven_optimal"] and r["gap"] == -1.0, r
             continue
         assert r["gap"] >= 0.0 and r["nodes"] > 0, r
@@ -251,6 +260,14 @@ def main() -> int:
                     if r["solver"] == "branch-and-price")
     assert bp_rounds > 0, "branch-and-price never priced a column"
 
+    # The chains start their prove phase from a schedule at least as good
+    # as local-search's, and no phase ever returns a worse one.
+    for (name, preset, seed), r in by_cell.items():
+        if name in CHAINS:
+            polished = by_cell[("local-search", preset, seed)]["makespan"]
+            assert r["makespan"] <= polished * (1.0 + TOL), \
+                f"{name} worse than local-search {polished}: {r}"
+
     for s in summaries:
         if s["solver"] in SEARCHERS:
             assert s["certified"] == s["ok"], s
@@ -258,7 +275,7 @@ def main() -> int:
 
     print("exact sweep ok:", [
         (s["solver"], s["preset"], s["proven"], round(s["gap_mean"], 4))
-        for s in summaries if s["solver"] != "greedy"],
+        for s in summaries if s["solver"] not in BASELINES],
         "node totals (small, both proven):", cold_total, "->", chain_total,
         "assignment -> config bound (both proven):",
         assign_nodes, "->", config_nodes)
