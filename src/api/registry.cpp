@@ -1,10 +1,12 @@
 #include "api/registry.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "colgen/config_lp.h"
 #include "common/check.h"
+#include "common/timer.h"
 #include "core/bounds.h"
 #include "core/schedule.h"
 #include "exact/branch_bound.h"
@@ -118,7 +120,9 @@ SolverStats effort_stats(const EffortCounters& effort) {
 /// One exact registry entry per (mode, bound) pair. Surfaces the exact
 /// subsystem's result contract: a node/time-budget abort is visible
 /// (proven_optimal false, positive gap) instead of masquerading as ground
-/// truth, and the search effort counters ride along.
+/// truth, and the search effort counters ride along. The cold prove starts
+/// from polished_start(), as the chain's prove phase does, and the polish is
+/// charged to its time budget; the dive and the chain run as configured.
 template <ExactMode kMode, BoundMode kBound>
 ScheduleResult solve_exact_entry(const ProblemInput& input,
                                  const SolverContext& context) {
@@ -126,6 +130,12 @@ ScheduleResult solve_exact_entry(const ProblemInput& input,
   options.mode = kMode;
   options.bound = kBound;
   options.time_limit_s = context.time_limit_s;
+  if constexpr (kMode == ExactMode::kProve) {
+    const Timer polish;
+    options.initial_schedule = polished_start(input.instance);
+    options.time_limit_s =
+        std::max(0.0, context.time_limit_s - polish.elapsed_seconds());
+  }
   options.initial_upper_bound = unrelated_upper_bound(input.instance);
   options.simplex.fault_plan = armed_plan(context);
   options.deadline = context.deadline;

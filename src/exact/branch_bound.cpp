@@ -34,6 +34,23 @@ void emit_node(const char* reason, std::size_t depth) {
                          static_cast<double>(depth));
 }
 
+/// `seconds` from now, or `cap` when that comes first. A budget beyond the
+/// clock's range (say --time-limit=1e300) sets no deadline of its own: its
+/// conversion to clock ticks would overflow, into the past.
+std::chrono::steady_clock::time_point deadline_in(
+    double seconds,
+    const std::optional<std::chrono::steady_clock::time_point>& cap) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> room = Clock::time_point::max() - now;
+  const Clock::time_point at =
+      seconds < 0.5 * room.count()
+          ? now + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(seconds))
+          : Clock::time_point::max();
+  return cap && *cap < at ? *cap : at;
+}
+
 /// ExactMode::kProve: depth-first branch-and-bound (see branch_bound.h).
 /// One node is mutated in place and every step is undone on the way back.
 class ProveSolver {
@@ -84,6 +101,11 @@ class ProveSolver {
     const obs::TraceSpan span("cg_root_bound", "exact");
     exact::ConfigBoundOptions cg;
     cg.simplex = opt.simplex;
+    // The coarse bisection stops at the search's own budget: whichever of
+    // the prove start plus time_limit_s and the harness deadline comes
+    // first. Node probes ignore it (see ConfigBoundOptions::deadline).
+    const double left = opt.time_limit_s - timer_.elapsed_seconds();
+    cg.deadline = deadline_in(left, opt.deadline);
     cg_bounder_.emplace(search_.inst, prune_at, cg);
     if (!cg_bounder_->available()) return;
     const double base = search_.lower_bound;
@@ -95,16 +117,9 @@ class ProveSolver {
       // phase; its effort folds into the result.
       exact::ConfigBoundOptions fine = cg;
       fine.grid = opt.cg_root_grid;
-      const double left = opt.time_limit_s - timer_.elapsed_seconds();
-      if (left > 0.0) {
-        auto fine_deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(0.5 * left));
-        if (opt.deadline && *opt.deadline < fine_deadline) {
-          fine_deadline = *opt.deadline;
-        }
-        fine.deadline = fine_deadline;
+      const double fine_left = opt.time_limit_s - timer_.elapsed_seconds();
+      if (fine_left > 0.0) {
+        fine.deadline = deadline_in(0.5 * fine_left, opt.deadline);
         exact::ConfigLpBounder fine_bounder(search_.inst, prune_at, fine);
         if (fine_bounder.available()) {
           cg_lb = std::max(cg_lb, fine_bounder.root_lower_bound(

@@ -172,6 +172,16 @@ struct ExactResult : EffortCounters {
 [[nodiscard]] ExactResult solve_exact(const Instance& instance,
                                       const ExactOptions& options = {});
 
+/// The polished start of a prove search: the best of `seed` (when given),
+/// `seed` after local search, and greedy after local search (the schedule
+/// the `local-search` solver returns). Ties keep the earlier candidate, the
+/// seed first. The kDiveThenProve chain seeds it with its dive's schedule;
+/// the registry's `exact` solver calls it unseeded. Both pass the result as
+/// ExactOptions::initial_schedule, so they are never worse than
+/// `local-search`. solve_exact itself never polishes.
+[[nodiscard]] Schedule polished_start(
+    const Instance& instance, const std::optional<Schedule>& seed = std::nullopt);
+
 /// Convenience overload (converts to the unrelated matrix form). The
 /// uniform aggregate lower bound additionally tightens the reported
 /// lower_bound/gap when it beats the unrelated one.

@@ -1,37 +1,36 @@
 #include "exact/chain.h"
 
 #include <algorithm>
-#include <utility>
+#include <optional>
 
 #include "common/timer.h"
+#include "core/schedule.h"
 #include "exact/dive.h"
 #include "exact/search_util.h"
 #include "improve/local_search.h"
 #include "unrelated/greedy.h"
 
-namespace setsched::exact {
+namespace setsched {
 
-namespace {
-
-/// The prove phase's start: the best of the dive's schedule, the dive's
-/// schedule after local search, and greedy after local search (the schedule
-/// the `local-search` solver returns), so the chain is never worse than its
-/// dive or that solver. Ties keep the earlier candidate, the dive's first.
-Schedule polished_start(const Instance& inst, const ExactResult& dive) {
-  Schedule best = dive.schedule;
-  double best_makespan = dive.makespan;
+Schedule polished_start(const Instance& inst,
+                        const std::optional<Schedule>& seed) {
+  const LocalSearchResult from_greedy =
+      local_search(inst, greedy_min_load(inst).schedule);
+  if (!seed) return from_greedy.schedule;
+  Schedule best = *seed;
+  double best_makespan = makespan(inst, best);
   const auto offer = [&](const LocalSearchResult& polished) {
     if (polished.makespan < best_makespan) {
       best = polished.schedule;
       best_makespan = polished.makespan;
     }
   };
-  offer(local_search(inst, dive.schedule));
-  offer(local_search(inst, greedy_min_load(inst).schedule));
+  offer(local_search(inst, *seed));
+  offer(from_greedy);
   return best;
 }
 
-}  // namespace
+namespace exact {
 
 ExactResult dive_then_prove(const Instance& inst, const ExactOptions& opt) {
   Timer timer;
@@ -53,7 +52,7 @@ ExactResult dive_then_prove(const Instance& inst, const ExactOptions& opt) {
   // pass aborts on its first expansion and returns the polished start.
   ExactOptions prove_opt = opt;
   prove_opt.mode = ExactMode::kProve;
-  prove_opt.initial_schedule = polished_start(inst, dive);
+  prove_opt.initial_schedule = polished_start(inst, dive.schedule);
   prove_opt.time_limit_s =
       std::max(0.0, opt.time_limit_s - timer.elapsed_seconds());
   prove_opt.max_nodes =
@@ -69,4 +68,6 @@ ExactResult dive_then_prove(const Instance& inst, const ExactOptions& opt) {
   return out;
 }
 
-}  // namespace setsched::exact
+}  // namespace exact
+
+}  // namespace setsched

@@ -214,6 +214,26 @@ TEST(SolverEndToEnd, ExactRegistryEntrySurfacesCertificate) {
   }
 }
 
+// `exact` proves from polished_start(), the `local-search` solver's
+// schedule, so even a budget that aborts before the first node returns a
+// schedule no worse than that solver's.
+TEST(SolverEndToEnd, ExactNeverWorseThanLocalSearch) {
+  const auto exact = SolverRegistry::global().create("exact");
+  const auto local = SolverRegistry::global().create("local-search");
+  SolverContext strangled = fast_context();
+  strangled.time_limit_s = 0.0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const ProblemInput input = generate_preset("unrelated-midsize", seed);
+    const ScheduleResult result = exact->solve(input, strangled);
+    const ScheduleResult polished = local->solve(input, strangled);
+    EXPECT_EQ(schedule_error(input.instance, result.schedule), std::nullopt)
+        << "seed " << seed;
+    EXPECT_LE(result.makespan, polished.makespan + 1e-9) << "seed " << seed;
+    EXPECT_EQ(result.stats.proven_optimal, result.stats.gap == 0.0)
+        << "seed " << seed;
+  }
+}
+
 // Regression: randomized_rounding_config used to count its *outer*
 // solve_config_lp() calls in lp_solves instead of accumulating the inner
 // ConfigLpResult counters, so the colgen registry entry reported ~1 LP

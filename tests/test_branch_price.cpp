@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -291,6 +292,42 @@ TEST(CgEffort, RmpSolvesCountAsLpSolves) {
   ASSERT_GT(r.lp_bounds_used, 0u);
   EXPECT_EQ(r.lp_solves, r.lp_bounds_used + r.cg_pricing_rounds);
   EXPECT_LE(r.lp_dual_solves, r.lp_solves);
+}
+
+// The coarse config-LP root bisection stops at the search's budget: with
+// the deadline already past it prices nothing. Unbounded, it spends 40-56
+// pricing rounds on these instances.
+TEST(CgEffort, PastDeadlineSkipsRootBisection) {
+  for (const BoundMode mode : {BoundMode::kConfig, BoundMode::kAuto}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const ProblemInput input = generate_preset("unrelated-small", seed);
+      ExactOptions opt;
+      opt.bound = mode;
+      opt.initial_upper_bound = unrelated_upper_bound(input.instance);
+      opt.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+      const ExactResult r = solve_exact(input.instance, opt);
+      EXPECT_EQ(r.cg_pricing_rounds, 0u) << "seed " << seed;
+      EXPECT_EQ(schedule_error(input.instance, r.schedule), std::nullopt);
+      EXPECT_EQ(r.proven_optimal, r.gap == 0.0) << "seed " << seed;
+    }
+  }
+}
+
+// An unbounded budget (a time limit beyond the clock's range) must not
+// overflow the root bisection's deadline into the past: the search prices
+// exactly as under an ample finite budget.
+TEST(CgEffort, HugeTimeLimitStillPricesRootBisection) {
+  const ProblemInput input = generate_preset("unrelated-tiny", 1);
+  ExactOptions opt;
+  opt.bound = BoundMode::kConfig;
+  opt.initial_upper_bound = unrelated_upper_bound(input.instance);
+  opt.time_limit_s = 600.0;
+  const ExactResult ample = solve_exact(input.instance, opt);
+  opt.time_limit_s = 1e300;
+  const ExactResult huge = solve_exact(input.instance, opt);
+  ASSERT_GT(ample.cg_pricing_rounds, 0u);
+  EXPECT_EQ(huge.cg_pricing_rounds, ample.cg_pricing_rounds);
+  EXPECT_EQ(huge.nodes, ample.nodes);
 }
 
 // Tentpole acceptance pin: on the pinned n=14 instance the config bound must

@@ -2,6 +2,7 @@
 
 #include "core/bounds.h"
 #include "core/generators.h"
+#include "core/schedule.h"
 #include "exact/branch_bound.h"
 #include "improve/local_search.h"
 #include "unrelated/greedy.h"
@@ -92,6 +93,52 @@ TEST_P(LocalSearchQualityTest, WithinFactorTwoOfExactOnSmall) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LocalSearchQualityTest,
                          ::testing::Range<std::uint64_t>(0, 15));
+
+// polished_start (exact/branch_bound.h), the prove start of `exact` and of
+// the dive-then-prove chain, is never worse than its seed or the
+// `local-search` solver's schedule, and returns that schedule unseeded.
+TEST(PolishedStart, NeverWorseThanSeedOrLocalSearch) {
+  UnrelatedGenParams p;
+  p.num_jobs = 16;
+  p.num_machines = 4;
+  p.num_classes = 4;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Instance inst = generate_unrelated(p, seed);
+    const LocalSearchResult from_greedy =
+        local_search(inst, greedy_min_load(inst).schedule);
+    EXPECT_EQ(polished_start(inst).assignment, from_greedy.schedule.assignment);
+    const Schedule seeds[] = {
+        Schedule{std::vector<MachineId>(p.num_jobs, 0)},
+        greedy_class_batch(inst).schedule,
+        solve_exact(inst).schedule,
+    };
+    for (const Schedule& start : seeds) {
+      const Schedule s = polished_start(inst, start);
+      EXPECT_FALSE(schedule_error(inst, s).has_value()) << "seed " << seed;
+      EXPECT_LE(makespan(inst, s), makespan(inst, start) + 1e-9);
+      EXPECT_LE(makespan(inst, s), from_greedy.makespan + 1e-9);
+    }
+  }
+}
+
+// A seed that ties the `local-search` schedule is kept, so the chain's
+// prove phase starts from its dive's schedule whenever polishing buys
+// nothing (the golden sweeps' chain rows depend on that order).
+TEST(PolishedStart, TieKeepsSeed) {
+  // Two identical machines, four equal jobs of distinct classes: OPT 12.
+  Instance inst(2, 4, {0, 1, 2, 3});
+  for (MachineId i = 0; i < 2; ++i) {
+    for (JobId j = 0; j < 4; ++j) inst.set_proc(i, j, 5);
+    for (ClassId k = 0; k < 4; ++k) inst.set_setup(i, k, 1);
+  }
+  const Schedule from_greedy = polished_start(inst);
+  ASSERT_DOUBLE_EQ(makespan(inst, from_greedy), 12.0);
+  // The mirror image swaps the machines: same makespan, other assignment.
+  Schedule mirror = from_greedy;
+  for (MachineId& i : mirror.assignment) i = 1u - i;
+  ASSERT_NE(mirror.assignment, from_greedy.assignment);
+  EXPECT_EQ(polished_start(inst, mirror).assignment, mirror.assignment);
+}
 
 TEST(LocalSearch, RejectsIncompleteSchedule) {
   UnrelatedGenParams p;

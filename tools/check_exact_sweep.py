@@ -19,10 +19,11 @@ unrelated presets, traced, and asserts:
     cold prove on the seeds both close;
   * branch-and-price (the config bound) pays no more nodes than exact (the
     assignment bound) on the seeds both prove, and prices some column;
-  * on both presets, dive-then-prove and branch-and-price are never worse
-    than local-search on the same cell: their prove phase starts from the
+  * on both presets, exact, dive-then-prove and branch-and-price are never
+    worse than local-search on the same cell: exact's prove starts from the
+    local-search solver's schedule, and the chains' prove phase from the
     best of the dive's schedule, the dive's schedule after local search and
-    the local-search solver's schedule;
+    that schedule;
   * in BENCH_expt.json every search summary is certified on all ok cells;
   * each sweep's Chrome trace validates against its JSONL rows
     (tools/analyze_trace.py --validate).
@@ -68,8 +69,8 @@ import sys
 
 SEARCHERS = ("exact", "exact-dive", "dive-then-prove", "branch-and-price")
 PROVERS = ("exact", "dive-then-prove", "branch-and-price")
-# The chain solvers, whose prove phase starts from a polished incumbent.
-CHAINS = ("dive-then-prove", "branch-and-price")
+# The searches whose prove phase starts from a polished incumbent.
+POLISHED = ("exact", "dive-then-prove", "branch-and-price")
 # Baselines without a certificate (gap -1).
 BASELINES = ("greedy", "local-search")
 # Preset -> per-cell time limit in seconds (see the module docstring).
@@ -260,10 +261,10 @@ def main() -> int:
                     if r["solver"] == "branch-and-price")
     assert bp_rounds > 0, "branch-and-price never priced a column"
 
-    # The chains start their prove phase from a schedule at least as good
-    # as local-search's, and no phase ever returns a worse one.
+    # exact and the chains start their prove phase from a schedule at least
+    # as good as local-search's, and no phase ever returns a worse one.
     for (name, preset, seed), r in by_cell.items():
-        if name in CHAINS:
+        if name in POLISHED:
             polished = by_cell[("local-search", preset, seed)]["makespan"]
             assert r["makespan"] <= polished * (1.0 + TOL), \
                 f"{name} worse than local-search {polished}: {r}"
