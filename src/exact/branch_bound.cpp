@@ -6,17 +6,18 @@
 #include <optional>
 #include <vector>
 
-#include "common/timer.h"
 #include "core/bounds.h"
-#include "exact/chain.h"
+#include "core/schedule.h"
 #include "exact/config_bound.h"
 #include "exact/dive.h"
 #include "exact/dominance.h"
 #include "exact/lp_bound.h"
 #include "exact/search_util.h"
 #include "exact/tolerances.h"
+#include "improve/local_search.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
+#include "unrelated/greedy.h"
 
 namespace setsched {
 
@@ -34,30 +35,15 @@ void emit_node(const char* reason, std::size_t depth) {
                          static_cast<double>(depth));
 }
 
-/// `seconds` from now, or `cap` when that comes first. A budget beyond the
-/// clock's range (say --time-limit=1e300) sets no deadline of its own: its
-/// conversion to clock ticks would overflow, into the past.
-std::chrono::steady_clock::time_point deadline_in(
-    double seconds,
-    const std::optional<std::chrono::steady_clock::time_point>& cap) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point now = Clock::now();
-  const std::chrono::duration<double> room = Clock::time_point::max() - now;
-  const Clock::time_point at =
-      seconds < 0.5 * room.count()
-          ? now + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(seconds))
-          : Clock::time_point::max();
-  return cap && *cap < at ? *cap : at;
-}
-
-/// ExactMode::kProve: depth-first branch-and-bound (see branch_bound.h).
-/// One node is mutated in place and every step is undone on the way back.
+/// The depth-first branch-and-bound of ExactMode::kProve and of the
+/// kDiveThenProve chain, run on `search` (see branch_bound.h). One node is
+/// mutated in place and every step is undone on the way back.
 class ProveSolver {
  public:
-  ProveSolver(const Instance& inst, const ExactOptions& opt)
-      : search_(inst, opt),
-        node_(inst.num_jobs(), inst.num_machines(), inst.num_classes()) {}
+  explicit ProveSolver(exact::Search& search)
+      : search_(search),
+        node_(search.inst.num_jobs(), search.inst.num_machines(),
+              search.inst.num_classes()) {}
 
   ExactResult run() {
     const ExactOptions& opt = search_.opt;
@@ -90,7 +76,7 @@ class ProveSolver {
 
     EffortCounters extra = cg_extra_;
     if (cg_bounder_) extra += cg_bounder_->effort();
-    return search_.result(nodes_, !aborted_, extra);
+    return search_.result(!aborted_, extra);
   }
 
  private:
@@ -101,11 +87,9 @@ class ProveSolver {
     const obs::TraceSpan span("cg_root_bound", "exact");
     exact::ConfigBoundOptions cg;
     cg.simplex = opt.simplex;
-    // The coarse bisection stops at the search's own budget: whichever of
-    // the prove start plus time_limit_s and the harness deadline comes
-    // first. Node probes ignore it (see ConfigBoundOptions::deadline).
-    const double left = opt.time_limit_s - timer_.elapsed_seconds();
-    cg.deadline = deadline_in(left, opt.deadline);
+    // The coarse bisection stops at the search's deadline. Node probes
+    // ignore it (see ConfigBoundOptions::deadline).
+    cg.deadline = search_.deadline;
     cg_bounder_.emplace(search_.inst, prune_at, cg);
     if (!cg_bounder_->available()) return;
     const double base = search_.lower_bound;
@@ -117,9 +101,9 @@ class ProveSolver {
       // phase; its effort folds into the result.
       exact::ConfigBoundOptions fine = cg;
       fine.grid = opt.cg_root_grid;
-      const double fine_left = opt.time_limit_s - timer_.elapsed_seconds();
-      if (fine_left > 0.0) {
-        fine.deadline = deadline_in(0.5 * fine_left, opt.deadline);
+      const auto now = std::chrono::steady_clock::now();
+      if (search_.deadline > now) {
+        fine.deadline = now + (search_.deadline - now) / 2;
         exact::ConfigLpBounder fine_bounder(search_.inst, prune_at, fine);
         if (fine_bounder.available()) {
           cg_lb = std::max(cg_lb, fine_bounder.root_lower_bound(
@@ -142,28 +126,23 @@ class ProveSolver {
   /// True when no further node may be expanded. Checked BEFORE a node is
   /// counted, so a tree fully explored at exactly max_nodes nodes finishes
   /// proven: the budget only aborts when an (max_nodes+1)-th expansion is
-  /// actually attempted.
-  [[nodiscard]] bool hit_budget() {
-    const ExactOptions& opt = search_.opt;
-    if (nodes_ >= opt.max_nodes) return true;
-    if ((nodes_ & 0x3F) == 0) {
-      if (timer_.elapsed_seconds() > opt.time_limit_s) return true;
-      // Harness watchdog: the absolute deadline bounds the whole call, so a
-      // cell cannot run away past its wall-clock slot.
-      if (opt.deadline && std::chrono::steady_clock::now() > *opt.deadline) {
-        return true;
-      }
-    }
-    return false;
+  /// actually attempted. The clock is read every 64 nodes and before every
+  /// node at an LP-probed depth: on large instances one probe can take a
+  /// second, so 64 of them would run far past the deadline.
+  [[nodiscard]] bool hit_budget(std::size_t depth) const {
+    if (search_.nodes >= search_.opt.max_nodes) return true;
+    const bool probed = search_.bounder && depth > 0 &&
+                        depth <= search_.opt.lp_bound_depth;
+    return ((search_.nodes & 0x3F) == 0 || probed) && search_.past_deadline();
   }
 
   void dfs(std::size_t depth, double remaining_min) {
     if (aborted_ || optimal_reached_) return;
-    if (hit_budget()) {
+    if (hit_budget(depth)) {
       aborted_ = true;
       return;
     }
-    ++nodes_;
+    ++search_.nodes;
     const ExactOptions& opt = search_.opt;
     std::optional<LpBounder>& bounder = search_.bounder;
     if (depth == search_.plan.order.size()) {
@@ -286,8 +265,7 @@ class ProveSolver {
     }
   }
 
-  Timer timer_;
-  exact::Search search_;
+  exact::Search& search_;
   std::optional<ConfigLpBounder> cg_bounder_;
   /// Config probes run only while true; kAuto clears it (permanent demotion)
   /// when the bounder stops earning its keep. The bounder object outlives
@@ -299,7 +277,6 @@ class ProveSolver {
   std::optional<DominanceTable> memo_;
   exact::Node node_;
 
-  std::size_t nodes_ = 0;
   bool aborted_ = false;
   bool optimal_reached_ = false;
 };
@@ -308,14 +285,40 @@ class ProveSolver {
 
 ExactResult solve_exact(const Instance& instance, const ExactOptions& options) {
   instance.validate();
-  if (options.mode == ExactMode::kDive) {
-    return exact::dive_search(instance, options);
+  exact::Search search(instance, options);
+  if (options.mode != ExactMode::kProve) {
+    const bool chain = options.mode == ExactMode::kDiveThenProve;
+    const double box =
+        chain ? std::min(options.dive_time_limit_s, 0.5 * options.time_limit_s)
+              : options.time_limit_s;
+    const bool exhaustive = exact::dive(search, box);
+    ExactResult dived = search.result(exhaustive);
+    if (!chain || dived.proven_optimal) return dived;
+    // The DFS starts from the polished dive schedule, so root fixing and
+    // the load cuts bite at its makespan from its first node, and a budget
+    // abort returns at least that schedule. Its root step re-solves the
+    // dive's root model warm at the tightened cutoff.
+    search.adopt(polished_start(instance, search.best));
   }
-  if (options.mode == ExactMode::kDiveThenProve) {
-    return exact::dive_then_prove(instance, options);
-  }
-  ProveSolver solver(instance, options);
-  return solver.run();
+  return ProveSolver(search).run();
+}
+
+Schedule polished_start(const Instance& inst,
+                        const std::optional<Schedule>& seed) {
+  const LocalSearchResult from_greedy =
+      local_search(inst, greedy_min_load(inst).schedule);
+  if (!seed) return from_greedy.schedule;
+  Schedule best = *seed;
+  double best_makespan = makespan(inst, best);
+  const auto offer = [&](const LocalSearchResult& polished) {
+    if (polished.makespan < best_makespan) {
+      best = polished.schedule;
+      best_makespan = polished.makespan;
+    }
+  };
+  offer(local_search(inst, *seed));
+  offer(from_greedy);
+  return best;
 }
 
 ExactResult solve_exact(const UniformInstance& instance,

@@ -23,20 +23,21 @@ enum class ExactMode : std::uint8_t {
   /// state (the dive degenerated to an exhaustive search).
   kDive,
   /// Dive-then-prove chain: a time-boxed kDive pass (dive_time_limit_s)
-  /// produces an incumbent schedule. The best of it, its local-search
-  /// polish and greedy after local search seeds a kProve pass as its
-  /// initial incumbent/cutoff, so reduced-cost fixing and the load cuts
-  /// bite from node 1 instead of waiting for the B&B to rediscover a good
-  /// schedule. The two phases' effort counters are merged into one
-  /// ExactResult; a budget abort never returns a schedule worse than the
-  /// dive's or the `local-search` solver's.
+  /// produces an incumbent schedule. When it does not prove, the same
+  /// search adopts the best of that schedule, its local-search polish and
+  /// greedy after local search as its incumbent, re-solves its root LP warm
+  /// at the tightened cutoff and runs the kProve depth-first search, so
+  /// reduced-cost fixing and the load cuts bite from node 1 instead of
+  /// waiting for the B&B to rediscover a good schedule. One search, one
+  /// root model and one set of counters; a budget abort never returns a
+  /// schedule worse than the dive's or the `local-search` solver's.
   kDiveThenProve,
 };
 
 /// Which LP relaxation bounds the prove search's nodes (use_lp_bounds must
 /// be on for any of them to act).
 enum class BoundMode : std::uint8_t {
-  /// Assignment-LP probes only (the PR 5 bounder) — the default.
+  /// Assignment-LP probes only — the default.
   kAssignment,
   /// Branch-and-price: configuration-LP probes (exact/config_bound.h) run at
   /// every LP-bounded node AFTER the assignment probe (so the combined bound
@@ -56,17 +57,16 @@ struct ExactOptions {
   /// proven_optimal; a tree fully explored at exactly the budget still
   /// counts as proven.
   std::size_t max_nodes = 200'000'000;
-  /// Wall-clock budget in seconds (checked coarsely).
+  /// Wall-clock budget in seconds, counted from the start of the
+  /// solve_exact() call (checked coarsely, between nodes: one LP probe can
+  /// run past it).
   double time_limit_s = 60.0;
-  /// Optional hard wall-clock deadline (absolute, steady clock), checked at
-  /// the same coarse cadence as time_limit_s. Unlike time_limit_s — which is
-  /// relative to each phase's own start — the deadline bounds the whole call
-  /// including root-bound setup and the dive phase of a chain, which is what
-  /// the experiment harness's per-cell watchdog needs. Exceeding it is a
-  /// budget abort: the incumbent is returned with proven_optimal false.
+  /// Optional hard wall-clock deadline (absolute, steady clock), what the
+  /// experiment harness's per-cell watchdog passes. The call's one deadline
+  /// is the earlier of this and the start plus time_limit_s. Reaching it is
+  /// a budget abort: the incumbent is returned with proven_optimal false.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Optional initial upper bound, INCLUSIVE, honored by EVERY mode (the
-  /// PR 5 dive silently ignored it, breaking the option's contract): the
+  /// Optional initial upper bound, INCLUSIVE, honored by EVERY mode: the
   /// caller promises some schedule of makespan <= this value exists, and a
   /// schedule whose makespan exactly equals the bound is acceptable and
   /// will be found. (An invalid bound below OPT makes the search vacuous,
@@ -100,8 +100,9 @@ struct ExactOptions {
   std::size_t memo_limit = 256;
   /// kDive: beam width per level.
   std::size_t beam_width = 256;
-  /// kDiveThenProve: wall-clock budget of the dive phase (further capped at
-  /// half of time_limit_s); the prove phase gets whatever remains.
+  /// kDiveThenProve: wall-clock budget of the dive's beam, counted from the
+  /// end of its root step (further capped at half of time_limit_s); the
+  /// prove phase gets whatever remains of time_limit_s.
   double dive_time_limit_s = 0.5;
   /// Simplex options of every LP-bound solve, assignment and config alike
   /// (the assignment bounder upgrades kAuto to kDual, the natural engine for
@@ -166,9 +167,10 @@ struct ExactResult : EffortCounters {
 /// kDive: best-first beam search over the same job order with the same
 /// symmetry reductions; reports the incumbent with its certified gap.
 ///
-/// kDiveThenProve: the dive's incumbent schedule, polished by local search,
-/// seeds the prove pass (initial_schedule/cutoff); counters are merged
-/// across the two phases.
+/// kDiveThenProve: the dive, then the depth-first search on the same
+/// search state, starting from the dive's incumbent polished by local
+/// search (polished_start). Both loops share one node budget (max_nodes)
+/// and one deadline. Each call builds one assignment-LP bounder.
 [[nodiscard]] ExactResult solve_exact(const Instance& instance,
                                       const ExactOptions& options = {});
 

@@ -19,10 +19,11 @@ namespace setsched::exact {
 /// any value: a kept dominated node is redundant, never wrong.
 constexpr std::size_t kDominanceScan = 64;
 
-ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
+bool dive(Search& search, double box_s) {
+  const Instance& inst = search.inst;
+  const ExactOptions& opt = search.opt;
   const std::size_t n = inst.num_jobs();
   const std::size_t m = inst.num_machines();
-  Search search(inst, opt);
   const SearchPlan& plan = search.plan;
 
   // Suffix sums of the cheapest processing times in branching order:
@@ -39,9 +40,9 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
   search.bound_root_lp();
   if (opt.reduced_cost_fixing) search.fix_root();
 
-  Timer timer;
+  const std::chrono::steady_clock::time_point until =
+      deadline_in(box_s, search.deadline);
   const std::size_t width = std::max<std::size_t>(1, opt.beam_width);
-  std::size_t nodes = 0;
   bool truncated = false;
 
   const obs::PhaseTimer dive_phase(obs::Phase::kDive);
@@ -59,8 +60,8 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
     // Time-boxed: once a budget runs out the beam collapses to a greedy
     // descent so a complete schedule is still reached quickly.
     std::size_t level_width = width;
-    if (timer.elapsed_seconds() > opt.time_limit_s || nodes >= opt.max_nodes ||
-        (opt.deadline && std::chrono::steady_clock::now() > *opt.deadline)) {
+    if (search.nodes >= opt.max_nodes ||
+        std::chrono::steady_clock::now() > until) {
       level_width = 1;
       truncated = true;
     }
@@ -74,7 +75,7 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
     children.clear();
     scores.clear();
     for (const Node& node : beam) {
-      ++nodes;
+      ++search.nodes;
       obs::emit_bulk_instant("node", "exact", "reason", "beam", "depth",
                              static_cast<double>(depth));
       moves.clear();
@@ -133,7 +134,7 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
   // dominance/cutoff skips) and the dive degenerates to an exhaustive
   // search; otherwise optimality is only proven when the incumbent meets
   // the certified lower bound.
-  return search.result(nodes, /*search_complete=*/!truncated);
+  return !truncated;
 }
 
 }  // namespace setsched::exact

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/timer.h"
 #include "core/bounds.h"
 #include "core/schedule.h"
 #include "core/types.h"
@@ -112,6 +113,7 @@ Search::Search(const Instance& instance, const ExactOptions& options)
     : inst(instance),
       opt(options),
       plan(build_search_plan(instance)),
+      deadline(deadline_in(options.time_limit_s, options.deadline)),
       best(best_machine_schedule(instance)),
       incumbent(makespan(instance, best)),
       lower_bound(unrelated_lower_bound(instance)) {
@@ -121,11 +123,7 @@ Search::Search(const Instance& instance, const ExactOptions& options)
     check(!error.has_value(),
           "ExactOptions::initial_schedule is not a feasible schedule: " +
               (error ? *error : std::string()));
-    const double value = makespan(inst, *opt.initial_schedule);
-    if (value < incumbent) {
-      best = *opt.initial_schedule;
-      incumbent = value;
-    }
+    adopt(*opt.initial_schedule);
   }
   prune_at = cutoff(incumbent, opt);
 }
@@ -134,7 +132,7 @@ void Search::bound_root_lp() {
   if (!opt.use_lp_bounds || prune_at <= 0.0) return;
   const obs::PhaseTimer phase(obs::Phase::kRootBound);
   const obs::TraceSpan span("root_bound", "exact");
-  bounder.emplace(inst, prune_at, opt.simplex);
+  if (!bounder) bounder.emplace(inst, prune_at, opt.simplex);
   if (bounder->available()) {
     lower_bound =
         std::max(lower_bound, bounder->root_lower_bound(lower_bound, prune_at));
@@ -156,6 +154,14 @@ bool Search::improve(const Node& leaf) {
   return true;
 }
 
+void Search::adopt(const Schedule& schedule) {
+  const double value = makespan(inst, schedule);
+  if (value >= incumbent) return;
+  best = schedule;
+  incumbent = value;
+  prune_at = cutoff(incumbent, opt);
+}
+
 void Search::append_children(const Node& node, JobId j,
                              std::vector<Child>* out) const {
   const std::size_t kc = inst.num_classes();
@@ -172,7 +178,7 @@ void Search::append_children(const Node& node, JobId j,
   }
 }
 
-ExactResult Search::result(std::size_t nodes, bool search_complete,
+ExactResult Search::result(bool search_complete,
                            const EffortCounters& extra) const {
   ExactResult out;
   out.schedule = best;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -13,7 +14,7 @@
 
 namespace setsched::exact {
 
-/// Static per-instance search data shared by the prove and dive modes.
+/// Static per-instance search data shared by the dive and the DFS.
 struct SearchPlan {
   /// Branching order: classes by descending total minimum work, jobs inside
   /// a class by descending minimum processing time (good incumbents early,
@@ -103,21 +104,27 @@ struct Node {
   return true;
 }
 
-/// The incumbent, the bounds and the root step both search modes start
-/// from, and the child generator they both branch with.
+/// The whole state of one solve_exact() call, which both loops run on: the
+/// beam dive and then the DFS, in that order, under kDiveThenProve. It
+/// holds the incumbent, the bounds, the one assignment-LP bounder with its
+/// fix trail, the node count and the call's one deadline, and generates
+/// the children both loops branch with.
 struct Search {
   /// Incumbent: best_machine_schedule, replaced by
   /// ExactOptions::initial_schedule when that is better (CheckError when it
   /// is incomplete or infeasible: an invalid external incumbent must fail
   /// loudly, not corrupt the ground truth). Lower bound: core/bounds.h's.
+  /// Deadline: time_limit_s from now, capped by ExactOptions::deadline.
   Search(const Instance& instance, const ExactOptions& options);
 
   [[nodiscard]] bool incumbent_meets_lb() const {
     return incumbent <= lower_bound + kCertRelTol * std::max(1.0, lower_bound);
   }
 
-  /// Builds the assignment-LP bounder at the cutoff and raises lower_bound
-  /// to its root relaxation (nothing unless use_lp_bounds and prune_at > 0).
+  /// Solves the root assignment LP at the cutoff and raises lower_bound to
+  /// its value (nothing unless use_lp_bounds and prune_at > 0). The bounder
+  /// is built on the first call only; a later call, after the cutoff has
+  /// tightened, re-solves the same model warm from its last basis.
   void bound_root_lp();
 
   /// Root reduced-cost fixing: pairs the root relaxation proves
@@ -132,6 +139,14 @@ struct Search {
   /// tightens the cutoff. Returns whether it did.
   bool improve(const Node& leaf);
 
+  /// Adopts `schedule` (complete and feasible) as the incumbent when its
+  /// makespan is better, and tightens the cutoff.
+  void adopt(const Schedule& schedule);
+
+  [[nodiscard]] bool past_deadline() const {
+    return std::chrono::steady_clock::now() > deadline;
+  }
+
   /// Appends the children of `node` for job j, in machine order: eligible
   /// machines that the bounder has not fixed away, that are no symmetric
   /// duplicate of an earlier machine, and whose new load stays below the
@@ -141,12 +156,14 @@ struct Search {
 
   /// The result: the incumbent, the bounder's effort plus `extra`, `nodes`,
   /// and the certificate (see certify).
-  [[nodiscard]] ExactResult result(std::size_t nodes, bool search_complete,
+  [[nodiscard]] ExactResult result(bool search_complete,
                                    const EffortCounters& extra = {}) const;
 
   const Instance& inst;
   const ExactOptions& opt;
   const SearchPlan plan;
+  /// The one wall-clock budget of the call, checked by both loops.
+  const std::chrono::steady_clock::time_point deadline;
   Schedule best;
   /// Makespan of `best`: always a schedule we hold. The external bound only
   /// enters the cutoff.
@@ -159,6 +176,9 @@ struct Search {
   /// Reduced-cost fix trail: the root fixes, then (in the DFS) the live
   /// subtree fixes, which each node unfixes back to the size it saw.
   std::vector<std::pair<JobId, MachineId>> fixes;
+  /// Nodes expanded so far, beam states and DFS nodes alike; the node
+  /// budget max_nodes caps it.
+  std::size_t nodes = 0;
 };
 
 /// Fills the certificate fields of `out` (proven_optimal, lower_bound, gap)

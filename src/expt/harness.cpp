@@ -1,7 +1,6 @@
 #include "expt/harness.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <exception>
 #include <memory>
@@ -59,9 +58,7 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
     context.fault_plan = lp::FaultPlan::parse(plan.inject, record.cell_seed);
   }
   if (plan.cell_timeout_s > 0.0) {
-    context.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(plan.cell_timeout_s));
+    context.deadline = deadline_in(plan.cell_timeout_s);
   }
   // Cells are the unit of parallelism; solvers must not nest into the pool
   // that is running them (same rule as setsched_cli --all). Phase accounting

@@ -29,9 +29,10 @@ struct LocalSearchResult {
 /// batch moves, steered by makespan with total squared load as tie-breaker
 /// (so plateau moves that balance load are accepted). A post-optimizer for
 /// any schedule; it never worsens the input. Callers: the `local-search`
-/// solver (applied to greedy_min_load) and polished_start (exact/chain.cpp),
-/// the prove start of the registry's `exact` (greedy_min_load polished) and
-/// of the dive-then-prove chain (its dive's schedule polished too).
+/// solver (applied to greedy_min_load) and polished_start
+/// (exact/branch_bound.cpp), the prove start of the registry's `exact`
+/// (greedy_min_load polished) and of the dive-then-prove chain (its dive's
+/// schedule polished too).
 [[nodiscard]] LocalSearchResult local_search(const Instance& instance,
                                              const Schedule& start,
                                              const LocalSearchOptions& options = {});

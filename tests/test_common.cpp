@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -14,6 +15,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 
 namespace setsched {
 namespace {
@@ -191,6 +193,39 @@ TEST(Stats, RunningStatsMatchesTwoPass) {
   EXPECT_NEAR(rs.stddev(), std::sqrt(squares / (v.size() - 1.0)), 1e-9);
   EXPECT_DOUBLE_EQ(rs.min(), *std::min_element(v.begin(), v.end()));
   EXPECT_DOUBLE_EQ(rs.max(), max_value(v));
+}
+
+// deadline_in is the one seconds-to-deadline conversion: a span beyond the
+// clock's range must mean "no deadline", not overflow into the past.
+TEST(Deadline, HugeSpanIsNoDeadline) {
+  using Clock = std::chrono::steady_clock;
+  EXPECT_EQ(deadline_in(1e300), Clock::time_point::max());
+  EXPECT_EQ(deadline_in(std::numeric_limits<double>::infinity()),
+            Clock::time_point::max());
+  // About 31,700 years: past the ~292 years a signed 64-bit nanosecond
+  // tick count spans.
+  EXPECT_EQ(deadline_in(1e12), Clock::time_point::max());
+}
+
+TEST(Deadline, OrdinarySpanLandsAfterNow) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point before = Clock::now();
+  const Clock::time_point at = deadline_in(60.0);
+  EXPECT_GE(at, before + std::chrono::seconds(60));
+  EXPECT_LT(at, Clock::now() + std::chrono::seconds(61));
+  const Clock::time_point zero = deadline_in(0.0);
+  const Clock::time_point negative = deadline_in(-5.0);
+  EXPECT_LE(zero, Clock::now());
+  EXPECT_LE(negative, Clock::now());
+}
+
+TEST(Deadline, EarlierCapWins) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point cap = Clock::now() + std::chrono::seconds(1);
+  EXPECT_EQ(deadline_in(1e300, cap), cap);
+  EXPECT_EQ(deadline_in(3600.0, cap), cap);
+  const Clock::time_point late = Clock::now() + std::chrono::hours(24);
+  EXPECT_LT(deadline_in(1.0, late), late);
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {

@@ -9,6 +9,7 @@
 #include "core/generators.h"
 #include "core/schedule.h"
 #include "exact/branch_bound.h"
+#include "exact/tolerances.h"
 #include "improve/local_search.h"
 #include "unrelated/greedy.h"
 
@@ -727,7 +728,54 @@ TEST(DiveThenProve, BudgetAbortNeverWorseThanTheDivePhase) {
   EXPECT_FALSE(schedule_error(inst, chained.schedule).has_value());
   EXPECT_LE(chained.makespan, dive.makespan + 1e-9)
       << "chain returned a worse schedule than its own dive phase";
-  EXPECT_GE(chained.nodes, dive.nodes);  // merged counters include the dive
+  EXPECT_GE(chained.nodes, dive.nodes);  // the chain counts its dive too
+}
+
+// The chain's prove phase runs on the dive's search: it re-solves the dive's
+// root model warm instead of building a second bounder and solving the same
+// root LP cold. So the chain spends fewer LP iterations than its dive plus
+// the cold prove that the same start and the remaining node budget give,
+// and certifies at least the better of their bounds. Node caps, not the
+// wall clock, truncate every run, so each case is deterministic: at 500 the
+// dive spends the whole budget and the prove phase is its root step alone;
+// at 20,000 the DFS runs about 13,000 nodes.
+TEST(DiveThenProve, OneRootModelPerChain) {
+  UnrelatedGenParams p;
+  p.num_jobs = 30;
+  p.num_machines = 5;
+  p.num_classes = 6;
+  const Instance inst = generate_unrelated(p, 9);
+
+  for (const std::size_t max_nodes : {std::size_t{500}, std::size_t{20000}}) {
+    ExactOptions opt;
+    opt.mode = ExactMode::kDiveThenProve;
+    opt.max_nodes = max_nodes;
+    opt.time_limit_s = 60.0;
+    opt.dive_time_limit_s = 10.0;
+    const ExactResult chain = solve_exact(inst, opt);
+
+    ExactOptions dive_opt = opt;
+    dive_opt.mode = ExactMode::kDive;
+    dive_opt.time_limit_s =
+        std::min(opt.dive_time_limit_s, 0.5 * opt.time_limit_s);
+    const ExactResult dive = solve_exact(inst, dive_opt);
+    ASSERT_FALSE(dive.proven_optimal);
+
+    ExactOptions cold_opt = opt;
+    cold_opt.mode = ExactMode::kProve;
+    cold_opt.initial_schedule = polished_start(inst, dive.schedule);
+    cold_opt.max_nodes = max_nodes > dive.nodes ? max_nodes - dive.nodes : 0;
+    const ExactResult cold = solve_exact(inst, cold_opt);
+
+    const std::string where = "max_nodes " + std::to_string(max_nodes);
+    EXPECT_LT(chain.lp_iterations, dive.lp_iterations + cold.lp_iterations)
+        << where;
+    const double lb = std::max(dive.lower_bound, cold.lower_bound);
+    EXPECT_GE(chain.lower_bound, lb - exact::kCertRelTol * std::max(1.0, lb))
+        << where;
+    EXPECT_LE(chain.makespan, std::min(dive.makespan, cold.makespan) + 1e-9)
+        << where;
+  }
 }
 
 // The prove phase starts from the best of the dive's schedule, its local-

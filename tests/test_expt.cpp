@@ -466,6 +466,32 @@ TEST(ExptHarness, CellTimeoutClassifiesSlowCells) {
   EXPECT_EQ(relaxed[0].status, RunStatus::kOk) << relaxed[0].error;
 }
 
+// A watchdog far beyond the clock's range is no watchdog: converting
+// 1e300 s to clock ticks used to overflow into the past, so `exact` aborted
+// before its first node with the incumbent 206, unproven. With the watchdog
+// off the same cell proves 197 in 18,328 nodes.
+TEST(ExptHarness, HugeCellTimeoutIsNoWatchdog) {
+  ExperimentPlan plan;
+  plan.presets = {"unrelated-small"};
+  plan.solvers = {"exact"};
+  plan.seed_begin = 1;
+  plan.seed_end = 1;
+  plan.threads = 1;
+  plan.record_timing = false;
+  plan.cell_timeout_s = 1e300;
+  const std::vector<RunRecord> huge = run_experiment(plan);
+  plan.cell_timeout_s = 0.0;
+  const std::vector<RunRecord> off = run_experiment(plan);
+  ASSERT_EQ(huge.size(), 1u);
+  ASSERT_EQ(off.size(), 1u);
+  EXPECT_EQ(huge[0].status, RunStatus::kOk) << huge[0].error;
+  EXPECT_TRUE(huge[0].proven_optimal);
+  EXPECT_DOUBLE_EQ(huge[0].makespan, 197.0);
+  EXPECT_EQ(huge[0].nodes, 18'328u);
+  EXPECT_DOUBLE_EQ(huge[0].makespan, off[0].makespan);
+  EXPECT_EQ(huge[0].nodes, off[0].nodes);
+}
+
 TEST(ExptHarness, MidsizeExactSweepCertificatesAreCoherent) {
   ExperimentPlan plan;
   plan.presets = {"unrelated-midsize"};

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint for setsched (runs as ctest `test_lint`).
 
-Three rules, each protecting an invariant the compiler cannot see:
+Four rules, each protecting an invariant the compiler cannot see:
 
   float-eq     No floating-point ==/!= against a nonzero decimal literal in
                src/lp or src/exact. Exact-zero tests (`x == 0.0`) are sparse-
@@ -25,6 +25,15 @@ Three rules, each protecting an invariant the compiler cannot see:
                safety analysis sees every lock site.
                Suppress per line: `// lint: allow-raw-mutex (reason)`.
 
+  deadline     No duration_cast to steady_clock::duration (spelled
+               `std::chrono::steady_clock::duration` or `Clock::duration`,
+               also when wrapped over lines) in src/ outside
+               src/common/timer.h. Turning seconds into a deadline goes
+               through deadline_in() there, which clamps a span beyond the
+               clock's range to "no deadline": an unchecked cast of, say,
+               --cell-timeout=1e300 overflows the tick count into the past
+               and aborts the run at once. No suppression.
+
 Every suppression requires a non-empty reason in parentheses; a bare
 `lint: allow-*` marker is itself a violation. Exit status 0 iff clean.
 """
@@ -40,6 +49,8 @@ TOLERANCE_SCOPE = ("src/lp", "src/exact")
 FLOAT_EQ_SCOPE = ("src/lp", "src/exact")
 MUTEX_SCOPE = ("src",)
 MUTEX_EXEMPT = {"src/common/annotations.h"}
+DEADLINE_SCOPE = ("src",)
+DEADLINE_EXEMPT = {"src/common/timer.h"}
 
 SUPPRESS_RE = re.compile(
     r"lint:\s*allow-(?P<rule>tolerance-file|tolerance|float-eq|raw-mutex)"
@@ -57,6 +68,8 @@ RAW_MUTEX_RE = re.compile(
     r"\bstd::(?:recursive_|timed_|shared_)?mutex\b"
     r"|\bstd::(?:scoped_lock|lock_guard|unique_lock|shared_lock)\b"
     r"|\bstd::condition_variable(?:_any)?\b")
+DEADLINE_RE = re.compile(
+    r"\bduration_cast\s*<\s*(?:[\w:]*\bsteady_clock|Clock)::duration\s*>")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -152,6 +165,8 @@ class Linter:
         in_eq_scope = rel.startswith(FLOAT_EQ_SCOPE)
         in_mutex_scope = (rel.startswith(MUTEX_SCOPE)
                           and rel not in MUTEX_EXEMPT)
+        in_deadline_scope = (rel.startswith(DEADLINE_SCOPE)
+                             and rel not in DEADLINE_EXEMPT)
 
         for idx, line in enumerate(code_lines, start=1):
             allows = line_allows.get(idx, set())
@@ -179,6 +194,16 @@ class Linter:
                         path, idx, "raw-mutex",
                         f"naked {m.group(0)} outside common/annotations.h; "
                         "use the annotated Mutex/MutexLock/CondVar wrappers")
+
+        if in_deadline_scope:
+            # Over the whole file: the cast's template argument may wrap.
+            code = "\n".join(code_lines)
+            for m in DEADLINE_RE.finditer(code):
+                cast = " ".join(m.group(0).split())
+                self.report(
+                    path, code.count("\n", 0, m.start()) + 1, "deadline",
+                    f"unclamped {cast} outside common/timer.h; build "
+                    "deadlines with deadline_in()")
 
     def run(self) -> int:
         files = sorted((self.root / "src").rglob("*.h"))
@@ -214,6 +239,18 @@ def self_test() -> int:
             "  double bare = 1e-8;   // lint: allow-tolerance\n"  # no reason
             "  std::mutex m;\n"                         # raw-mutex fires
             "}\n")
+        (root / "src/expt").mkdir(parents=True)
+        (root / "src/expt/bad.cpp").write_text(
+            "auto a = now + std::chrono::duration_cast<\n"
+            "    std::chrono::steady_clock::duration>(s);\n"  # wrapped: fires
+            "auto b = now + std::chrono::duration_cast<"
+            "std::chrono::steady_clock::duration>(s);\n"      # deadline fires
+            "auto c = now + duration_cast<Clock::duration>(s);\n"  # fires
+            "auto d = duration_cast<std::chrono::nanoseconds>(s);\n"  # legal
+            )
+        (root / "src/common").mkdir(parents=True)
+        (root / "src/common/timer.h").write_text(
+            "auto e = now + duration_cast<Clock::duration>(s);\n")  # exempt
 
         linter = Linter(root)
         for path in sorted((root / "src").rglob("*.cpp")):
@@ -236,6 +273,12 @@ def self_test() -> int:
                 print(f"self-test FAILED: rule '{rule}' did not fire "
                       f"(expected a violation mentioning '{needle}')")
                 failed = True
+        deadline_hits = sorted(
+            v.split(":")[1] for v in linter.violations if "[deadline]" in v)
+        if deadline_hits != ["1", "3", "4"]:
+            print("self-test FAILED: rule 'deadline' should fire on lines "
+                  f"1, 3, 4 of src/expt/bad.cpp only, fired on {deadline_hits}")
+            failed = True
         for legal in ("0.0", "1e-7"):
             if any(legal in v and "[float-eq]" in v or
                    ("[tolerance]" in v and f" {legal};" in v)
