@@ -44,15 +44,13 @@ int main() {
 
   RoundingOptions ropt;
   ropt.seed = 123;
-  ropt.trials = 4;
-  ThreadPool pool;
-  ropt.pool = &pool;
   const RoundingResult direct = randomized_rounding(cluster, ropt);
   line("rounding (direct LP):     ", direct.makespan);
   std::cout << "    LP window [" << direct.lp_lower_bound << ", "
             << direct.lp_T << "], " << direct.fallback_jobs
             << " fallback placements\n";
 
+  ThreadPool pool;
   ConfigLpOptions copt;
   copt.pool = &pool;
   const RoundingResult viaconfig = randomized_rounding_config(cluster, ropt, copt);

@@ -47,7 +47,6 @@ int main() {
   // Theorem 3.3: LP relaxation + randomized rounding.
   RoundingOptions ropt;
   ropt.seed = 42;
-  ropt.trials = 3;
   const RoundingResult rounded = randomized_rounding(inst, ropt);
   report("randomized rounding", rounded.schedule);
   std::cout << "  LP window: feasible at T=" << rounded.lp_T

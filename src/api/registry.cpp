@@ -106,7 +106,6 @@ RoundingOptions rounding_options(const SolverContext& context) {
   options.seed = context.seed;
   options.search_precision = context.precision;
   options.lp = assignment_lp_options(context);
-  options.pool = context.pool;
   return options;
 }
 

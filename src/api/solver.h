@@ -35,8 +35,8 @@ struct SolverContext {
   double precision = 0.05;
   /// Wall-clock budget for the exact branch-and-bound.
   double time_limit_s = 10.0;
-  /// Optional pool for intra-solver parallelism (rounding trials, colgen
-  /// pricing). Null means sequential.
+  /// Optional pool for intra-solver parallelism (colgen pricing). Null
+  /// means sequential.
   ThreadPool* pool = nullptr;
   /// Deterministic LP fault-injection plan (lp/fault.h; CLI --inject).
   /// Disarmed by default; when armed, every LP-backed solver routes it into

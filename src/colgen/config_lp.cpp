@@ -2,17 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
 #include "colgen/coverage_master.h"
 #include "common/check.h"
-#include "common/prng.h"
 #include "core/bounds.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
 
 namespace setsched {
+
+namespace {
+
+/// Pricing grid of the T-search: buckets per probe T.
+constexpr std::size_t kConfigLpGrid = 2048;
+/// Pricing rounds per probe before it reports kIterationLimit.
+constexpr std::size_t kConfigLpMaxRounds = 80;
+/// Dual-value margin an improving column must beat its machine's convexity
+/// dual by, and the coverage slack of the kFeasible verdict.
+constexpr double kConfigLpTol = 1e-6;
+
+}  // namespace
 
 PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
                                   const std::vector<double>& dual,
@@ -170,7 +180,6 @@ PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
 ConfigLpResult solve_config_lp(const Instance& instance, double T,
                                const ConfigLpOptions& options) {
   instance.validate();
-  check(options.grid >= 16, "grid too coarse");
   const std::size_t n = instance.num_jobs();
   const std::size_t m = instance.num_machines();
 
@@ -194,15 +203,15 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     return std::move(out);
   };
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kConfigLpMaxRounds; ++iter) {
     out.iterations = iter + 1;
 
     // --- pricing (parallel across machines) ---
     std::vector<PricedConfig> priced(m);
     const auto price_one = [&](std::size_t i) {
       priced[i] = price_machine_config(instance, static_cast<MachineId>(i), T,
-                                       master.job_duals(), options.grid,
-                                       options.tol);
+                                       master.job_duals(), kConfigLpGrid,
+                                       kConfigLpTol);
     };
     {
       const obs::PhaseTimer phase(obs::Phase::kColgenPricing);
@@ -220,7 +229,7 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     bool added = false;
     for (MachineId i = 0; i < m; ++i) {
       if (priced[i].jobs.empty()) continue;
-      if (priced[i].value <= master.machine_duals()[i] + options.tol) continue;
+      if (priced[i].value <= master.machine_duals()[i] + kConfigLpTol) continue;
       added = true;
       const std::size_t z = master.add_column(i, priced[i].jobs);
       columns.push_back({i, std::move(priced[i].jobs), z});
@@ -236,7 +245,7 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     check(sol.optimal(), "RMP solve failed");
     out.coverage = sol.objective;
 
-    if (sol.objective >= static_cast<double>(n) - options.tol) {
+    if (sol.objective >= static_cast<double>(n) - kConfigLpTol) {
       // Feasible: recover (x, y).
       FractionalAssignment frac{
           Matrix<double>(m, n, 0.0),
@@ -279,8 +288,6 @@ RoundingResult randomized_rounding_config(const Instance& instance,
                                           const RoundingOptions& rounding,
                                           const ConfigLpOptions& config) {
   instance.validate();
-  const std::size_t n = instance.num_jobs();
-
   double lo = assignment_lp_floor(instance);
   double hi = std::max(lo, unrelated_upper_bound(instance));
 
@@ -317,27 +324,7 @@ RoundingResult randomized_rounding_config(const Instance& instance,
   }
   out.lp_T = hi;
 
-  const std::size_t rounds = static_cast<std::size_t>(std::max(
-      1.0,
-      std::ceil(kRoundingC *
-                std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
-  out.rounds = rounds;
-
-  Xoshiro256 seeder(rounding.seed);
-  double best_ms = kInfinity;
-  Schedule best_schedule = Schedule::empty(n);
-  for (std::size_t t = 0; t < rounding.trials; ++t) {
-    std::size_t fallback = 0;
-    Schedule s = round_fractional(instance, best, rounds, seeder(), &fallback);
-    const double ms = makespan(instance, s);
-    out.fallback_jobs += fallback;
-    if (ms < best_ms) {
-      best_ms = ms;
-      best_schedule = std::move(s);
-    }
-  }
-  out.schedule = std::move(best_schedule);
-  out.makespan = best_ms;
+  round_once(instance, best, rounding.seed, &out);
   return out;
 }
 

@@ -15,17 +15,15 @@ namespace setsched {
 /// The restricted master problem maximizes fractional job coverage subject
 /// to one unit of configuration mass per machine; coverage n certifies
 /// (fractional) feasibility of the guess T. Pricing is a knapsack with
-/// class opening costs, solved exactly on a scaled grid of `grid` buckets:
+/// class opening costs, solved exactly on a scaled grid of 2048 buckets:
 /// item weights are rounded *up*, so every generated configuration genuinely
 /// fits in T, at the price of conservatism (a feasible T may be reported
 /// infeasible-at-grid when Σ of up-rounding slack matters). The recovered
 /// (x, y) pair satisfies the assignment-LP constraints (1), (2), (4) and is
 /// consumed unchanged by the Theorem 3.3 randomized rounding — this is the
 /// scalable path when the direct LP's Θ(nm) coupling rows are too large.
+/// A probe gives up after 80 pricing rounds (kIterationLimit).
 struct ConfigLpOptions {
-  std::size_t grid = 2048;
-  std::size_t max_iterations = 80;
-  double tol = 1e-6;
   /// Optional pool: pricing problems across machines run in parallel.
   ThreadPool* pool = nullptr;
   /// Simplex knobs for the restricted master (colgen/coverage_master.h). The

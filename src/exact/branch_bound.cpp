@@ -50,9 +50,7 @@ class ProveSolver {
     // The root LP only pays off when the incumbent is not already proven.
     if (!search_.incumbent_meets_lb()) {
       search_.bound_root_lp();
-      if (opt.reduced_cost_fixing && !search_.incumbent_meets_lb()) {
-        search_.fix_root();
-      }
+      if (!search_.incumbent_meets_lb()) search_.fix_root();
     }
 
     // Branch-and-price: the configuration-LP bounder prices columns against
@@ -152,7 +150,7 @@ class ProveSolver {
                           node_.max_load);
         if (search_.incumbent_meets_lb()) {
           optimal_reached_ = true;
-        } else if (bounder && opt.reduced_cost_fixing) {
+        } else if (bounder) {
           // Incremental root fixing: the root snapshot's sensitivity bounds
           // are re-applied at the tightened cutoff. Permanent (no undo
           // entry), so the fixes survive every subtree-scope unwind.
@@ -225,9 +223,7 @@ class ProveSolver {
     // (the unfix below never runs), excluding pairs that are perfectly
     // viable there. The fixing reuses the duals of the assignment probe's
     // solve, which the config probe does not disturb.
-    if (lp_probed && opt.reduced_cost_fixing) {
-      bounder->fix_dominated(search_.prune_at, &search_.fixes);
-    }
+    if (lp_probed) bounder->fix_dominated(search_.prune_at, &search_.fixes);
 
     emit_node("expanded", depth);
     const JobId j = search_.plan.order[depth];

@@ -56,7 +56,7 @@ struct ExactOptions {
   /// Node budget. Hitting it with unexplored branches left clears
   /// proven_optimal; a tree fully explored at exactly the budget still
   /// counts as proven.
-  std::size_t max_nodes = 200'000'000;
+  std::size_t max_nodes = 200'000'000;  // lint: allow-knob (tests cap it)
   /// Wall-clock budget in seconds, counted from the start of the
   /// solve_exact() call (checked coarsely, between nodes: one LP probe can
   /// run past it).
@@ -85,25 +85,23 @@ struct ExactOptions {
   /// bound used for gap reporting. One parametric min-makespan model is
   /// built once and re-parameterized down the tree; every probe is a dual
   /// re-optimization warm-started from the previous node's basis (see
-  /// exact/lp_bound.h).
-  bool use_lp_bounds = true;
+  /// exact/lp_bound.h). The probes' duals also drive reduced-cost variable
+  /// fixing at the root and at every LP-probed node: job-machine pairs whose
+  /// reduced cost exceeds the incumbent gap are excluded, shrinking the
+  /// branching factor of the whole subtree.
+  bool use_lp_bounds = true;  // lint: allow-knob (tests turn it off)
   /// LP-probe nodes at depth <= lp_bound_depth only — the top of the tree,
   /// where one pruned node kills an exponential subtree and the probe cost
   /// amortizes.
-  std::size_t lp_bound_depth = 12;
-  /// Reduced-cost variable fixing at LP-probed nodes (and at the root):
-  /// duals of the node relaxation fix job-machine pairs whose reduced cost
-  /// exceeds the incumbent gap, shrinking the branching factor of the whole
-  /// subtree. Requires use_lp_bounds.
-  bool reduced_cost_fixing = true;
+  std::size_t lp_bound_depth = 12;  // lint: allow-knob (tests deepen it)
   /// Dominance memo: states kept per depth (0 disables the memo).
-  std::size_t memo_limit = 256;
+  std::size_t memo_limit = 256;  // lint: allow-knob (tests turn it off)
   /// kDive: beam width per level.
-  std::size_t beam_width = 256;
+  std::size_t beam_width = 256;  // lint: allow-knob (tests narrow it)
   /// kDiveThenProve: wall-clock budget of the dive's beam, counted from the
   /// end of its root step (further capped at half of time_limit_s); the
   /// prove phase gets whatever remains of time_limit_s.
-  double dive_time_limit_s = 0.5;
+  double dive_time_limit_s = 0.5;  // lint: allow-knob (tests box it)
   /// Simplex options of every LP-bound solve, assignment and config alike
   /// (the assignment bounder upgrades kAuto to kDual, the natural engine for
   /// the min-makespan relaxation). A `simplex.fault_plan` is threaded into
@@ -118,7 +116,7 @@ struct ExactOptions {
   /// knapsack per machine per round, so they are costlier than assignment
   /// probes and amortize only near the top of the tree). Also the pin depth
   /// of the config bounder.
-  std::size_t cg_bound_depth = 6;
+  std::size_t cg_bound_depth = 6;  // lint: allow-knob (tests set it)
   /// Grid of the root-only fine bisection pass. The certified config bound
   /// loses (n + classes)/grid to the conservative probe inflation, which at
   /// mid-size instances eats most of the relaxation's edge over the
@@ -126,7 +124,7 @@ struct ExactOptions {
   /// back at a cost that amortizes over the whole tree (node probes keep
   /// the cheap ConfigBoundOptions::grid). Set <= that grid to disable the
   /// pass. Its wall clock is capped at half the remaining budget.
-  std::size_t cg_root_grid = 16384;
+  std::size_t cg_root_grid = 16384;  // lint: allow-knob (perfbench reads)
 };
 
 /// Result contract of the exact subsystem. `proven_optimal` distinguishes

@@ -7,6 +7,18 @@
 
 namespace setsched::exact {
 
+namespace {
+
+/// Probe budget of the root-bound bisection.
+constexpr std::size_t kRootProbes = 12;
+/// Pricing-round budget of each ROOT bisection probe. Root probes amortize
+/// over the whole tree, so they get enough rounds to actually converge (a
+/// node-probe stall just skips one prune; a root-probe stall forfeits the
+/// certified bound for the entire search).
+constexpr std::size_t kRootRounds = 80;
+
+}  // namespace
+
 ConfigLpBounder::ConfigLpBounder(const Instance& instance, double T_build,
                                  const ConfigBoundOptions& options)
     : inst_(instance), opt_(options) {
@@ -163,8 +175,8 @@ double ConfigLpBounder::root_lower_bound(double lo, double hi) {
   if (!master_ || hi <= 0.0 || lo >= hi) return lo;
   double certified = lo;
   double ceiling = hi;
-  const std::size_t rounds = std::max(opt_.rounds_per_node, opt_.root_rounds);
-  for (std::size_t used = 0; used < opt_.root_probes; ++used) {
+  const std::size_t rounds = std::max(opt_.rounds_per_node, kRootRounds);
+  for (std::size_t used = 0; used < kRootProbes; ++used) {
     if (ceiling - certified <=
         kCgRootGapRelTol * std::max(1.0, certified)) {
       break;

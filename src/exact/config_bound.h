@@ -15,20 +15,14 @@ namespace setsched::exact {
 
 /// Knobs of the configuration-LP bounder.
 struct ConfigBoundOptions {
-  /// Pricing grid resolution (ConfigLpOptions::grid). The conservative probe
+  /// Pricing grid resolution (the T-search colgen prices on 2048 buckets
+  /// too, kConfigLpGrid in colgen/config_lp.cpp). The conservative probe
   /// inflation is (n + classes) / grid, so the grid must comfortably exceed
   /// the instance size (see kCgMaxGridSlack).
   std::size_t grid = 2048;
   /// Pricing rounds per node probe before declaring a stall (the probe then
   /// demotes to "no bound" and the caller falls back to the assignment LP).
-  std::size_t rounds_per_node = 6;
-  /// Probe budget of the root-bound bisection.
-  std::size_t root_probes = 12;
-  /// Pricing-round budget of each ROOT bisection probe. Root probes amortize
-  /// over the whole tree, so they get enough rounds to actually converge
-  /// (a node-probe stall just skips one prune; a root-probe stall forfeits
-  /// the certified bound for the entire search).
-  std::size_t root_rounds = 80;
+  std::size_t rounds_per_node = 6;  // lint: allow-knob (tests force stalls)
   /// Optional wall-clock cutoff for the root bisection: probes stop once the
   /// deadline passes (the bound certified so far is kept). Node probes are
   /// not checked — they are budgeted by rounds_per_node.
@@ -89,7 +83,9 @@ class ConfigLpBounder {
   /// Certified lower bound on OPT from the (unpinned) relaxation: bisects
   /// [lo, hi] on feasible(), climbing `lo` over every certified-infeasible
   /// midpoint. Call before any pins are set; `lo` must itself be a valid
-  /// bound (it is returned unimproved when no probe certifies more).
+  /// bound (it is returned unimproved when no probe certifies more). At
+  /// most 12 probes of max(80, rounds_per_node) pricing rounds each
+  /// (kRootProbes, kRootRounds in config_bound.cpp).
   [[nodiscard]] double root_lower_bound(double lo, double hi);
 
   // --- effort counters (SolverStats cg_* trio + internals) -----------------
@@ -142,7 +138,7 @@ class ConfigLpBounder {
   void add_column(MachineId i, std::vector<JobId> jobs);
   [[nodiscard]] Probe probe(double t_eff, std::size_t max_rounds);
   /// feasible() with an explicit per-probe round budget (root probes get
-  /// opt_.root_rounds, node probes opt_.rounds_per_node).
+  /// kRootRounds, node probes opt_.rounds_per_node).
   [[nodiscard]] bool probe_verdict(double T, std::size_t max_rounds);
 
   const Instance& inst_;

@@ -38,7 +38,7 @@ bool dive(Search& search, double box_s) {
   // Unlike the prove mode, the dive solves the root LP and fixes at the
   // root even when the incumbent already meets the bound.
   search.bound_root_lp();
-  if (opt.reduced_cost_fixing) search.fix_root();
+  search.fix_root();
 
   const std::chrono::steady_clock::time_point until =
       deadline_in(box_s, search.deadline);

@@ -52,8 +52,8 @@ inline constexpr double kGapDenominatorFloor = 1e-9;
 /// Configuration-LP bounder (exact/config_bound.h) pricing tolerance: the
 /// dual-value margin a priced column must beat its machine's convexity dual
 /// by to count as improving, and the per-job dual floor below which free
-/// jobs are not priced. Matches ConfigLpOptions::tol so the bounder's RMP
-/// behaves like the T-search colgen's.
+/// jobs are not priced. Matches kConfigLpTol (colgen/config_lp.cpp) so the
+/// bounder's RMP behaves like the T-search colgen's.
 inline constexpr double kCgPricingTol = 1e-6;
 
 /// Coverage slack of the config-LP prune certificate: pricing tolerates a

@@ -97,6 +97,9 @@ void ExperimentPlan::validate() const {
             num_seeds() <= kMaxCells / (presets.size() * solvers.size()),
         "experiment plan has more than " + std::to_string(kMaxCells) +
             " cells");
+  check(threads <= kMaxThreads,
+        "experiment plan threads must be at most " +
+            std::to_string(kMaxThreads));
   check(epsilon > 0.0, "experiment plan epsilon must be positive");
   check(precision > 0.0, "experiment plan precision must be positive");
   check(time_limit_s > 0.0, "experiment plan time_limit_s must be positive");

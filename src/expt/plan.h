@@ -25,7 +25,8 @@ struct ExperimentPlan {
   double precision = 0.05;
   double time_limit_s = 10.0;
 
-  /// 0 = shared default_pool(), 1 = sequential, N = private pool of N.
+  /// 0 = shared default_pool(), 1 = sequential, N = private pool of N
+  /// (at most kMaxThreads).
   std::size_t threads = 0;
   /// Off zeroes time_ms in every record, making JSONL output byte-identical
   /// across runs and thread counts.
@@ -59,12 +60,16 @@ struct ExperimentPlan {
   /// Throws CheckError unless: presets and solvers are non-empty, every
   /// preset/solver name is known (preset_names() / SolverRegistry) and
   /// appears once, the seed range is non-empty, the sweep has at most
-  /// kMaxCells cells, and the knobs are positive.
+  /// kMaxCells cells, threads is at most kMaxThreads, and the knobs are
+  /// positive.
   void validate() const;
 
   /// Largest sweep validate() accepts: cell indices stay far inside size_t,
   /// and no sweep this size could run anyway.
   static constexpr std::size_t kMaxCells = std::size_t{1} << 32;
+  /// Largest private pool validate() accepts: run_experiment starts that
+  /// many OS threads, so an unchecked value could exhaust the process table.
+  static constexpr std::size_t kMaxThreads = 1024;
 };
 
 /// (preset, seed, solver) key of one cell; `point` indexes the instance grid

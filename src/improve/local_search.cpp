@@ -8,6 +8,11 @@ namespace setsched {
 
 namespace {
 
+/// Stop after this many consecutive non-improving sweeps.
+constexpr std::size_t kPatience = 2;
+/// Hard cap on full improvement sweeps.
+constexpr std::size_t kMaxSweeps = 60;
+
 /// Incremental load tracker: machine loads plus per-(machine, class) job
 /// counts so that removing the last job of a class refunds its setup.
 class LoadTracker {
@@ -69,8 +74,8 @@ Score score_of(const LoadTracker& t) { return {t.makespan(), t.potential()}; }
 
 }  // namespace
 
-LocalSearchResult local_search(const Instance& instance, const Schedule& start,
-                               const LocalSearchOptions& options) {
+LocalSearchResult local_search(const Instance& instance,
+                               const Schedule& start) {
   check(!schedule_error(instance, start).has_value(),
         "local search requires a complete valid schedule");
   const std::size_t n = instance.num_jobs();
@@ -85,8 +90,8 @@ LocalSearchResult local_search(const Instance& instance, const Schedule& start,
 
   const auto by_class = instance.jobs_by_class();
 
-  for (std::size_t sweep = 0;
-       sweep < options.max_sweeps && stale < options.patience; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kMaxSweeps && stale < kPatience;
+       ++sweep) {
     ++out.sweeps;
     bool improved = false;
 
@@ -111,71 +116,67 @@ LocalSearchResult local_search(const Instance& instance, const Schedule& start,
     }
 
     // --- pairwise swaps ---
-    if (options.swaps) {
-      for (JobId a = 0; a < n; ++a) {
-        for (JobId b = a + 1; b < n; ++b) {
-          const MachineId ia = schedule.assignment[a];
-          const MachineId ib = schedule.assignment[b];
-          if (ia == ib) continue;
-          if (!instance.eligible(ib, a) || !instance.eligible(ia, b)) continue;
-          tracker.remove_job(a, ia);
-          tracker.remove_job(b, ib);
-          tracker.add_job(a, ib);
-          tracker.add_job(b, ia);
-          const Score candidate = score_of(tracker);
-          if (candidate.better_than(current)) {
-            std::swap(schedule.assignment[a], schedule.assignment[b]);
-            current = candidate;
-            ++out.moves_applied;
-            improved = true;
-          } else {
-            tracker.remove_job(a, ib);
-            tracker.remove_job(b, ia);
-            tracker.add_job(a, ia);
-            tracker.add_job(b, ib);
-          }
+    for (JobId a = 0; a < n; ++a) {
+      for (JobId b = a + 1; b < n; ++b) {
+        const MachineId ia = schedule.assignment[a];
+        const MachineId ib = schedule.assignment[b];
+        if (ia == ib) continue;
+        if (!instance.eligible(ib, a) || !instance.eligible(ia, b)) continue;
+        tracker.remove_job(a, ia);
+        tracker.remove_job(b, ib);
+        tracker.add_job(a, ib);
+        tracker.add_job(b, ia);
+        const Score candidate = score_of(tracker);
+        if (candidate.better_than(current)) {
+          std::swap(schedule.assignment[a], schedule.assignment[b]);
+          current = candidate;
+          ++out.moves_applied;
+          improved = true;
+        } else {
+          tracker.remove_job(a, ib);
+          tracker.remove_job(b, ia);
+          tracker.add_job(a, ia);
+          tracker.add_job(b, ib);
         }
       }
     }
 
     // --- whole-class batch moves ---
-    if (options.class_moves) {
-      for (ClassId k = 0; k < instance.num_classes(); ++k) {
-        if (by_class[k].empty()) continue;
-        for (MachineId to = 0; to < m; ++to) {
-          bool eligible = true;
-          for (const JobId j : by_class[k]) {
-            if (!instance.eligible(to, j)) {
-              eligible = false;
-              break;
-            }
+    for (ClassId k = 0; k < instance.num_classes(); ++k) {
+      if (by_class[k].empty()) continue;
+      for (MachineId to = 0; to < m; ++to) {
+        bool eligible = true;
+        for (const JobId j : by_class[k]) {
+          if (!instance.eligible(to, j)) {
+            eligible = false;
+            break;
           }
-          if (!eligible) continue;
-          std::vector<MachineId> old_home(by_class[k].size());
-          bool any_moved = false;
+        }
+        if (!eligible) continue;
+        std::vector<MachineId> old_home(by_class[k].size());
+        bool any_moved = false;
+        for (std::size_t t = 0; t < by_class[k].size(); ++t) {
+          const JobId j = by_class[k][t];
+          old_home[t] = schedule.assignment[j];
+          if (old_home[t] != to) {
+            any_moved = true;
+            tracker.remove_job(j, old_home[t]);
+            tracker.add_job(j, to);
+          }
+        }
+        if (!any_moved) continue;
+        const Score candidate = score_of(tracker);
+        if (candidate.better_than(current)) {
+          for (const JobId j : by_class[k]) schedule.assignment[j] = to;
+          current = candidate;
+          ++out.moves_applied;
+          improved = true;
+        } else {
           for (std::size_t t = 0; t < by_class[k].size(); ++t) {
             const JobId j = by_class[k][t];
-            old_home[t] = schedule.assignment[j];
             if (old_home[t] != to) {
-              any_moved = true;
-              tracker.remove_job(j, old_home[t]);
-              tracker.add_job(j, to);
-            }
-          }
-          if (!any_moved) continue;
-          const Score candidate = score_of(tracker);
-          if (candidate.better_than(current)) {
-            for (const JobId j : by_class[k]) schedule.assignment[j] = to;
-            current = candidate;
-            ++out.moves_applied;
-            improved = true;
-          } else {
-            for (std::size_t t = 0; t < by_class[k].size(); ++t) {
-              const JobId j = by_class[k][t];
-              if (old_home[t] != to) {
-                tracker.remove_job(j, to);
-                tracker.add_job(j, old_home[t]);
-              }
+              tracker.remove_job(j, to);
+              tracker.add_job(j, old_home[t]);
             }
           }
         }

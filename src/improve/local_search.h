@@ -7,17 +7,6 @@
 
 namespace setsched {
 
-struct LocalSearchOptions {
-  /// Stop after this many consecutive non-improving sweeps.
-  std::size_t patience = 2;
-  /// Hard cap on full improvement sweeps.
-  std::size_t max_sweeps = 60;
-  /// Also try relocating whole class batches between machines.
-  bool class_moves = true;
-  /// Also try pairwise job swaps (quadratic per sweep; off for huge n).
-  bool swaps = true;
-};
-
 struct LocalSearchResult {
   Schedule schedule;
   double makespan = 0.0;
@@ -27,14 +16,14 @@ struct LocalSearchResult {
 
 /// First-improvement local search over job moves, job swaps and whole-class
 /// batch moves, steered by makespan with total squared load as tie-breaker
-/// (so plateau moves that balance load are accepted). A post-optimizer for
-/// any schedule; it never worsens the input. Callers: the `local-search`
-/// solver (applied to greedy_min_load) and polished_start
-/// (exact/branch_bound.cpp), the prove start of the registry's `exact`
-/// (greedy_min_load polished) and of the dive-then-prove chain (its dive's
-/// schedule polished too).
+/// (so plateau moves that balance load are accepted). Stops after 2
+/// consecutive non-improving sweeps or 60 sweeps in all (kPatience,
+/// kMaxSweeps in local_search.cpp). A post-optimizer for any schedule; it
+/// never worsens the input. Callers: the `local-search` solver (applied to
+/// greedy_min_load) and polished_start (exact/branch_bound.cpp), the prove
+/// start of the registry's `exact` (greedy_min_load polished) and of the
+/// dive-then-prove chain (its dive's schedule polished too).
 [[nodiscard]] LocalSearchResult local_search(const Instance& instance,
-                                             const Schedule& start,
-                                             const LocalSearchOptions& options = {});
+                                             const Schedule& start);
 
 }  // namespace setsched

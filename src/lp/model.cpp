@@ -58,18 +58,6 @@ void Model::set_bounds(std::size_t col, double lower, double upper) {
   upper_[col] = upper;
 }
 
-void Model::update_entry(std::size_t row, std::size_t col, double value) {
-  check(row < num_constraints(), "unknown row");
-  check(std::isfinite(value), "constraint coefficient must be finite");
-  for (Entry& e : rows_[row]) {
-    if (e.col == col) {
-      e.value = value;
-      return;
-    }
-  }
-  check(false, "update_entry: (row, col) has no existing entry");
-}
-
 void Model::add_to_row(std::size_t row, std::size_t col, double value) {
   check(row < num_constraints(), "unknown row");
   check(col < num_variables(), "add_to_row references unknown column");

@@ -39,17 +39,14 @@ class Model {
   // --- in-place re-parameterization (parametric solves, warm starting) ----
   // The T-search and column generation keep ONE model alive and mutate it
   // between solves so a basis from the previous solve stays meaningful:
-  // column indices never move, only numbers change.
+  // column indices never move; rhs and bounds change, and rows only grow by
+  // appended columns.
 
   /// Replaces a row's right-hand side.
   void set_rhs(std::size_t row, double rhs);
 
   /// Replaces a variable's bounds (lower must stay finite, upper >= lower).
   void set_bounds(std::size_t col, double lower, double upper);
-
-  /// Replaces the coefficient of an entry that already exists in `row`
-  /// (throws CheckError when (row, col) has no entry).
-  void update_entry(std::size_t row, std::size_t col, double value);
 
   /// Appends an entry for a column that does not yet appear in `row`; the
   /// column index must be >= every column already in the row (the natural

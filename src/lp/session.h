@@ -10,8 +10,8 @@ namespace setsched::lp {
 
 /// One mutable LP solved again and again as a warm chain: the assignment-LP
 /// T-search and branch-and-bound probes, and the column-generation masters.
-/// The caller edits model() between solves (rhs, bounds, coefficients,
-/// appended columns); the session owns everything else the chain needs:
+/// The caller edits model() between solves (rhs, bounds, appended
+/// columns); the session owns everything else the chain needs:
 ///
 ///   * the retained basis. Every solve warm-starts from it, and the end
 ///     basis replaces it iff it is non-empty and the solve was optimal or

@@ -39,8 +39,8 @@ enum class VarStatus : std::uint8_t { kAtLower, kAtUpper, kBasic };
 /// solver and accepted back through SimplexOptions::warm_start, so closely
 /// related solves (the assignment-LP T-search, column-generation rounds) can
 /// skip phase 1 instead of re-deriving a basis from scratch. A basis stays
-/// meaningful across re-parameterizations of the *same* model (rhs, bounds,
-/// coefficient updates) and across appended columns (new columns default to
+/// meaningful across re-parameterizations of the *same* model (rhs and
+/// bounds) and across appended columns (new columns default to
 /// nonbasic-at-lower); it is not transferable between unrelated models.
 struct Basis {
   std::vector<VarStatus> structurals;
@@ -131,12 +131,16 @@ enum class SimplexAlgorithm : std::uint8_t {
 
 struct SimplexOptions {
   /// Feasibility tolerance on variable values / rhs.
+  // lint: allow-knob (LP kernel tuning)
   double feas_tol = 1e-7;  // lint: allow-tolerance (primary definition)
   /// Optimality tolerance on reduced costs.
+  // lint: allow-knob (LP kernel tuning)
   double opt_tol = 1e-9;  // lint: allow-tolerance (primary definition)
   /// Minimum acceptable pivot magnitude.
+  // lint: allow-knob (LP kernel tuning)
   double pivot_tol = 1e-8;  // lint: allow-tolerance (primary definition)
   /// 0 = automatic (proportional to rows + cols).
+  // lint: allow-knob (LP kernel tuning)
   std::size_t max_iterations = 0;
   /// Paranoid mode: snapshot the initial system and verify the incremental
   /// solver state against it after every pivot (throws CheckError on drift).
@@ -152,7 +156,7 @@ struct SimplexOptions {
   const Basis* warm_start = nullptr;
   /// Revised solver: rebuild the LU factorization after this many eta
   /// updates (bounds the eta file and the accumulated roundoff).
-  std::size_t refactor_interval = 64;
+  std::size_t refactor_interval = 64;  // lint: allow-knob (tests shorten it)
   /// Run the post-solve residual audit (lp/guard.h) and, on a non-clean
   /// verdict, the recovery escalation ladder: refactorize-and-warm-re-solve,
   /// then cold solve, then the dense tableau oracle. Off by default — the

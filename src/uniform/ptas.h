@@ -10,7 +10,7 @@ struct PtasOptions {
   /// Must be finite and > 0 (ptas_uniform throws CheckError otherwise).
   double epsilon = 0.5;
   /// DP state budget per feasibility probe.
-  std::size_t max_states = 300'000;
+  std::size_t max_states = 300'000;  // lint: allow-knob (tests shrink it)
 };
 
 struct PtasResult {

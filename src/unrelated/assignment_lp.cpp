@@ -25,13 +25,9 @@ ParametricAssignmentLp::ParametricAssignmentLp(
                options.audit_interval),
       xv_(instance.num_machines(), instance.num_jobs(), kNoVar),
       yv_(instance.num_machines(), instance.num_classes(), kNoVar),
-      packing_row_(instance.num_machines(), instance.num_classes(), kNoVar),
       pinned_(instance.num_jobs(), kUnassigned),
       fixed_zero_(instance.num_machines(), instance.num_jobs(), 0),
       root_fixed_(instance.num_machines(), instance.num_jobs(), 0) {
-  check(!(options.makespan_objective && options.strengthen),
-        "makespan objective is incompatible with strengthening (the packing "
-        "coefficients contain T)");
   const std::size_t n = instance.num_jobs();
   const std::size_t m = instance.num_machines();
   const std::size_t kc = instance.num_classes();
@@ -39,26 +35,20 @@ ParametricAssignmentLp::ParametricAssignmentLp(
   const bool min_T = options.makespan_objective;
   lp::Model& model = session_.model();
 
-  // x variables for pairs allowed by (5) (and (9) when strengthening) at the
-  // loosest guess T_build; tighter probes shrink the set via upper bounds.
+  // x variables for pairs allowed by (5) at the loosest guess T_build;
+  // tighter probes shrink the set via upper bounds.
   for (MachineId i = 0; i < m; ++i) {
     for (JobId j = 0; j < n; ++j) {
       if (!instance.eligible(i, j)) continue;
       if (instance.proc(i, j) > T) continue;
-      if (options.strengthen &&
-          instance.proc(i, j) + instance.setup_for_job(i, j) > T) {
-        continue;
-      }
       xv_(i, j) = model.add_variable(0.0, 1.0, 0.0);
     }
   }
   // y variables; objective = minimize total fractional setups (or nothing in
   // makespan mode, where the explicit T_var column is the whole objective).
-  const auto by_class = instance.jobs_by_class();
   for (MachineId i = 0; i < m; ++i) {
     for (ClassId k = 0; k < kc; ++k) {
       if (instance.setup(i, k) >= kInfinity) continue;
-      if (options.strengthen && instance.setup(i, k) > T) continue;  // (10)
       yv_(i, k) = model.add_variable(0.0, 1.0, min_T ? 0.0 : 1.0);
     }
   }
@@ -110,26 +100,6 @@ ParametricAssignmentLp::ParametricAssignmentLp(
                            lp::Sense::kGreaterEqual, 0.0);
     }
   }
-
-  // (8): class-level packing rows (strengthening only); the y coefficient
-  // s_ik - T is re-parameterized per probe.
-  if (options.strengthen) {
-    for (MachineId i = 0; i < m; ++i) {
-      for (ClassId k = 0; k < kc; ++k) {
-        if (yv_(i, k) == kNoVar) continue;
-        std::vector<lp::Entry> row;
-        for (const JobId j : by_class[k]) {
-          if (xv_(i, j) != kNoVar) {
-            row.push_back({xv_(i, j), instance.proc(i, j)});
-          }
-        }
-        if (row.empty()) continue;
-        row.push_back({yv_(i, k), instance.setup(i, k) - T});
-        packing_row_(i, k) =
-            model.add_constraint(std::move(row), lp::Sense::kLessEqual, 0.0);
-      }
-    }
-  }
 }
 
 void ParametricAssignmentLp::reparameterize(double T) {
@@ -137,7 +107,6 @@ void ParametricAssignmentLp::reparameterize(double T) {
   lp::Model& model = session_.model();
   const std::size_t n = inst.num_jobs();
   const std::size_t m = inst.num_machines();
-  const std::size_t kc = inst.num_classes();
   for (MachineId i = 0; i < m; ++i) {
     for (JobId j = 0; j < n; ++j) {
       const std::size_t v = xv_(i, j);
@@ -153,20 +122,8 @@ void ParametricAssignmentLp::reparameterize(double T) {
                          pinned_[j] == i ? 1.0 : 0.0);
         continue;
       }
-      const bool allowed =
-          fixed_zero_(i, j) == 0 && inst.proc(i, j) <= T &&
-          (!options_.strengthen ||
-           inst.proc(i, j) + inst.setup_for_job(i, j) <= T);
+      const bool allowed = fixed_zero_(i, j) == 0 && inst.proc(i, j) <= T;
       model.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
-    }
-    for (ClassId k = 0; k < kc; ++k) {
-      const std::size_t v = yv_(i, k);
-      if (v == kNoVar) continue;
-      const bool allowed = !options_.strengthen || inst.setup(i, k) <= T;
-      model.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
-      if (packing_row_(i, k) != kNoVar) {
-        model.update_entry(packing_row_(i, k), v, inst.setup(i, k) - T);
-      }
     }
     // Makespan mode keeps the load rhs at 0 (T lives in the T_var column).
     if (!options_.makespan_objective && load_row_[i] != kNoVar) {

@@ -24,11 +24,6 @@ struct FractionalAssignment {
 };
 
 struct AssignmentLpOptions {
-  /// Also add the valid inequalities (8)-(10) from Sec. 3.3.1 (class-level
-  /// packing rows and the p_ij + s_ik <= T / s_ik <= T filters). They hold
-  /// for every instance and strengthen the relaxation; the paper's plain
-  /// ILP-UM omits them, so the default is off.
-  bool strengthen = false;
   /// Replace the setup-mass objective with an explicit makespan variable:
   /// minimize T_var subject to load_i - T_var <= 0 per machine, with the
   /// T-dependent eligibility filters still applied as variable bounds. The
@@ -36,7 +31,6 @@ struct AssignmentLpOptions {
   /// bound the exact branch-and-bound prunes and reduced-cost-fixes against
   /// (min_makespan() / fix_dominated()). Every cost is >= 0, so any basis is
   /// dual-feasible and the dual simplex solves these end to end.
-  /// Incompatible with `strengthen` (the packing coefficients contain T).
   bool makespan_objective = false;
   /// Residual-audit cadence of the numerical safety net (lp/guard.h): every
   /// `audit_interval`-th solve of the warm-probe chain runs under the
@@ -52,13 +46,12 @@ struct AssignmentLpOptions {
 
 /// The relaxation of ILP-UM built ONCE at its loosest makespan guess and
 /// re-parameterized in place for every subsequent probe: the T-dependent
-/// eligibility filters (5)/(9)/(10) become variable upper bounds (0 when a
-/// pair is filtered at the probe's T), T itself appears only in the machine
-/// load rhs (1) and the strengthened packing coefficients (8). Because the
-/// column layout never changes, each solve warm-starts the revised simplex
-/// from the previous probe's basis — this is what turns the geometric
-/// T-search from a chain of cold phase-1 solves into a chain of short
-/// re-optimizations.
+/// eligibility filter (5) becomes a variable upper bound (0 when a pair is
+/// filtered at the probe's T), and T itself appears only in the machine
+/// load rhs (1). Because the column layout never changes, each solve
+/// warm-starts the revised simplex from the previous probe's basis — this
+/// is what turns the geometric T-search from a chain of cold phase-1 solves
+/// into a chain of short re-optimizations.
 class ParametricAssignmentLp {
  public:
   /// Builds the relaxation at guess `T_build`. Probes must satisfy
@@ -166,7 +159,6 @@ class ParametricAssignmentLp {
   Matrix<std::size_t> yv_;              ///< m x K variable ids
   std::size_t tvar_ = SIZE_MAX;         ///< makespan column (makespan mode)
   std::vector<std::size_t> load_row_;   ///< per machine (SIZE_MAX = none)
-  Matrix<std::size_t> packing_row_;     ///< m x K strengthened rows (8)
   std::vector<MachineId> pinned_;       ///< per job; kUnassigned = free
   /// m x n reduced-cost fix COUNTS (0 = free): a pair can be held at zero by
   /// a subtree-scoped fix_dominated() fix and a permanent refix_root() fix

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/annotations.h"
 #include "common/check.h"
 #include "common/prng.h"
 
@@ -65,66 +64,29 @@ Schedule round_fractional(const Instance& instance,
   return schedule;
 }
 
+void round_once(const Instance& instance,
+                const FractionalAssignment& fractional, std::uint64_t seed,
+                RoundingResult* out) {
+  const auto n = static_cast<double>(
+      std::max<std::size_t>(instance.num_jobs(), 2));
+  out->rounds = static_cast<std::size_t>(
+      std::max(1.0, std::ceil(kRoundingC * std::log2(n))));
+  out->schedule = round_fractional(instance, fractional, out->rounds,
+                                   Xoshiro256(seed)(), &out->fallback_jobs);
+  out->makespan = makespan(instance, out->schedule);
+}
+
 RoundingResult randomized_rounding(const Instance& instance,
                                    const RoundingOptions& options) {
   instance.validate();
-  check(options.trials >= 1, "need at least one trial");
-  const std::size_t n = instance.num_jobs();
-
   const LpSearchResult lp =
       search_assignment_lp(instance, options.search_precision, options.lp);
-
-  const std::size_t rounds = static_cast<std::size_t>(std::max(
-      1.0, std::ceil(kRoundingC * std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
 
   RoundingResult out;
   out.lp_T = lp.feasible_T;
   out.lp_lower_bound = lp.lower_bound;
-  out.rounds = rounds;
   out.effort() = lp.effort();
-
-  Xoshiro256 seeder(options.seed);
-  std::vector<std::uint64_t> trial_seeds(options.trials);
-  for (auto& s : trial_seeds) s = seeder();
-
-  /// Cross-trial reduction state; trials run concurrently on options.pool,
-  /// so everything below is guarded (and the guard is compiler-checked).
-  struct BestState {
-    Mutex m;
-    double best_makespan GUARDED_BY(m) = kInfinity;
-    Schedule best_schedule GUARDED_BY(m);
-    std::size_t total_fallback GUARDED_BY(m) = 0;
-  } best;
-  {
-    const MutexLock lock(best.m);
-    best.best_schedule = Schedule::empty(n);
-  }
-
-  const auto run_trial = [&](std::size_t t) {
-    std::size_t fallback = 0;
-    Schedule s =
-        round_fractional(instance, lp.fractional, rounds, trial_seeds[t], &fallback);
-    const double ms = makespan(instance, s);
-    const MutexLock lock(best.m);
-    best.total_fallback += fallback;
-    if (ms < best.best_makespan) {
-      best.best_makespan = ms;
-      best.best_schedule = std::move(s);
-    }
-  };
-
-  if (options.pool != nullptr && options.trials > 1) {
-    options.pool->parallel_for(0, options.trials, run_trial);
-  } else {
-    for (std::size_t t = 0; t < options.trials; ++t) run_trial(t);
-  }
-
-  // The fork-join above has completed; the lock makes that visible to the
-  // analysis (and costs nothing contended).
-  const MutexLock lock(best.m);
-  out.schedule = std::move(best.best_schedule);
-  out.makespan = best.best_makespan;
-  out.fallback_jobs = best.total_fallback;
+  round_once(instance, lp.fractional, options.seed, &out);
   return out;
 }
 

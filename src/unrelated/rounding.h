@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "common/thread_pool.h"
 #include "core/instance.h"
 #include "core/result.h"
 #include "unrelated/assignment_lp.h"
@@ -14,15 +13,12 @@ namespace setsched {
 inline constexpr double kRoundingC = 3.0;
 
 struct RoundingOptions {
+  /// The one sampling run draws its stream from the first output of
+  /// Xoshiro256(seed).
   std::uint64_t seed = 1;
-  /// Independent repetitions of the whole rounding; the best schedule wins.
-  /// The paper uses a single run; more runs only sharpen the whp bound.
-  std::size_t trials = 1;
   /// Binary-search precision for the makespan guess T.
   double search_precision = 0.05;
   AssignmentLpOptions lp = {};
-  /// Optional pool for running trials in parallel (nullptr = sequential).
-  ThreadPool* pool = nullptr;
 };
 
 /// The effort counters echo the LP work of the T-search: the assignment-LP
@@ -39,7 +35,7 @@ struct RoundingResult : EffortCounters {
   /// or the trivial floor). makespan / lp_lower_bound bounds the true ratio.
   double lp_lower_bound = 0.0;
   /// Jobs that stayed unassigned after all rounds and were placed by the
-  /// argmin-p fallback (step 3 of the algorithm), summed over trials.
+  /// argmin-p fallback (step 3 of the algorithm).
   std::size_t fallback_jobs = 0;
   std::size_t rounds = 0;
 };
@@ -52,6 +48,13 @@ struct RoundingResult : EffortCounters {
                                         const FractionalAssignment& fractional,
                                         std::size_t rounds, std::uint64_t seed,
                                         std::size_t* fallback_jobs = nullptr);
+
+/// The sampling step of Theorem 3.3 on a fractional solution: one
+/// round_fractional pass of ceil(kRoundingC * log2 n) rounds, its stream
+/// seeded by the first output of Xoshiro256(seed). Sets out's schedule,
+/// makespan, fallback_jobs and rounds; shared by both T-searches.
+void round_once(const Instance& instance, const FractionalAssignment& fractional,
+                std::uint64_t seed, RoundingResult* out);
 
 /// Full Theorem 3.3 algorithm: dual-approximation binary search for the
 /// smallest LP-feasible T, then randomized rounding of the fractional

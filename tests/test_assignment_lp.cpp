@@ -126,40 +126,6 @@ TEST_P(LpSearchTest, WindowBracketsOptimum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LpSearchTest,
                          ::testing::Range<std::uint64_t>(0, 12));
 
-TEST(AssignmentLp, StrengthenedStillFeasibleAtOptimum) {
-  UnrelatedGenParams p;
-  p.num_jobs = 8;
-  p.num_machines = 3;
-  p.num_classes = 3;
-  const Instance inst = generate_unrelated(p, 7);
-  const ExactResult opt = solve_exact(inst);
-  ASSERT_TRUE(opt.proven_optimal);
-  AssignmentLpOptions o;
-  o.strengthen = true;
-  const auto frac = solve_assignment_lp(inst, opt.makespan, o);
-  ASSERT_TRUE(frac.has_value());
-  expect_valid_fractional(inst, *frac, opt.makespan);
-}
-
-TEST(AssignmentLp, StrengthenedAtLeastAsTight) {
-  // The strengthened relaxation is infeasible whenever the plain one is.
-  UnrelatedGenParams p;
-  p.num_jobs = 10;
-  p.num_machines = 3;
-  p.num_classes = 4;
-  const Instance inst = generate_unrelated(p, 77);
-  AssignmentLpOptions strong;
-  strong.strengthen = true;
-  for (const double t : {0.5, 0.8, 1.0, 1.3}) {
-    const double T = assignment_lp_floor(inst) * t * 2.0;
-    const bool plain = solve_assignment_lp(inst, T).has_value();
-    const bool strengthened = solve_assignment_lp(inst, T, strong).has_value();
-    if (strengthened) {
-      EXPECT_TRUE(plain) << "T=" << T;
-    }
-  }
-}
-
 TEST(AssignmentLp, MinimizesTotalSetupMass) {
   // With a generous T, an (integral) solution with one machine doing all of
   // one class exists; the min-sum-y objective should not open setups it does

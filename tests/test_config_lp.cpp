@@ -128,7 +128,6 @@ TEST(ConfigRounding, ProducesValidSchedule) {
   const Instance inst = generate_unrelated(p, 40);
   RoundingOptions ropt;
   ropt.seed = 3;
-  ropt.trials = 2;
   ropt.search_precision = 0.1;
   const RoundingResult r = randomized_rounding_config(inst, ropt);
   EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
@@ -144,7 +143,6 @@ TEST(ConfigRounding, ComparableToDirectLpRounding) {
   const Instance inst = generate_unrelated(p, 50);
   RoundingOptions ropt;
   ropt.seed = 9;
-  ropt.trials = 3;
   ropt.search_precision = 0.08;
   const RoundingResult direct = randomized_rounding(inst, ropt);
   const RoundingResult config = randomized_rounding_config(inst, ropt);
@@ -177,7 +175,6 @@ TEST(ConfigRounding, LpEffortCountersAccumulateInnerRounds) {
 
   RoundingOptions ropt;
   ropt.seed = 1;
-  ropt.trials = 1;
   ropt.search_precision = 1e9;  // hi/lo < 1 + precision: no bisection probes
   const RoundingResult r = randomized_rounding_config(inst, ropt);
   EXPECT_EQ(r.lp_solves, probe.lp_solves);

@@ -354,9 +354,8 @@ TEST(Exact, LpBoundsCutNodesAtLeastFiveFold) {
       << "plain " << plain.nodes << " vs lp " << bounded.nodes;
 }
 
-// Reduced-cost fixing must be an acceleration, never a change of answer:
-// with fixing on and off the search proves the same optimum, and fixing
-// never expands MORE nodes. Differential against brute force on aggressive
+// Reduced-cost fixing (always on with LP bounds) must never exclude the
+// optimum: the search proves the brute-force optimum on aggressive
 // eligibility holes, where an unsound exclusion would show immediately.
 TEST(Exact, ReducedCostFixingNeverExcludesTheOptimum) {
   UnrelatedGenParams p;
@@ -364,30 +363,14 @@ TEST(Exact, ReducedCostFixingNeverExcludesTheOptimum) {
   p.num_machines = 3;
   p.num_classes = 4;
   p.eligibility = 0.6;
-  std::size_t total_on = 0;
-  std::size_t total_off = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     const Instance inst = generate_unrelated(p, seed + 900);
     const double reference = enumerate_opt(inst);
-    ExactOptions fixing_on;
-    ExactOptions fixing_off;
-    fixing_off.reduced_cost_fixing = false;
-    const ExactResult on = solve_exact(inst, fixing_on);
-    const ExactResult off = solve_exact(inst, fixing_off);
+    const ExactResult on = solve_exact(inst);
     ASSERT_TRUE(on.proven_optimal) << "seed " << seed;
-    ASSERT_TRUE(off.proven_optimal) << "seed " << seed;
     EXPECT_NEAR(on.makespan, reference, 1e-9) << "seed " << seed;
-    EXPECT_NEAR(off.makespan, reference, 1e-9) << "seed " << seed;
-    EXPECT_EQ(off.fixed_vars, 0u) << "seed " << seed;
     EXPECT_FALSE(schedule_error(inst, on.schedule).has_value());
-    total_on += on.nodes;
-    total_off += off.nodes;
   }
-  // Per-seed node counts are not strictly monotone (a fixed pair can deprive
-  // the dominance memo of a state that would have pruned a later sibling),
-  // but in aggregate fixing must not blow the tree up.
-  EXPECT_LE(total_on, total_off + total_off / 10)
-      << "fixing on " << total_on << " vs off " << total_off;
 }
 
 // The new LP-substrate counters must actually fire on an instance the LP

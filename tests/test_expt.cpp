@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/presets.h"
@@ -193,6 +194,63 @@ TEST(ExptPlan, ApplyPlanKeyOverridesAndParsesStrictly) {
   }
   EXPECT_DOUBLE_EQ(parse_positive_double("2.5", "x"), 2.5);
   EXPECT_EQ(parse_u64("18446744073709551615", "seed"), UINT64_MAX);
+}
+
+/// Applies one key to an otherwise valid plan, then validates it: the path
+/// both plan files and setsched_expt's flags take.
+void apply_and_validate(std::string_view key, std::string_view value) {
+  ExperimentPlan plan;
+  plan.presets = {"uniform-small"};
+  plan.solvers = {"greedy"};
+  apply_plan_key(plan, key, value);
+  plan.validate();
+}
+
+// Every numeric plan key rejects negative, trailing-junk, non-finite and
+// out-of-range values with CheckError, and accepts its defined extremes.
+TEST(ExptPlan, NumericKeysRejectBadValuesAndAcceptExtremes) {
+  struct KeyCase {
+    const char* key;
+    std::vector<const char*> bad;
+    std::vector<const char*> extremes;
+  };
+  const std::vector<const char*> bad_real = {
+      "-1", "-0.5", "0", "0.5abc", "nan", "inf", "-inf", "1e309", ""};
+  const std::vector<const char*> extreme_real = {"1e-300", "1e300"};
+  const std::vector<KeyCase> cases = {
+      {"seeds",
+       {"-1", "4abc", "nan", "inf", "0", "1.5", "5..3", "-1..3",
+        "18446744073709551616", "0..18446744073709551615", "1..4294967297"},
+       {"1", "1..4294967296",
+        "18446744073709551615..18446744073709551615"}},
+      {"epsilon", bad_real, extreme_real},
+      {"precision", bad_real, extreme_real},
+      {"time_limit_s", bad_real, extreme_real},
+      // 0 turns the watchdog off and 1e300 s is no watchdog either: the
+      // deadline clamps instead of overflowing.
+      {"cell_timeout_s",
+       {"-1", "-1e-300", "2abc", "nan", "inf", "-inf", "1e309", ""},
+       {"0", "1e-300", "1e300"}},
+      // run_experiment builds a private pool of `threads` OS threads, so the
+      // key is capped at kMaxThreads; only the plan is built here.
+      {"threads",
+       {"-1", "2abc", "nan", "inf", "1.5", "1025", "18446744073709551615",
+        "18446744073709551616", ""},
+       {"0", "1", "1024"}},
+      {"lp_audit_interval",
+       {"-1", "16abc", "nan", "inf", "1.5", "18446744073709551616", ""},
+       {"0", "18446744073709551615"}},
+  };
+  for (const KeyCase& c : cases) {
+    for (const char* value : c.bad) {
+      EXPECT_THROW(apply_and_validate(c.key, value), CheckError)
+          << c.key << " = '" << value << "'";
+    }
+    for (const char* value : c.extremes) {
+      EXPECT_NO_THROW(apply_and_validate(c.key, value))
+          << c.key << " = '" << value << "'";
+    }
+  }
 }
 
 TEST(ExptPlan, CellKeyOrderIsPresetSeedSolver) {

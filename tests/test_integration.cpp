@@ -35,7 +35,6 @@ TEST_P(UnrelatedPipelineTest, AllAlgorithmsConsistent) {
 
   RoundingOptions ropt;
   ropt.seed = GetParam() + 1;
-  ropt.trials = 2;
   const RoundingResult rounding = randomized_rounding(inst, ropt);
   const ScheduleResult greedy = greedy_min_load(inst);
   const ScheduleResult batch = greedy_class_batch(inst);

@@ -107,41 +107,24 @@ TEST(RandomizedRounding, DeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
 }
 
-TEST(RandomizedRounding, MoreTrialsNeverWorseGivenSameSeedStream) {
+// Thm 3.3 is one sampling run, its stream the first output of the seed's
+// Xoshiro256: the rows of every rounding sweep depend on that draw.
+TEST(RandomizedRounding, SamplesOnceFromTheSeedStream) {
   UnrelatedGenParams p;
   p.num_jobs = 16;
   p.num_machines = 4;
   p.num_classes = 5;
   const Instance inst = generate_unrelated(p, 6);
-
-  RoundingOptions one;
-  one.seed = 21;
-  one.trials = 1;
-  RoundingOptions four;
-  four.seed = 21;
-  four.trials = 4;
-  const RoundingResult r1 = randomized_rounding(inst, one);
-  const RoundingResult r4 = randomized_rounding(inst, four);
-  // Trial seeds are drawn from the same stream, so trial 0 coincides and
-  // best-of-4 can only improve.
-  EXPECT_LE(r4.makespan, r1.makespan + 1e-9);
-}
-
-TEST(RandomizedRounding, ParallelTrialsMatchSequential) {
-  UnrelatedGenParams p;
-  p.num_jobs = 14;
-  p.num_machines = 4;
-  p.num_classes = 4;
-  const Instance inst = generate_unrelated(p, 8);
-  ThreadPool pool(3);
-  RoundingOptions seq;
-  seq.seed = 33;
-  seq.trials = 6;
-  RoundingOptions par = seq;
-  par.pool = &pool;
-  const RoundingResult a = randomized_rounding(inst, seq);
-  const RoundingResult b = randomized_rounding(inst, par);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  RoundingOptions opt;
+  opt.seed = 21;
+  const RoundingResult r = randomized_rounding(inst, opt);
+  const LpSearchResult lp = search_assignment_lp(inst, opt.search_precision);
+  std::size_t fallback = 0;
+  const Schedule once = round_fractional(inst, lp.fractional, r.rounds,
+                                         Xoshiro256(opt.seed)(), &fallback);
+  EXPECT_EQ(r.schedule, once);
+  EXPECT_EQ(r.fallback_jobs, fallback);
+  EXPECT_DOUBLE_EQ(r.makespan, makespan(inst, once));
 }
 
 class RoundingRatioTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -155,7 +138,6 @@ TEST_P(RoundingRatioTest, WithinLogFactorOfLpBound) {
   const Instance inst = generate_unrelated(p, GetParam() + 100);
   RoundingOptions opt;
   opt.seed = GetParam();
-  opt.trials = 3;
   const RoundingResult r = randomized_rounding(inst, opt);
   EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
   // Theorem 3.3: makespan = O(T (log n + log m)). The constant is modest in
@@ -182,7 +164,6 @@ TEST_P(RoundingVsExactTest, NearOptimalOnSmallInstances) {
   ASSERT_TRUE(exact.proven_optimal);
   RoundingOptions opt;
   opt.seed = GetParam();
-  opt.trials = 5;
   const RoundingResult r = randomized_rounding(inst, opt);
   // Empirically the rounding is a small constant factor from optimal at this
   // scale; 3x is a loose, stable envelope (the proven bound is logarithmic).

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint for setsched (runs as ctest `test_lint`).
 
-Four rules, each protecting an invariant the compiler cannot see:
+Five rules, each protecting an invariant the compiler cannot see:
 
   float-eq     No floating-point ==/!= against a nonzero decimal literal in
                src/lp or src/exact. Exact-zero tests (`x == 0.0`) are sparse-
@@ -34,6 +34,15 @@ Four rules, each protecting an invariant the compiler cannot see:
                --cell-timeout=1e300 overflows the tick count into the past
                and aborts the run at once. No suppression.
 
+  knob         Every data member of a `struct *Options` declared in a header
+               under src/ is assigned (`.name =`, `->name =`, or a
+               compound assignment) somewhere in src/ or perfbench/ outside
+               its declaration; tests/ and examples/ do not count. An option
+               no production caller sets is a constant in disguise: make it
+               one. Members match by name, so any same-named member's
+               assignment counts. Suppress on the declaration's line or the
+               line just above it: `// lint: allow-knob (why it stays)`.
+
 Every suppression requires a non-empty reason in parentheses; a bare
 `lint: allow-*` marker is itself a violation. Exit status 0 iff clean.
 """
@@ -51,9 +60,11 @@ MUTEX_SCOPE = ("src",)
 MUTEX_EXEMPT = {"src/common/annotations.h"}
 DEADLINE_SCOPE = ("src",)
 DEADLINE_EXEMPT = {"src/common/timer.h"}
+KNOB_SCOPE = ("src", "perfbench")  # where an assignment counts
 
 SUPPRESS_RE = re.compile(
-    r"lint:\s*allow-(?P<rule>tolerance-file|tolerance|float-eq|raw-mutex)"
+    r"lint:\s*allow-(?P<rule>tolerance-file|tolerance|float-eq|raw-mutex"
+    r"|knob)"
     # The reason may wrap to the next comment line, so accept end-of-line in
     # place of the closing parenthesis.
     r"(?:\s*\((?P<reason>[^)]*)(?:\)|$))?")
@@ -70,6 +81,8 @@ RAW_MUTEX_RE = re.compile(
     r"|\bstd::condition_variable(?:_any)?\b")
 DEADLINE_RE = re.compile(
     r"\bduration_cast\s*<\s*(?:[\w:]*\bsteady_clock|Clock)::duration\s*>")
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*\{")
+MEMBER_NAME_RE = re.compile(r"(\w+)\s*(?:=.*|\{.*\})?$", re.DOTALL)
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -94,6 +107,10 @@ def strip_comments_and_strings(text: str) -> str:
             if c == '"':
                 state = "string"
                 out.append(" ")
+                i += 1
+                continue
+            if c == "'" and out and out[-1].isdigit() and nxt.isalnum():
+                out.append(c)  # digit separator (200'000), not a char
                 i += 1
                 continue
             if c == "'":
@@ -128,10 +145,45 @@ def strip_comments_and_strings(text: str) -> str:
     return "".join(out)
 
 
+def options_members(code: str):
+    """(struct, member, offset) of every data member of each `struct
+    *Options` in comment-stripped `code`; member functions, static members
+    and nested types are skipped."""
+    for m in OPTIONS_STRUCT_RE.finditer(code):
+        depth, start = 1, m.end()
+        for i in range(m.end(), len(code)):
+            c = code[i]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+                decl = re.split(r"[={]", code[start:i], maxsplit=1)[0]
+                if depth == 1 and "(" in decl:
+                    start = i + 1  # end of an inline member function body
+            elif c == ";" and depth == 1:
+                stmt = code[start:i]
+                decl = re.split(r"[={]", stmt, maxsplit=1)[0]
+                words = decl.split()
+                if (words and "(" not in decl and words[0] not in
+                        ("static", "using", "friend", "enum", "struct",
+                         "class", "typedef", "template")):
+                    name = re.search(r"(\w+)\s*$", decl)
+                    if name:
+                        yield (m.group(1), name.group(1),
+                               start + name.start(1))
+                start = i + 1
+
+
 class Linter:
     def __init__(self, root: pathlib.Path):
         self.root = root
         self.violations: list[str] = []
+        # knob: declared members (path, line, struct, name, suppressed) and
+        # the comment-stripped code in which an assignment counts.
+        self.knob_decls: list[tuple[pathlib.Path, int, str, str, bool]] = []
+        self.knob_code: list[str] = []
 
     def report(self, path: pathlib.Path, line_no: int, rule: str, msg: str):
         rel = path.relative_to(self.root)
@@ -159,7 +211,17 @@ class Linter:
                 else:
                     line_allows.setdefault(idx, set()).add(rule)
 
-        code_lines = strip_comments_and_strings(raw).splitlines()
+        code = strip_comments_and_strings(raw)
+        code_lines = code.splitlines()
+
+        if rel.startswith(KNOB_SCOPE):
+            self.knob_code.append(code)
+        if rel.startswith("src/") and rel.endswith(".h"):
+            for struct, name, offset in options_members(code):
+                line = code.count("\n", 0, offset) + 1
+                allowed = any("knob" in line_allows.get(k, set())
+                              for k in (line, line - 1))
+                self.knob_decls.append((path, line, struct, name, allowed))
 
         in_tol_scope = rel.startswith(TOLERANCE_SCOPE)
         in_eq_scope = rel.startswith(FLOAT_EQ_SCOPE)
@@ -205,17 +267,42 @@ class Linter:
                     f"unclamped {cast} outside common/timer.h; build "
                     "deadlines with deadline_in()")
 
-    def run(self) -> int:
-        files = sorted((self.root / "src").rglob("*.h"))
-        files += sorted((self.root / "src").rglob("*.cpp"))
+    def check_knobs(self):
+        code = "\n".join(self.knob_code)
+        for path, line, struct, name, allowed in self.knob_decls:
+            assigned = re.search(
+                r"(?:\.|->)\s*" + name + r"\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)",
+                code) is not None
+            if not assigned and not allowed:
+                self.report(path, line, "knob",
+                            f"{struct}::{name} is never set in src/ or "
+                            "perfbench/; make it a constant (or annotate "
+                            "`lint: allow-knob (why)`)")
+
+    def scan_tree(self) -> int:
+        """Scans src/ under every rule and perfbench/ for knob assignments;
+        returns the number of files scanned."""
+        files = []
+        for top in KNOB_SCOPE:
+            for pattern in ("*.h", "*.cpp"):
+                files += sorted((self.root / top).rglob(pattern))
         for path in files:
-            self.scan_file(path)
+            if path.relative_to(self.root).as_posix().startswith("src/"):
+                self.scan_file(path)
+            else:  # perfbench: only its assignments count, for knob
+                raw = path.read_text(encoding="utf-8")
+                self.knob_code.append(strip_comments_and_strings(raw))
+        self.check_knobs()
+        return len(files)
+
+    def run(self) -> int:
+        scanned = self.scan_tree()
         if self.violations:
             for v in self.violations:
                 print(v)
             print(f"\nlint_invariants: {len(self.violations)} violation(s)")
             return 1
-        print(f"lint_invariants: OK ({len(files)} files scanned)")
+        print(f"lint_invariants: OK ({scanned} files scanned)")
         return 0
 
 
@@ -252,11 +339,31 @@ def self_test() -> int:
         (root / "src/common/timer.h").write_text(
             "auto e = now + duration_cast<Clock::duration>(s);\n")  # exempt
 
+        (root / "src/knob").mkdir(parents=True)
+        (root / "src/knob/opts.h").write_text(
+            "struct FooOptions {\n"
+            "  int set_in_src = 1;\n"
+            "  int set_in_perfbench = 2;\n"
+            "  int set_in_tests = 3;\n"               # knob fires
+            "  int never_set = 4;\n"                  # knob fires
+            "  std::size_t big = 200'000;\n"          # knob fires
+            "  int kept = 5;  // lint: allow-knob (self-test)\n"
+            "  // lint: allow-knob (self-test, line above)\n"
+            "  int kept_above = 6;\n"
+            "  [[nodiscard]] int twice() const { return set_in_src * 2; }\n"
+            "  static constexpr int kLimit = 7;\n"
+            "};\n")
+        (root / "src/knob/use.cpp").write_text(
+            "void g(FooOptions& o) { o.set_in_src = 2; }\n")
+        (root / "perfbench").mkdir()
+        (root / "perfbench/use.cpp").write_text(
+            "void h(FooOptions* o) { o->set_in_perfbench += 1; }\n")
+        (root / "tests").mkdir()
+        (root / "tests/use.cpp").write_text(
+            "void t(FooOptions& o) { o.set_in_tests = 9; }\n")
+
         linter = Linter(root)
-        for path in sorted((root / "src").rglob("*.cpp")):
-            linter.scan_file(path)
-        for path in sorted((root / "src").rglob("*.h")):
-            linter.scan_file(path)
+        linter.scan_tree()
 
         text = "\n".join(linter.violations)
         expectations = {
@@ -273,6 +380,12 @@ def self_test() -> int:
                 print(f"self-test FAILED: rule '{rule}' did not fire "
                       f"(expected a violation mentioning '{needle}')")
                 failed = True
+        knob_hits = sorted(v.split("::")[1].split()[0]
+                           for v in linter.violations if "[knob]" in v)
+        if knob_hits != ["big", "never_set", "set_in_tests"]:
+            print("self-test FAILED: rule 'knob' should fire on big, "
+                  f"never_set and set_in_tests only, fired on {knob_hits}")
+            failed = True
         deadline_hits = sorted(
             v.split(":")[1] for v in linter.violations if "[deadline]" in v)
         if deadline_hits != ["1", "3", "4"]:
