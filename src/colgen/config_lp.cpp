@@ -18,9 +18,18 @@ namespace {
 constexpr std::size_t kConfigLpGrid = 2048;
 /// Pricing rounds per probe before it reports kIterationLimit.
 constexpr std::size_t kConfigLpMaxRounds = 80;
-/// Dual-value margin an improving column must beat its machine's convexity
-/// dual by, and the coverage slack of the kFeasible verdict.
-constexpr double kConfigLpTol = 1e-6;
+/// Grid units subtracted before a weight is rounded up, absorbing the
+/// roundoff of p / unit so an exact multiple of the unit is not rounded up
+/// one unit too far. It can only lower a weight, so every configuration
+/// whose true load fits stays priceable (the grid-conservatism certificate
+/// of exact/config_bound.h); a priced set overshoots T by at most this many
+/// units per item.
+constexpr double kWeightRoundingSlack =
+    1e-12;  // lint: allow-tolerance (named definition site)
+/// Agreement the backtrack's recomputed class table must reach with the
+/// forward pass at the chosen capacity (both sum the same duals).
+constexpr double kBacktrackTol =
+    1e-9;  // lint: allow-tolerance (named definition site)
 
 }  // namespace
 
@@ -28,9 +37,11 @@ PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
                                   const std::vector<double>& dual,
                                   std::size_t grid, double tol,
                                   const std::vector<MachineId>* pinned) {
+  check(T > 0.0, "config pricing needs a positive makespan guess");
   const double unit = T / static_cast<double>(grid);
   const auto weight_of = [&](double x) -> std::size_t {
-    return static_cast<std::size_t>(std::ceil(x / unit - 1e-12));
+    return static_cast<std::size_t>(
+        std::ceil(x / unit - kWeightRoundingSlack));
   };
 
   PricedConfig best;
@@ -163,7 +174,8 @@ PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
     const ClassStage& stage = stages[s];
     std::vector<char> choice(stage.items.size() * width, 0);
     const auto inner = run_class(stage, before, &choice);
-    check(std::abs(inner[w] - after[w]) < 1e-9, "pricing backtrack mismatch");
+    check(std::abs(inner[w] - after[w]) < kBacktrackTol,
+          "pricing backtrack mismatch");
     for (std::size_t t = stage.items.size(); t-- > 0;) {
       if (choice[t * width + w]) {
         best.jobs.push_back(stage.items[t].job);
@@ -211,7 +223,7 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     const auto price_one = [&](std::size_t i) {
       priced[i] = price_machine_config(instance, static_cast<MachineId>(i), T,
                                        master.job_duals(), kConfigLpGrid,
-                                       kConfigLpTol);
+                                       kConfigLpPricingTol);
     };
     {
       const obs::PhaseTimer phase(obs::Phase::kColgenPricing);
@@ -229,7 +241,9 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     bool added = false;
     for (MachineId i = 0; i < m; ++i) {
       if (priced[i].jobs.empty()) continue;
-      if (priced[i].value <= master.machine_duals()[i] + kConfigLpTol) continue;
+      if (priced[i].value <= master.machine_duals()[i] + kConfigLpPricingTol) {
+        continue;
+      }
       added = true;
       const std::size_t z = master.add_column(i, priced[i].jobs);
       columns.push_back({i, std::move(priced[i].jobs), z});
@@ -245,7 +259,7 @@ ConfigLpResult solve_config_lp(const Instance& instance, double T,
     check(sol.optimal(), "RMP solve failed");
     out.coverage = sol.objective;
 
-    if (sol.objective >= static_cast<double>(n) - kConfigLpTol) {
+    if (sol.objective >= static_cast<double>(n) - kConfigLpPricingTol) {
       // Feasible: recover (x, y).
       FractionalAssignment frac{
           Matrix<double>(m, n, 0.0),
@@ -288,10 +302,20 @@ RoundingResult randomized_rounding_config(const Instance& instance,
                                           const RoundingOptions& rounding,
                                           const ConfigLpOptions& config) {
   instance.validate();
-  double lo = assignment_lp_floor(instance);
-  double hi = std::max(lo, unrelated_upper_bound(instance));
-
   RoundingResult out;
+  const double upper = unrelated_upper_bound(instance);
+  if (upper <= 0.0) {
+    // Every job has a free machine: the best-machine schedule has makespan
+    // 0 and is optimal (and a zero guess has no pricing grid).
+    out.schedule = best_machine_schedule(instance);
+    return out;
+  }
+  // The setup-blind floor is 0 when every job has a zero-processing
+  // machine; the geometric search needs a positive left end, and the
+  // setup-aware bound is positive whenever OPT is.
+  double lo = assignment_lp_floor(instance);
+  if (lo <= 0.0) lo = unrelated_lower_bound(instance);
+  double hi = std::max(lo, upper);
   out.lp_lower_bound = lo;  // certified independent of the pricing grid
 
   // The grid is conservative: an integral schedule's makespan may be

@@ -9,6 +9,15 @@
 
 namespace setsched {
 
+/// Pricing tolerance of the configuration LP, shared by the T-search
+/// (solve_config_lp) and the branch-and-price bounder (exact/config_bound.h)
+/// so both restricted masters behave alike: the dual-value margin a priced
+/// column must beat its machine's convexity dual by to count as improving,
+/// the per-job dual floor below which free jobs are not priced, and the
+/// coverage slack of the kFeasible verdict (coverage >= n - tol).
+inline constexpr double kConfigLpPricingTol =
+    1e-6;  // lint: allow-tolerance (named definition site)
+
 /// Column-generation solver for the *configuration LP* of scheduling with
 /// setup times: a configuration of machine i is a job set S with
 ///   Σ_{j∈S} p_ij + Σ_{k: S∩J_k≠∅} s_ik <= T.

@@ -103,7 +103,7 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
                                               std::size_t max_rounds) {
   const std::size_t n = inst_.num_jobs();
   const std::size_t m = inst_.num_machines();
-  const double coverage_target = static_cast<double>(n) - kCgPricingTol;
+  const double coverage_target = static_cast<double>(n) - kConfigLpPricingTol;
   // The prune certificate needs headroom for pricing's per-machine dual
   // tolerance (see kCgCoverageSlackPerRow).
   const double prune_below = static_cast<double>(n) -
@@ -123,12 +123,12 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
     for (MachineId i = 0; i < m; ++i) {
       PricedConfig priced =
           price_machine_config(inst_, i, t_eff, master_->job_duals(),
-                               opt_.grid, kCgPricingTol, &pinned_);
+                               opt_.grid, kConfigLpPricingTol, &pinned_);
       // The jobs pinned to machine i alone overflow the grid: their true
       // load exceeds the probe T in every completion (grid conservatism).
       if (!priced.pins_fit) return Probe::kInfeasible;
       if (priced.jobs.empty()) continue;
-      if (priced.value <= master_->machine_duals()[i] + kCgPricingTol) {
+      if (priced.value <= master_->machine_duals()[i] + kConfigLpPricingTol) {
         continue;
       }
       add_column(i, std::move(priced.jobs));

@@ -49,19 +49,32 @@ inline constexpr double kCertRelTol = 1e-9;
 /// on degenerate instances whose lower bound is 0.
 inline constexpr double kGapDenominatorFloor = 1e-9;
 
-/// Configuration-LP bounder (exact/config_bound.h) pricing tolerance: the
-/// dual-value margin a priced column must beat its machine's convexity dual
-/// by to count as improving, and the per-job dual floor below which free
-/// jobs are not priced. Matches kConfigLpTol (colgen/config_lp.cpp) so the
-/// bounder's RMP behaves like the T-search colgen's.
-inline constexpr double kCgPricingTol = 1e-6;
+/// Prune threshold of the assignment-LP bounder (exact/lp_bound.h): a node
+/// whose minimum fractional makespan exceeds
+/// T * (1 + kLpPruneRelSlack) + kLpPruneAbsSlack is pruned against the
+/// cutoff T. The slack keeps a relaxation that meets T up to the simplex's
+/// roundoff from pruning a subtree that holds a schedule of makespan T.
+inline constexpr double kLpPruneRelSlack = 1e-9;
+inline constexpr double kLpPruneAbsSlack = 1e-9;
+
+/// Relative margin of reduced-cost fixing (LpBounder::fix_dominated and
+/// refix_root): a pair is fixed to 0 only when its sensitivity bound
+/// value + d_ij reaches cutoff + kFixMarginRel * max(1, |cutoff|), so a
+/// bound that meets the cutoff only up to the LP's roundoff never excludes
+/// a pair an improving completion may use.
+inline constexpr double kFixMarginRel = 1e-7;
+
+/// A column whose LP value exceeds kAtLowerTol is off its lower bound: it
+/// carries no sensitivity bound, so fixing and the root snapshot skip it.
+inline constexpr double kAtLowerTol = 1e-9;
 
 /// Coverage slack of the config-LP prune certificate: pricing tolerates a
-/// dual-feasibility violation of up to kCgPricingTol per machine row, so
-/// "no improving column" only certifies that the full pin-consistent master
-/// stays below RMP coverage + (m+1)·kCgPricingTol. A prune therefore
-/// requires coverage < n - (m+1)·kCgPricingTol; the matching feasible
-/// verdict fires at coverage >= n - kCgPricingTol (the colgen convention),
+/// dual-feasibility violation of up to kConfigLpPricingTol
+/// (colgen/config_lp.h) per machine row, so "no improving column" only
+/// certifies that the full pin-consistent master stays below RMP coverage +
+/// (m+1)·kConfigLpPricingTol. A prune therefore requires coverage < n -
+/// (m+1)·kConfigLpPricingTol; the matching feasible verdict fires at
+/// coverage >= n - kConfigLpPricingTol (the colgen convention),
 /// and the ambiguous sliver in between is treated as feasible (no prune).
 inline constexpr double kCgCoverageSlackPerRow = 1e-6;
 

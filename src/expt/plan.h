@@ -43,8 +43,10 @@ struct ExperimentPlan {
   /// own injection stream from its cell_seed, so sweeps are reproducible
   /// cell-by-cell regardless of scheduling.
   std::string inject;
-  /// Residual-audit cadence for the approximation pipelines' LP chains (plan
-  /// key `lp_audit_interval`; 0 = off). Exact bound probes audit always.
+  /// Residual audits for the approximation pipelines (plan key
+  /// `lp_audit_interval`; 0 = off): the assignment-LP chain of `rounding`
+  /// and `assignment-lp` audits every K-th solve, the other LP solvers
+  /// audit every solve at any K >= 1. Exact bound probes audit always.
   std::size_t lp_audit_interval = 0;
 
   [[nodiscard]] std::size_t num_seeds() const noexcept {

@@ -9,309 +9,128 @@
 
 namespace setsched {
 
-namespace {
-
-constexpr std::size_t kNoVar = SIZE_MAX;
-
-}  // namespace
-
-ParametricAssignmentLp::ParametricAssignmentLp(
-    const Instance& instance, double T_build,
-    const AssignmentLpOptions& options)
-    : instance_(&instance),
-      options_(options),
-      T_build_(T_build),
-      session_(lp::Model(lp::Objective::kMinimize), options.simplex,
-               options.audit_interval),
-      xv_(instance.num_machines(), instance.num_jobs(), kNoVar),
-      yv_(instance.num_machines(), instance.num_classes(), kNoVar),
-      pinned_(instance.num_jobs(), kUnassigned),
-      fixed_zero_(instance.num_machines(), instance.num_jobs(), 0),
-      root_fixed_(instance.num_machines(), instance.num_jobs(), 0) {
+AssignmentLpLayout build_assignment_lp(const Instance& instance,
+                                       double T_build, lp::Model* model) {
   const std::size_t n = instance.num_jobs();
   const std::size_t m = instance.num_machines();
   const std::size_t kc = instance.num_classes();
-  const double T = T_build;
-  const bool min_T = options.makespan_objective;
-  lp::Model& model = session_.model();
+  AssignmentLpLayout out{Matrix<std::size_t>(m, n, kNoVar),
+                         Matrix<std::size_t>(m, kc, kNoVar),
+                         std::vector<std::size_t>(m, kNoVar)};
+  Matrix<std::size_t>& xv = out.x_var;
+  Matrix<std::size_t>& yv = out.y_var;
 
   // x variables for pairs allowed by (5) at the loosest guess T_build;
   // tighter probes shrink the set via upper bounds.
   for (MachineId i = 0; i < m; ++i) {
     for (JobId j = 0; j < n; ++j) {
       if (!instance.eligible(i, j)) continue;
-      if (instance.proc(i, j) > T) continue;
-      xv_(i, j) = model.add_variable(0.0, 1.0, 0.0);
+      if (instance.proc(i, j) > T_build) continue;
+      xv(i, j) = model->add_variable(0.0, 1.0, 0.0);
     }
   }
-  // y variables; objective = minimize total fractional setups (or nothing in
-  // makespan mode, where the explicit T_var column is the whole objective).
+  // y variables; objective = minimize total fractional setups.
   for (MachineId i = 0; i < m; ++i) {
     for (ClassId k = 0; k < kc; ++k) {
       if (instance.setup(i, k) >= kInfinity) continue;
-      yv_(i, k) = model.add_variable(0.0, 1.0, min_T ? 0.0 : 1.0);
+      yv(i, k) = model->add_variable(0.0, 1.0, 1.0);
     }
   }
-  if (min_T) tvar_ = model.add_variable(0.0, kInfinity, 1.0);
 
   // (2): every job fully assigned.
   for (JobId j = 0; j < n; ++j) {
     std::vector<lp::Entry> row;
     for (MachineId i = 0; i < m; ++i) {
-      if (xv_(i, j) != kNoVar) row.push_back({xv_(i, j), 1.0});
+      if (xv(i, j) != kNoVar) row.push_back({xv(i, j), 1.0});
     }
     if (row.empty()) {  // job cannot run anywhere under T_build
-      structurally_infeasible_ = true;
-      return;
+      out.structurally_infeasible = true;
+      return out;
     }
-    model.add_constraint(std::move(row), lp::Sense::kEqual, 1.0);
+    model->add_constraint(std::move(row), lp::Sense::kEqual, 1.0);
   }
 
-  // (1): machine load, rhs = T (re-parameterized per probe). In makespan
-  // mode the load is charged against the T_var column instead: load_i -
-  // T_var <= 0, rhs fixed at 0, min T_var the objective.
-  load_row_.assign(m, kNoVar);
+  // (1): machine load, rhs = T_build.
   for (MachineId i = 0; i < m; ++i) {
     std::vector<lp::Entry> row;
     for (JobId j = 0; j < n; ++j) {
-      if (xv_(i, j) != kNoVar) row.push_back({xv_(i, j), instance.proc(i, j)});
+      if (xv(i, j) != kNoVar) row.push_back({xv(i, j), instance.proc(i, j)});
     }
     for (ClassId k = 0; k < kc; ++k) {
-      if (yv_(i, k) != kNoVar) row.push_back({yv_(i, k), instance.setup(i, k)});
+      if (yv(i, k) != kNoVar) row.push_back({yv(i, k), instance.setup(i, k)});
     }
     if (!row.empty()) {
-      if (min_T) row.push_back({tvar_, -1.0});
-      load_row_[i] = model.add_constraint(std::move(row),
-                                          lp::Sense::kLessEqual,
-                                          min_T ? 0.0 : T);
+      out.load_row[i] = model->add_constraint(std::move(row),
+                                              lp::Sense::kLessEqual, T_build);
     }
   }
 
   // (4): setup dominates assignment, per eligible (i, j).
   for (MachineId i = 0; i < m; ++i) {
     for (JobId j = 0; j < n; ++j) {
-      if (xv_(i, j) == kNoVar) continue;
+      if (xv(i, j) == kNoVar) continue;
       const ClassId k = instance.job_class(j);
-      if (yv_(i, k) == kNoVar) {  // x allowed but y not (unreachable for
-        structurally_infeasible_ = true;  // validated instances)
-        return;
+      if (yv(i, k) == kNoVar) {  // x allowed but y not (unreachable for
+        out.structurally_infeasible = true;  // validated instances)
+        return out;
       }
-      model.add_constraint({{yv_(i, k), 1.0}, {xv_(i, j), -1.0}},
-                           lp::Sense::kGreaterEqual, 0.0);
+      model->add_constraint({{yv(i, k), 1.0}, {xv(i, j), -1.0}},
+                            lp::Sense::kGreaterEqual, 0.0);
     }
   }
+  return out;
 }
 
-void ParametricAssignmentLp::reparameterize(double T) {
-  const Instance& inst = *instance_;
-  lp::Model& model = session_.model();
-  const std::size_t n = inst.num_jobs();
-  const std::size_t m = inst.num_machines();
-  for (MachineId i = 0; i < m; ++i) {
-    for (JobId j = 0; j < n; ++j) {
-      const std::size_t v = xv_(i, j);
-      if (v == kNoVar) continue;
-      if (pinned_[j] != kUnassigned) {
-        // Pinned jobs override the T filters: x is fixed to the pin. A pin
-        // whose processing time exceeds T still reads as "does not fit
-        // under T": in setup-mass mode the load row's forced activity
-        // exceeds its rhs (infeasible), in makespan mode T_var absorbs the
-        // load and min_makespan() returns a value > T that feasible()
-        // rejects against its threshold.
-        model.set_bounds(v, pinned_[j] == i ? 1.0 : 0.0,
-                         pinned_[j] == i ? 1.0 : 0.0);
-        continue;
-      }
-      const bool allowed = fixed_zero_(i, j) == 0 && inst.proc(i, j) <= T;
-      model.set_bounds(v, 0.0, allowed ? 1.0 : 0.0);
-    }
-    // Makespan mode keeps the load rhs at 0 (T lives in the T_var column).
-    if (!options_.makespan_objective && load_row_[i] != kNoVar) {
-      model.set_rhs(load_row_[i], T);
-    }
-  }
-}
+ParametricAssignmentLp::ParametricAssignmentLp(
+    const Instance& instance, double T_build,
+    const AssignmentLpOptions& options)
+    : instance_(&instance),
+      T_build_(T_build),
+      session_(lp::Model(lp::Objective::kMinimize), options.simplex,
+               options.audit_interval),
+      layout_(build_assignment_lp(instance, T_build, &session_.model())) {}
 
-void ParametricAssignmentLp::pin_job(JobId j, MachineId i) {
-  unpin_job(j);
-  pinned_[j] = i;
-  if (!structurally_infeasible_ && xv_(i, j) == kNoVar) ++impossible_pins_;
-}
-
-void ParametricAssignmentLp::unpin_job(JobId j) {
-  const MachineId i = pinned_[j];
-  if (i == kUnassigned) return;
-  pinned_[j] = kUnassigned;
-  if (!structurally_infeasible_ && xv_(i, j) == kNoVar) --impossible_pins_;
-}
-
-const lp::Solution& ParametricAssignmentLp::run_solve(double T) {
-  // Infeasibility by structure (a pin onto a variable absent from the model)
-  // is exact combinatorial knowledge, not simplex output: trusted without an
-  // audit, but still counted as a probe of the chain.
-  if (structurally_infeasible_ || impossible_pins_ > 0) {
-    return session_.record_infeasible();
+std::optional<FractionalAssignment> ParametricAssignmentLp::solve(double T) {
+  // A job that fits nowhere at T_build is exact combinatorial knowledge,
+  // not simplex output: trusted without an audit, but still counted as a
+  // probe of the chain.
+  if (layout_.structurally_infeasible) {
+    session_.record_infeasible();
+    return std::nullopt;
   }
   check(T <= T_build_ * (1.0 + 1e-9) + 1e-12,
         "parametric assignment LP probed above its build guess");
-  reparameterize(T);
-  return session_.solve();
-}
-
-std::optional<double> ParametricAssignmentLp::min_makespan(double T_filter) {
-  check(options_.makespan_objective,
-        "min_makespan needs AssignmentLpOptions::makespan_objective");
-  const lp::Solution& sol = run_solve(T_filter);
-  if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
-  check(sol.optimal(), "makespan LP solve failed (not optimal/infeasible)");
-  return sol.objective;
-}
-
-void ParametricAssignmentLp::compute_reduced_costs() {
-  // Reduced costs d_j = c_j - y^T A_j in one sweep over the rows (the model
-  // is a minimization, so a nonbasic-at-lower column satisfies d_j >= 0 and
-  // the sensitivity bound obj(x_j >= t) >= value + d_j * t). The scratch
-  // buffer is a member: this runs on every LP-probed branch-and-bound node.
-  const lp::Model& model = session_.model();
-  const std::vector<double>& duals = session_.last().duals;
-  std::vector<double>& reduced = reduced_scratch_;
-  reduced.assign(model.num_variables(), 0.0);
-  for (std::size_t v = 0; v < model.num_variables(); ++v) {
-    reduced[v] = model.objective(v);
-  }
-  for (std::size_t r = 0; r < model.num_constraints(); ++r) {
-    const double y = duals[r];
-    if (y == 0.0) continue;
-    for (const lp::Entry& e : model.row(r)) reduced[e.col] -= y * e.value;
-  }
-}
-
-std::size_t ParametricAssignmentLp::fix_dominated(
-    double cutoff, std::vector<std::pair<JobId, MachineId>>* out) {
-  check(options_.makespan_objective,
-        "fix_dominated needs AssignmentLpOptions::makespan_objective");
-  const lp::Solution& last = session_.last();
-  if (!last.optimal()) return 0;
-  // Reduced-cost fixing acts only on audited (or unaudited-but-trusted)
-  // duals: a contested solve's sensitivity bounds could exclude pairs the
-  // true relaxation allows, which would silently cut off optimal schedules.
-  if (last.audit_contested()) return 0;
-  const double value = last.objective;
-  const double margin = 1e-7 * std::max(1.0, std::abs(cutoff));
-  if (value >= cutoff) return 0;  // the whole node prunes anyway
-
-  compute_reduced_costs();
-  const std::vector<double>& reduced = reduced_scratch_;
-  const Instance& inst = *instance_;
-  std::size_t fixed = 0;
-  for (MachineId i = 0; i < inst.num_machines(); ++i) {
-    for (JobId j = 0; j < inst.num_jobs(); ++j) {
-      const std::size_t v = xv_(i, j);
-      if (v == kNoVar || fixed_zero_(i, j) != 0) continue;
-      if (pinned_[j] != kUnassigned) continue;
-      // Only nonbasic-at-lower columns carry the sensitivity bound; a basic
-      // or at-upper column has d <= 0 and never passes the threshold, but
-      // exclude columns sitting away from 0 explicitly for clarity.
-      if (last.x[v] > 1e-9) continue;
-      if (value + reduced[v] >= cutoff + margin) {
-        ++fixed_zero_(i, j);
-        out->push_back({j, i});
-        ++fixed;
-      }
-    }
-  }
-  return fixed;
-}
-
-void ParametricAssignmentLp::unfix(
-    std::vector<std::pair<JobId, MachineId>>* out, std::size_t from) {
-  while (out->size() > from) {
-    const auto [j, i] = out->back();
-    out->pop_back();
-    --fixed_zero_(i, j);
-  }
-}
-
-bool ParametricAssignmentLp::save_root_snapshot() {
-  check(options_.makespan_objective,
-        "save_root_snapshot needs AssignmentLpOptions::makespan_objective");
-  for (const MachineId pin : pinned_) {
-    check(pin == kUnassigned, "root snapshot taken with pins set");
-  }
-  const lp::Solution& last = session_.last();
-  if (!last.optimal()) return false;
-  // A contested root solve must not become the permanent fixing certificate
-  // for the entire search (refix_root re-applies it at every incumbent
-  // improvement with no further audit).
-  if (last.audit_contested()) return false;
-  compute_reduced_costs();
-  const double value = last.objective;
-  const std::size_t vars = session_.model().num_variables();
-  root_bound_.assign(vars, -kInfinity);
-  for (std::size_t v = 0; v < vars; ++v) {
-    if (last.x[v] > 1e-9) continue;  // no bound off the lower bound
-    root_bound_[v] = value + reduced_scratch_[v];
-  }
-  return true;
-}
-
-std::size_t ParametricAssignmentLp::refix_root(double cutoff) {
-  if (root_bound_.empty()) return 0;
-  const double margin = 1e-7 * std::max(1.0, std::abs(cutoff));
-  const Instance& inst = *instance_;
-  std::size_t fixed = 0;
-  for (MachineId i = 0; i < inst.num_machines(); ++i) {
-    for (JobId j = 0; j < inst.num_jobs(); ++j) {
-      const std::size_t v = xv_(i, j);
-      if (v == kNoVar || root_fixed_(i, j) != 0) continue;
-      if (root_bound_[v] >= cutoff + margin) {
-        // Permanent: stacks on top of any live subtree fix (the count keeps
-        // the pair fixed when that scope unwinds) and is never undone. Jobs
-        // currently pinned onto the pair are fixed too — the root bound is a
-        // pin-free fact, so the surrounding subtree just prunes.
-        root_fixed_(i, j) = 1;
-        ++fixed_zero_(i, j);
-        ++fixed;
-      }
-    }
-  }
-  return fixed;
-}
-
-bool ParametricAssignmentLp::feasible(double T) {
-  if (options_.makespan_objective) {
-    // The makespan-mode LP is feasible for (almost) every T — T_var absorbs
-    // any load — so feasibility at T means "the minimum fractional makespan
-    // fits under T".
-    const std::optional<double> value = min_makespan(T);
-    return value.has_value() && *value <= T * (1.0 + 1e-9) + 1e-9;
-  }
-  const lp::Solution& sol = run_solve(T);
-  if (sol.status == lp::SolveStatus::kInfeasible) return false;
-  check(sol.optimal(), "assignment LP probe failed (not optimal/infeasible)");
-  return true;
-}
-
-std::optional<FractionalAssignment> ParametricAssignmentLp::solve(double T) {
-  const lp::Solution& sol = run_solve(T);
-  if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
-  check(sol.optimal(), "assignment LP solve failed (not optimal/infeasible)");
-
   const Instance& inst = *instance_;
   const std::size_t n = inst.num_jobs();
   const std::size_t m = inst.num_machines();
   const std::size_t kc = inst.num_classes();
+  const Matrix<std::size_t>& xv = layout_.x_var;
+  const Matrix<std::size_t>& yv = layout_.y_var;
+  // Re-parameterize to T: the filter (5) becomes each x column's upper
+  // bound, and T the load rhs (1).
+  lp::Model& model = session_.model();
+  for (MachineId i = 0; i < m; ++i) {
+    for (JobId j = 0; j < n; ++j) {
+      if (xv(i, j) == kNoVar) continue;
+      model.set_bounds(xv(i, j), 0.0, inst.proc(i, j) <= T ? 1.0 : 0.0);
+    }
+    if (layout_.load_row[i] != kNoVar) model.set_rhs(layout_.load_row[i], T);
+  }
+  const lp::Solution& sol = session_.solve();
+  if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
+  check(sol.optimal(), "assignment LP solve failed (not optimal/infeasible)");
+
   FractionalAssignment frac{Matrix<double>(m, n, 0.0),
                             Matrix<double>(m, kc, 0.0)};
   for (MachineId i = 0; i < m; ++i) {
     for (JobId j = 0; j < n; ++j) {
-      if (xv_(i, j) != kNoVar) {
-        frac.x(i, j) = std::clamp(sol.x[xv_(i, j)], 0.0, 1.0);
+      if (xv(i, j) != kNoVar) {
+        frac.x(i, j) = std::clamp(sol.x[xv(i, j)], 0.0, 1.0);
       }
     }
     for (ClassId k = 0; k < kc; ++k) {
-      if (yv_(i, k) != kNoVar) {
-        frac.y(i, k) = std::clamp(sol.x[yv_(i, k)], 0.0, 1.0);
+      if (yv(i, k) != kNoVar) {
+        frac.y(i, k) = std::clamp(sol.x[yv(i, k)], 0.0, 1.0);
       }
     }
   }

@@ -1,7 +1,8 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -24,25 +25,42 @@ struct FractionalAssignment {
 };
 
 struct AssignmentLpOptions {
-  /// Replace the setup-mass objective with an explicit makespan variable:
-  /// minimize T_var subject to load_i - T_var <= 0 per machine, with the
-  /// T-dependent eligibility filters still applied as variable bounds. The
-  /// LP optimum is then the fractional makespan itself — a certified lower
-  /// bound the exact branch-and-bound prunes and reduced-cost-fixes against
-  /// (min_makespan() / fix_dominated()). Every cost is >= 0, so any basis is
-  /// dual-feasible and the dual simplex solves these end to end.
-  bool makespan_objective = false;
   /// Residual-audit cadence of the numerical safety net (lp/guard.h): every
   /// `audit_interval`-th solve of the warm-probe chain runs under the
   /// lp::solve guard — post-solve residual audit plus the recovery
-  /// escalation ladder on suspicion. 1 audits every solve (what the exact
-  /// bounder uses: its prune/fix decisions must never rest on an unaudited
-  /// solve), N > 1 samples the chain, 0 disables the guard entirely (the
-  /// zero-overhead default for the approximation pipelines, which only
-  /// consume feasibility windows and tolerate a bad probe).
+  /// escalation ladder on suspicion. 1 audits every solve, N > 1 samples the
+  /// chain, 0 disables the guard entirely (the zero-overhead default for the
+  /// approximation pipelines, which only consume feasibility windows and
+  /// tolerate a bad probe).
   std::size_t audit_interval = 0;
   lp::SimplexOptions simplex = {};
 };
+
+/// Column id of a variable the relaxation does not have (a pair filtered at
+/// the build guess, an infinite setup) and row id of an empty load row.
+inline constexpr std::size_t kNoVar = SIZE_MAX;
+
+/// Where build_assignment_lp() put ILP-UM's pieces in the model.
+struct AssignmentLpLayout {
+  Matrix<std::size_t> x_var;          ///< m x n column ids (kNoVar = none)
+  Matrix<std::size_t> y_var;          ///< m x K column ids (kNoVar = none)
+  std::vector<std::size_t> load_row;  ///< per machine (kNoVar = none)
+  /// True when a job fits nowhere at T_build; the model is then incomplete
+  /// and every probe at T <= T_build is infeasible a fortiori.
+  bool structurally_infeasible = false;
+};
+
+/// Builds the relaxation of ILP-UM at makespan guess T_build into the empty
+/// `model`: the x columns of the pairs (5) admits at T_build (cost 0, bounds
+/// [0, 1]), then the y columns of the finite setups (cost 1: the setup
+/// mass), then the rows (2) per job, (1) per machine with rhs T_build, and
+/// (4) per x column. Both warm chains over ILP-UM start from this model —
+/// the T-search as is, the exact search's min-makespan bounder
+/// (exact/lp_bound.h) after moving T into a column — so its column and row
+/// order is the order their warm bases refer to.
+[[nodiscard]] AssignmentLpLayout build_assignment_lp(const Instance& instance,
+                                                     double T_build,
+                                                     lp::Model* model);
 
 /// The relaxation of ILP-UM built ONCE at its loosest makespan guess and
 /// re-parameterized in place for every subsequent probe: the T-dependent
@@ -60,74 +78,15 @@ class ParametricAssignmentLp {
                          const AssignmentLpOptions& options = {});
 
   /// Re-parameterizes the model to T and solves, warm-starting from the
-  /// basis of the previous call (feasible or not). Returns std::nullopt iff
-  /// the LP is infeasible at T.
+  /// basis of the previous call (feasible or not). Among feasible solutions
+  /// one minimizing the setup mass Σ y_ik is returned. Returns std::nullopt
+  /// iff the LP is infeasible at T.
   [[nodiscard]] std::optional<FractionalAssignment> solve(double T);
 
-  /// Feasibility-only probe at T (no solution extraction): true iff a
-  /// fractional assignment of makespan <= T exists that respects the pins
-  /// below. This is the branch-and-bound node relaxation of src/exact: one
-  /// model re-parameterized down the search tree, every probe warm-started
-  /// from the previous basis.
-  [[nodiscard]] bool feasible(double T);
-
-  /// Pins job j to machine i for subsequent solves: x_ij is fixed to 1 and
-  /// x_i'j to 0 for every other machine. Pinning a pair whose variable was
-  /// filtered at T_build makes every later probe infeasible (the pinned pair
-  /// cannot meet any T <= T_build). Pins survive re-parameterization.
-  void pin_job(JobId j, MachineId i);
-
-  /// Removes the pin on job j (no-op when j is not pinned).
-  void unpin_job(JobId j);
-
-  // --- makespan-objective mode (options.makespan_objective) ---------------
-
-  /// Minimum fractional makespan of the completions respecting the current
-  /// pins and fixes, with the eligibility filters applied at T_filter.
-  /// std::nullopt iff no completion exists at all (impossible pins). Valid
-  /// for bounding integral completions of makespan <= T_filter.
-  [[nodiscard]] std::optional<double> min_makespan(double T_filter);
-
-  /// Reduced-cost fixing against the last min_makespan() solve: every free
-  /// pair (j, i) whose LP reduced cost certifies that any completion placing
-  /// j on i has makespan >= cutoff is fixed to x_ij = 0 (appended to *out
-  /// for later unfixing). Returns the number of pairs fixed. Sound because
-  /// the bounded-simplex sensitivity bound obj(x_ij = 1) >= value + d_ij
-  /// holds for nonbasic-at-lower columns.
-  std::size_t fix_dominated(double cutoff,
-                            std::vector<std::pair<JobId, MachineId>>* out);
-
-  /// Clears fixes out[from..] and shrinks *out back to `from` (the undo of
-  /// the fix_dominated calls made since *out had size `from`).
-  void unfix(std::vector<std::pair<JobId, MachineId>>* out, std::size_t from);
-
-  /// Snapshots the last min_makespan() solve — objective value plus the
-  /// per-variable sensitivity bound `value + reduced_cost` of every
-  /// nonbasic-at-lower column — as the ROOT relaxation. Must be called with
-  /// no pins set (the bound is a fact about the unpinned LP, valid at every
-  /// later, tighter cutoff). Returns false and stores nothing when the last
-  /// solve was not optimal.
-  bool save_root_snapshot();
-
-  /// Incremental root fixing: re-applies the saved root snapshot at a
-  /// (tighter) cutoff, fixing every pair whose root sensitivity bound
-  /// certifies that any completion using it has makespan >= cutoff. Root
-  /// fixes are PERMANENT — they carry no undo entry and stack with
-  /// subtree-scoped fix_dominated() fixes, so a pair fixed by both stays
-  /// fixed when the subtree scope unwinds. Each pair is root-fixed at most
-  /// once. Returns the number of pairs newly fixed (0 without a snapshot).
-  std::size_t refix_root(double cutoff);
-
-  /// True iff the pair is currently reduced-cost-fixed to 0.
-  [[nodiscard]] bool pair_fixed(JobId j, MachineId i) const {
-    return fixed_zero_(i, j) != 0;
-  }
-
-  /// Work of the chain so far: lp_solves (every probe, including the ones
-  /// impossible pins settle without the simplex), lp_iterations,
-  /// lp_dual_solves, and the guard counters (guarded solves whose audit was
-  /// contested — each solve's ladder can contest more than once — and how
-  /// they were recovered).
+  /// Work of the chain so far: lp_solves, lp_iterations, lp_dual_solves,
+  /// and the guard counters (guarded solves whose audit was contested —
+  /// each solve's ladder can contest more than once — and how they were
+  /// recovered).
   [[nodiscard]] const EffortCounters& effort() const noexcept {
     return session_.effort();
   }
@@ -139,42 +98,11 @@ class ParametricAssignmentLp {
   }
 
  private:
-  void reparameterize(double T);
-  /// Fills reduced_scratch_ with the reduced costs of the last solve.
-  void compute_reduced_costs();
-  /// Shared solve path: re-parameterizes and solves on the session. Returns
-  /// the solution (status kInfeasible on infeasible probes and on pins whose
-  /// variable does not exist in the model).
-  const lp::Solution& run_solve(double T);
-
   const Instance* instance_;
-  AssignmentLpOptions options_;
   double T_build_;
-  /// True when the model could not be built at T_build (a job fits nowhere);
-  /// every probe at T <= T_build is then infeasible a fortiori.
-  bool structurally_infeasible_ = false;
   /// The model and its warm chain across probes.
   lp::Session session_;
-  Matrix<std::size_t> xv_;              ///< m x n variable ids (SIZE_MAX = none)
-  Matrix<std::size_t> yv_;              ///< m x K variable ids
-  std::size_t tvar_ = SIZE_MAX;         ///< makespan column (makespan mode)
-  std::vector<std::size_t> load_row_;   ///< per machine (SIZE_MAX = none)
-  std::vector<MachineId> pinned_;       ///< per job; kUnassigned = free
-  /// m x n reduced-cost fix COUNTS (0 = free): a pair can be held at zero by
-  /// a subtree-scoped fix_dominated() fix and a permanent refix_root() fix
-  /// at once; unfixing the subtree scope must not free a root-fixed pair.
-  Matrix<char> fixed_zero_;
-  /// m x n pairs already fixed by refix_root() (each at most once, ever).
-  Matrix<char> root_fixed_;
-  /// Root snapshot for refix_root(): per-variable sensitivity bound
-  /// `root value + reduced cost` (-inf for basic/at-upper columns, which
-  /// carry no bound). Empty until save_root_snapshot().
-  std::vector<double> root_bound_;
-  /// Pins pointing at variables absent from the model (filtered at T_build):
-  /// every probe is infeasible while > 0.
-  std::size_t impossible_pins_ = 0;
-  /// Reduced-cost scratch for fix_dominated (hot on B&B node probes).
-  std::vector<double> reduced_scratch_;
+  AssignmentLpLayout layout_;
 };
 
 /// Solves the relaxation of ILP-UM for makespan guess T. Among feasible

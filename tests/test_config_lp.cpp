@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "colgen/config_lp.h"
 #include "core/bounds.h"
 #include "core/generators.h"
+#include "core/io.h"
 #include "exact/branch_bound.h"
 
 namespace setsched {
@@ -133,6 +136,27 @@ TEST(ConfigRounding, ProducesValidSchedule) {
   EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
   EXPECT_GT(r.lp_T, 0.0);
   EXPECT_GE(r.makespan + 1e-9, r.lp_lower_bound);
+}
+
+// No job has a positive processing time, so the setup-blind LP floor is 0:
+// the geometric search must start from the setup-aware bound instead (it
+// once looped on mid = sqrt(0 * hi) forever), and with no setups either the
+// best-machine schedule is returned without pricing at T = 0.
+TEST(ConfigRounding, ZeroProcessingTimesMatchTheProvenOptimum) {
+  const std::string zero_proc =
+      "setsched unrelated 1\n2 3 2\n0 1 1\n0 0 0\n0 0 0\n1 2\n3 1\n";
+  const std::string all_zero =
+      "setsched unrelated 1\n2 3 2\n0 1 1\n0 0 0\n0 0 0\n0 0\n0 0\n";
+  for (const std::string& text : {zero_proc, all_zero}) {
+    std::istringstream is(text);
+    const Instance inst = load_instance(is);
+    const ExactResult optimum = solve_exact(inst);
+    ASSERT_TRUE(optimum.proven_optimal);
+    const RoundingResult r = randomized_rounding_config(inst);
+    EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
+    EXPECT_EQ(r.makespan, makespan(inst, r.schedule));
+    EXPECT_EQ(r.makespan, optimum.makespan);
+  }
 }
 
 TEST(ConfigRounding, ComparableToDirectLpRounding) {

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "common/prng.h"
 #include "core/bounds.h"
 #include "core/generators.h"
 #include "core/schedule.h"
 #include "exact/branch_bound.h"
+#include "exact/lp_bound.h"
 #include "exact/tolerances.h"
 #include "improve/local_search.h"
 #include "unrelated/greedy.h"
@@ -391,6 +395,72 @@ TEST(Exact, LpBoundsReportDualSolvesAndFixedVars) {
       << "min-T node probes must re-optimize dually";
   EXPECT_LE(r.lp_dual_solves, r.lp_bounds_used);
   EXPECT_GT(r.fixed_vars, 0u) << "no pair was ever reduced-cost-fixed";
+}
+
+// The bounder's warm chain against cold rebuilds: down a random pin path,
+// every probe of the one re-parameterized model agrees with a fresh bounder
+// holding the same pins; backing up, each scope's reduced-cost fixes are
+// undone, and the unpinned model re-solves to the first root value.
+TEST(LpBounder, WarmPinPathMatchesFreshBoundersAndUnwinds) {
+  UnrelatedGenParams p;
+  p.num_jobs = 10;
+  p.num_machines = 3;
+  p.num_classes = 4;
+  p.eligibility = 0.8;
+  std::size_t fixed_total = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const Instance inst = generate_unrelated(p, seed + 300);
+    const double hi = unrelated_upper_bound(inst);
+    exact::LpBounder warm(inst, hi, lp::SimplexOptions{});
+    ASSERT_TRUE(warm.available());
+    const double root = warm.root_lower_bound(0.0, hi);
+    ASSERT_GT(root, 0.0) << "seed " << seed;
+    const double probes[] = {std::min(root * 1.02, hi), hi};
+
+    Xoshiro256 rng(seed);
+    std::vector<JobId> order(inst.num_jobs());
+    for (JobId j = 0; j < inst.num_jobs(); ++j) order[j] = j;
+    for (std::size_t k = order.size(); k > 1; --k) {
+      std::swap(order[k - 1], order[rng.next_below(k)]);
+    }
+    std::vector<std::pair<JobId, MachineId>> path;
+    for (const JobId j : order) {
+      std::vector<MachineId> machines;
+      for (MachineId i = 0; i < inst.num_machines(); ++i) {
+        if (inst.eligible(i, j)) machines.push_back(i);
+      }
+      const MachineId i = machines[rng.next_below(machines.size())];
+      warm.pin(j, i);
+      path.push_back({j, i});
+      exact::LpBounder fresh(inst, hi, lp::SimplexOptions{});
+      for (const auto& [pj, pi] : path) fresh.pin(pj, pi);
+      for (const double T : probes) {
+        EXPECT_EQ(warm.feasible(T), fresh.feasible(T))
+            << "seed " << seed << " depth " << path.size() << " T " << T;
+      }
+    }
+
+    std::vector<std::pair<JobId, MachineId>> undo;
+    for (std::size_t depth = path.size(); depth-- > 0;) {
+      if (warm.feasible(probes[0])) {
+        const std::size_t fixed = warm.fix_dominated(probes[0], &undo);
+        EXPECT_EQ(fixed, undo.size());
+        fixed_total += fixed;
+        for (const auto& [fj, fi] : undo) EXPECT_TRUE(warm.pair_fixed(fj, fi));
+        warm.unfix(&undo, 0);
+        EXPECT_TRUE(undo.empty());
+      }
+      warm.unpin(path[depth].first);
+    }
+    for (JobId j = 0; j < inst.num_jobs(); ++j) {
+      for (MachineId i = 0; i < inst.num_machines(); ++i) {
+        EXPECT_FALSE(warm.pair_fixed(j, i)) << "seed " << seed;
+      }
+    }
+    EXPECT_NEAR(warm.root_lower_bound(0.0, hi), root, 1e-9 * root)
+        << "seed " << seed;
+  }
+  EXPECT_GT(fixed_total, 0u) << "no scope ever fixed a pair";
 }
 
 TEST(ExactDive, FindsOptimumOnTinyInstancesAndProvesIt) {

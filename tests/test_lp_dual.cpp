@@ -14,6 +14,7 @@
 #include "common/prng.h"
 #include "core/bounds.h"
 #include "core/generators.h"
+#include "exact/lp_bound.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "unrelated/assignment_lp.h"
@@ -224,25 +225,23 @@ TEST_P(MakespanLpTest, MinMakespanMatchesTableauAndFeasibilityThreshold) {
   const Instance inst = generate_unrelated(p, GetParam() + 61);
   const double hi = unrelated_upper_bound(inst);
 
-  AssignmentLpOptions dual_opts;
-  dual_opts.makespan_objective = true;
-  dual_opts.simplex.algorithm = SimplexAlgorithm::kDual;
-  ParametricAssignmentLp dual_lp(inst, hi, dual_opts);
-  const auto dual_value = dual_lp.min_makespan(hi);
-  ASSERT_TRUE(dual_value.has_value());
+  lp::SimplexOptions dual_simplex;
+  dual_simplex.algorithm = SimplexAlgorithm::kDual;
+  exact::LpBounder dual_lp(inst, hi, dual_simplex);
+  ASSERT_TRUE(dual_lp.available());
+  const double dual_value = dual_lp.root_lower_bound(0.0, hi);
+  ASSERT_GT(dual_value, 0.0);
 
-  AssignmentLpOptions oracle_opts;
-  oracle_opts.makespan_objective = true;
-  oracle_opts.simplex.algorithm = SimplexAlgorithm::kTableau;
-  ParametricAssignmentLp oracle_lp(inst, hi, oracle_opts);
-  const auto oracle_value = oracle_lp.min_makespan(hi);
-  ASSERT_TRUE(oracle_value.has_value());
-  EXPECT_NEAR(*dual_value, *oracle_value,
-              1e-5 * std::max(1.0, *oracle_value));
+  lp::SimplexOptions oracle_simplex;
+  oracle_simplex.algorithm = SimplexAlgorithm::kTableau;
+  exact::LpBounder oracle_lp(inst, hi, oracle_simplex);
+  const double oracle_value = oracle_lp.root_lower_bound(0.0, hi);
+  ASSERT_GT(oracle_value, 0.0);
+  EXPECT_NEAR(dual_value, oracle_value, 1e-5 * std::max(1.0, oracle_value));
 
   // Threshold property against the classic feasibility LP: LP(T) is
   // feasible iff T >= min fractional makespan.
-  const double v = *dual_value;
+  const double v = dual_value;
   EXPECT_TRUE(solve_assignment_lp(inst, v * 1.01).has_value());
   if (v * 0.97 >= assignment_lp_floor(inst)) {
     EXPECT_FALSE(solve_assignment_lp(inst, v * 0.97).has_value());
