@@ -38,6 +38,12 @@ namespace setsched {
 ///                        bounding (exact solvers: lp_solves minus the
 ///                        branch-and-price RMP solves, one per pricing
 ///                        round).
+///   lp_factorizations    LU factorizations of the revised simplex across
+///                        those solves: one on entry to each solve plus one
+///                        per refactorization trigger.
+///   lp_lu_nnz            Off-diagonal L and U entries, summed over those
+///                        factorizations (lp_lu_nnz / lp_factorizations is
+///                        the mean fill per factorization).
 #define SETSCHED_EFFORT_COUNTERS(X) \
   X(lp_solves, "lp_solves")         \
   X(lp_iterations, "lp_iters")      \
@@ -50,7 +56,9 @@ namespace setsched {
   X(cg_pricing_rounds, "cg_rounds") \
   X(cg_fallbacks, "cg_fb")          \
   X(nodes, "nodes")                 \
-  X(lp_bounds_used, "lp_bounds")
+  X(lp_bounds_used, "lp_bounds")    \
+  X(lp_factorizations, "lu")        \
+  X(lp_lu_nnz, "lu_nnz")
 
 /// Solver effort, zero for solvers without the corresponding machinery.
 /// Result types inherit it, so `result.lp_solves` reads the counter

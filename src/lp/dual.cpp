@@ -39,17 +39,31 @@ namespace {
 constexpr std::size_t kNone = SIZE_MAX;
 }  // namespace
 
-bool RevisedSolver::dual_feasible(double tol) {
+bool RevisedSolver::make_dual_feasible(double tol) {
   for (std::size_t k = 0; k < nrows_; ++k) cslot_[k] = cost2_[basis_[k]];
   btran_scratch_ = cslot_;
   btran(btran_scratch_, y_);
+  // A boxed column on the wrong bound is dual-feasible on its other bound:
+  // the flip changes x_N, hence xb, but no reduced cost. A column fixed
+  // while the warm basis was optimal (a pin or a reduced-cost fixing of the
+  // exact search) was exempt from the sign test; once its box reopens it
+  // may sit on the wrong bound.
+  std::vector<std::size_t>& flips = flips_;
+  flips.clear();
   for (std::size_t j = 0; j < ncols_; ++j) {
     if (state_[j] == VarStatus::kBasic) continue;
     if (lower_[j] == upper_[j]) continue;  // fixed columns never move
     const double d = reduced_cost(j, /*phase1=*/false);
-    if (state_[j] == VarStatus::kAtLower && d < -tol) return false;
-    if (state_[j] == VarStatus::kAtUpper && d > tol) return false;
+    const bool wrong = state_[j] == VarStatus::kAtLower ? d < -tol : d > tol;
+    if (!wrong) continue;
+    if (!std::isfinite(lower_[j]) || !std::isfinite(upper_[j])) return false;
+    flips.push_back(j);
   }
+  for (const std::size_t j : flips) {
+    state_[j] = state_[j] == VarStatus::kAtLower ? VarStatus::kAtUpper
+                                                 : VarStatus::kAtLower;
+  }
+  if (!flips.empty()) compute_basics();
   return true;
 }
 
@@ -57,10 +71,10 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
   devex_rows_.reset(nrows_);
   std::size_t dual_stall = 0;
   bool bland = false;
-  // run() calls dual_feasible() immediately before entering, which left the
-  // current basis's duals in y_ — the first iteration reuses them instead of
-  // re-running the same BTRAN (probes are only a few pivots long, so one
-  // BTRAN per probe is measurable).
+  // run() calls make_dual_feasible() immediately before entering, which left
+  // the current basis's duals in y_ — the first iteration reuses them
+  // instead of re-running the same BTRAN (probes are only a few pivots long,
+  // so one BTRAN per probe is measurable).
   bool duals_ready = true;
   // Incremental dual maintenance: after each pivot y is advanced in
   // place (y += theta_d * rho, rho = B^-T e_leave already computed for the
@@ -273,8 +287,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
       duals_ready = true;
     }
 
-    if (etas_.size() >= std::max<std::size_t>(1, opt_.refactor_interval) &&
-        !injector_.fire(FaultKind::kSkipRefactor)) {
+    if (needs_refactor()) {
       factorize();
       if (factor_repaired_) {
         // The repair swapped basis columns behind the dual loop's back; its

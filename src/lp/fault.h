@@ -18,7 +18,7 @@ enum class FaultKind : std::uint8_t {
   kEtaFlip,        ///< flip the sign of one entry of a freshly pushed eta
   kFactorPerturb,  ///< scale one U diagonal by 1 +/- kFactorPerturbScale
   kFtranNan,       ///< overwrite one FTRAN result entry with NaN
-  kSkipRefactor,   ///< suppress one periodic refactorization trigger
+  kSkipRefactor,   ///< suppress one refactorization trigger
   kStaleDevex,     ///< drop one Devex weight update (weights go stale)
 };
 

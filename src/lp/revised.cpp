@@ -7,21 +7,24 @@
 // columns live in a CSC copy gathered from the Model on every solve;
 // logical columns are implicit unit vectors.
 // The basis matrix is kept as a sparse LU factorization (left-looking
-// Gilbert-Peierls elimination with partial pivoting, whose work follows the
-// nonzeros) plus a product-form eta file that absorbs basis changes between
-// periodic refactorizations. One RevisedSolver serves a whole warm chain
-// (lp::Workspace): its storage carries over, but every solve refactorizes
-// its starting basis from the model data. Primal feasibility is reached by
-// minimizing the sum of primal infeasibilities of the current basis
-// ("composite" phase 1) — there are no artificial columns, so a warm-started
-// basis that is only slightly infeasible after a re-parameterization (the
-// T-search, column generation) is repaired in a handful of pivots instead of
-// a full cold phase 1.
+// Gilbert-Peierls elimination, whose work follows the nonzeros, with
+// threshold partial pivoting toward the sparsest rows of B) plus a
+// product-form eta file that absorbs basis changes until needs_refactor()
+// folds it into a fresh LU: after refactor_interval updates, or once 32 or
+// more etas hold more nonzeros than twice the factors. One RevisedSolver
+// serves a whole warm chain (lp::Workspace): its storage carries over, but
+// every solve refactorizes its starting basis from the model data. Primal
+// feasibility is reached by minimizing the sum of primal infeasibilities of
+// the current basis ("composite" phase 1) — there are no artificial
+// columns, so a warm-started basis that is only slightly infeasible after a
+// re-parameterization (the T-search, column generation) is repaired in a
+// handful of pivots instead of a full cold phase 1.
 //
-// Since PR 5 the solver has a second engine, the bounded-variable dual
-// simplex in dual.cpp: whenever the starting basis is primal-infeasible but
+// The solver has a second engine, the bounded-variable dual simplex in
+// dual.cpp: whenever the starting basis is primal-infeasible but
 // dual-feasible — exactly the state of a warm basis after an rhs/bound
-// mutation — run() re-optimizes dually instead of running phase 1 at all.
+// mutation, or after flipping boxed columns that sit on the wrong bound —
+// run() re-optimizes dually instead of running phase 1 at all.
 // Primal pricing is candidate-list partial pricing over raw reduced costs.
 
 #include <algorithm>
@@ -44,6 +47,22 @@ namespace internal {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = SIZE_MAX;
+/// Threshold partial pivoting's u: an LU pivot may be as small as this
+/// fraction of the largest candidate in its column, which leaves room to
+/// choose a sparse row (Suhl and Suhl 1990 use 0.01-0.1). 0.1 halves the
+/// L+U fill of the assignment-LP bases against largest-magnitude pivoting;
+/// 0.01 cuts it only slightly more, at a growth bound ten times looser.
+constexpr double kPivotThreshold = 0.1;
+/// The eta file is folded into a fresh LU once its nonzeros pass this many
+/// times those of the factors (L + U + diagonal): past that, applying the
+/// etas costs each FTRAN and BTRAN more than the factors themselves.
+constexpr std::size_t kEtaFillRatio = 2;
+/// ... but not before this many etas: a refactorization also pays a fixed
+/// cost per basis column that the nonzero counts do not see. On the exact
+/// search's ~100-row cold root solves the fill bound alone refactorized
+/// every ~13 pivots (3.3x the factorizations of a 64-eta interval), which
+/// cost more than the etas it saved.
+constexpr std::size_t kMinFillEtas = 32;
 }  // namespace
 
 void SparseColumns::gather(const Model& model) {
@@ -200,26 +219,42 @@ bool RevisedSolver::try_factorize() {
   // Eliminate thin columns first (unit logicals, then the 2-nonzero
   // dominance columns, ...): a cheap static approximation of Markowitz
   // ordering that keeps the fill-in an order of magnitude down on the
-  // scheduling LPs.
-  colperm_.resize(nrows_);
-  for (std::size_t k = 0; k < nrows_; ++k) colperm_[k] = k;
+  // scheduling LPs. A counting sort by column count (at most nrows_, since
+  // model rows hold each column once) is stable: equal counts keep slot
+  // order. The same pass counts the rows of B for the pivot rule below
+  // (Markowitz 1957 counts rows and columns).
   const auto col_nnz = [&](std::size_t slot) -> std::size_t {
     const std::size_t col = basis_[slot];
     if (col >= nstruct_) return 1;
     return cols_.start[col + 1] - cols_.start[col];
   };
-  std::stable_sort(colperm_.begin(), colperm_.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return col_nnz(a) < col_nnz(b);
-                   });
+  row_count_.assign(nrows_, 0);
+  nnz_start_.assign(nrows_ + 2, 0);
+  for (std::size_t slot = 0; slot < nrows_; ++slot) {
+    ++nnz_start_[col_nnz(slot) + 1];
+    const std::size_t col = basis_[slot];
+    if (col >= nstruct_) {
+      ++row_count_[col - nstruct_];
+      continue;
+    }
+    for (std::size_t t = cols_.start[col]; t < cols_.start[col + 1]; ++t) {
+      ++row_count_[cols_.row[t]];
+    }
+  }
+  for (std::size_t c = 1; c < nnz_start_.size(); ++c) {
+    nnz_start_[c] += nnz_start_[c - 1];
+  }
+  colperm_.resize(nrows_);
+  for (std::size_t slot = 0; slot < nrows_; ++slot) {
+    colperm_[nnz_start_[col_nnz(slot)]++] = slot;
+  }
 
   // Left-looking Gilbert-Peierls elimination: step k solves L u = b_k for
   // the basis column b_k eliminated at step k, touching only the rows its
-  // nonzeros reach through the L columns of steps 0..k-1. The earlier steps
-  // are applied in ascending order and the unclaimed rows scanned in
-  // ascending order, exactly the order of a dense sweep over all steps and
-  // rows, so L, U and the pivot choices are the dense elimination's bit for
-  // bit: rows outside the reach hold exact zeros, which a dense sweep skips.
+  // nonzeros reach through the L columns of steps 0..k-1 (rows outside the
+  // reach hold exact zeros). The earlier steps are applied in ascending
+  // order and the unclaimed rows scanned in ascending order, so the factors
+  // do not depend on the order in which the reach was discovered.
   const double lu_tol = opt_.lu_pivot_floor();
   std::vector<double>& w = work_rows_;  // invariant: all zero on entry/exit
   deficient_.clear();
@@ -268,15 +303,27 @@ bool RevisedSolver::try_factorize() {
       ucols_.entries.push_back({t, ut});
       for (const auto& [r, v] : lcols_[t]) w[r] -= v * ut;
     }
-    // Partial pivoting over the reached rows not yet claimed; the lowest
-    // row wins a tie.
-    std::size_t pivot_row = kNone;
-    double best = lu_tol;
+    // Threshold partial pivoting over the reached rows not yet claimed:
+    // among the rows within kPivotThreshold of the largest magnitude (and
+    // above the floor), the sparsest row of B wins, then the larger
+    // magnitude, then the lower row. Taking the largest magnitude alone
+    // lets the dense load rows, whose entries p_ij dwarf the unit entries,
+    // claim pivots early and spread fill into every later column.
+    double largest = 0.0;
     for (const std::size_t r : free_rows_) {
-      const double mag = std::abs(w[r]);
-      if (mag > best) {
-        best = mag;
-        pivot_row = r;
+      largest = std::max(largest, std::abs(w[r]));
+    }
+    std::size_t pivot_row = kNone;
+    if (largest > lu_tol) {
+      double best = 0.0;
+      for (const std::size_t r : free_rows_) {
+        const double mag = std::abs(w[r]);
+        if (mag <= lu_tol || mag < kPivotThreshold * largest) continue;
+        if (pivot_row == kNone || row_count_[r] < row_count_[pivot_row] ||
+            (row_count_[r] == row_count_[pivot_row] && mag > best)) {
+          best = mag;
+          pivot_row = r;
+        }
       }
     }
     if (pivot_row == kNone) {
@@ -300,6 +347,8 @@ bool RevisedSolver::try_factorize() {
   }
 
   if (deficient_.empty()) {
+    ++factorizations_;
+    lu_nnz_ += lcols_.entries.size() + ucols_.entries.size();
     // Fault site (lp/fault.h): one U diagonal perturbed by
     // 1 +/- kFactorPerturbScale per firing — the shape of a marginally
     // unstable pivot.
@@ -351,6 +400,19 @@ void RevisedSolver::push_eta(std::size_t slot) {
   if (injector_.armed() && count > 0 && injector_.fire(FaultKind::kEtaFlip)) {
     etas_.entries[first + injector_.pick(count)].second *= -1.0;
   }
+}
+
+bool RevisedSolver::needs_refactor() {
+  const std::size_t factor_nnz =
+      lcols_.entries.size() + ucols_.entries.size() + nrows_;
+  const bool due =
+      etas_.size() >= std::max<std::size_t>(1, opt_.refactor_interval) ||
+      (etas_.size() >= kMinFillEtas &&
+       etas_.entries.size() > kEtaFillRatio * factor_nnz);
+  // kSkipRefactor suppresses one trigger: the eta file keeps growing and
+  // roundoff accumulates — exactly the failure a forgotten refactorization
+  // causes.
+  return due && !injector_.fire(FaultKind::kSkipRefactor);
 }
 
 void RevisedSolver::factorize() {
@@ -547,6 +609,8 @@ Solution RevisedSolver::extract(SolveStatus status) {
   Solution sol;
   sol.status = status;
   sol.iterations = iterations_;
+  sol.factorizations = factorizations_;
+  sol.lu_nnz = lu_nnz_;
   sol.via_dual = via_dual_;
   sol.faults_injected = injector_.injected();
 
@@ -777,11 +841,7 @@ Solution RevisedSolver::run_primal() {
 
     push_eta(leave_slot);
 
-    // kSkipRefactor suppresses one periodic trigger: the eta file keeps
-    // growing and roundoff accumulates — exactly the failure a forgotten
-    // refactorization causes.
-    if (etas_.size() >= std::max<std::size_t>(1, opt_.refactor_interval) &&
-        !injector_.fire(FaultKind::kSkipRefactor)) {
+    if (needs_refactor()) {
       factorize();
       compute_basics();
     }
@@ -794,6 +854,8 @@ Solution RevisedSolver::run(const Model& model,
   opt_ = options;
   injector_ = FaultInjector(options.fault_plan);
   iterations_ = 0;
+  factorizations_ = 0;
+  lu_nnz_ = 0;
   use_bland_ = false;
   stall_count_ = 0;
   factor_repaired_ = false;
@@ -809,9 +871,11 @@ Solution RevisedSolver::run(const Model& model,
   // Dual prologue: a warm basis that turned primal-infeasible under a
   // re-parameterization but kept dual feasibility (rhs/bound mutations never
   // disturb reduced costs) is re-optimized by the dual simplex instead of
-  // being repaired by phase 1. kDual makes the dual loop the engine of
-  // choice for every dual-feasible start (the min-makespan relaxations of
-  // src/exact start dual-feasible from ANY basis: all costs are >= 0).
+  // being repaired by phase 1. Boxed columns on the wrong bound are flipped
+  // to the other one first; only a violator that is not boxed sends the
+  // solve to phase 1. kDual makes the dual loop the engine of choice for
+  // every dual-feasible start (the min-makespan relaxations of src/exact
+  // start dual-feasible from ANY basis: all costs are >= 0).
   const bool prefer_dual =
       opt_.algorithm == SimplexAlgorithm::kDual ||
       (opt_.warm_start != nullptr && !opt_.warm_start->empty());
@@ -824,7 +888,7 @@ Solution RevisedSolver::run(const Model& model,
     }
     const bool worth_it =
         primal_infeasible || opt_.algorithm == SimplexAlgorithm::kDual;
-    if (worth_it && dual_feasible(opt_.dual_feas_floor())) {
+    if (worth_it && make_dual_feasible(opt_.dual_feas_floor())) {
       const obs::PhaseTimer dual_timer(obs::Phase::kLpDual);
       switch (run_dual()) {
         case DualOutcome::kOptimal:

@@ -69,6 +69,11 @@ class RevisedSolver {
   // --- factorization (revised.cpp) -----------------------------------------
   void factorize();             ///< LU of the current basis, with repair
   bool try_factorize();         ///< one elimination pass; false => repaired
+  /// True when the eta file should be folded into a fresh LU: it reached
+  /// refactor_interval updates, or (past a minimum length) its nonzeros
+  /// outgrew the factors'. Each call with a true condition is one trigger,
+  /// which kSkipRefactor can suppress.
+  [[nodiscard]] bool needs_refactor();
   /// Appends the eta of a pivot on `slot` from alpha_ (the FTRAN image of
   /// the entering column) and zeroes alpha_.
   void push_eta(std::size_t slot);
@@ -97,13 +102,16 @@ class RevisedSolver {
     kFallback,        ///< numerics forced a bail-out; run the primal loop
     kIterationLimit,
   };
-  /// True iff every nonbasic column's phase-2 reduced cost respects its
-  /// bound status within `tol` (fixed columns are exempt). Refreshes y_.
-  [[nodiscard]] bool dual_feasible(double tol);
+  /// Makes the basis dual-feasible within `tol` if bound flips can: every
+  /// nonbasic column whose phase-2 reduced cost has the wrong sign for its
+  /// bound status must be boxed, and then moves to its other bound (fixed
+  /// columns are exempt). Returns false, changing nothing, when a violator
+  /// is not boxed. Refreshes y_, and xb_ after a flip.
+  [[nodiscard]] bool make_dual_feasible(double tol);
   /// The bounded-variable dual simplex with Devex row pricing. Assumes a
   /// factorized basis with xb_ computed and the duals of the current basis
-  /// already in y_ (run() establishes both via dual_feasible()); maintains
-  /// dual feasibility while driving out primal infeasibilities.
+  /// already in y_ (run() establishes both via make_dual_feasible());
+  /// maintains dual feasibility while driving out primal infeasibilities.
   DualOutcome run_dual();
 
   [[nodiscard]] Solution extract(SolveStatus status);
@@ -128,8 +136,9 @@ class RevisedSolver {
   // LU factors of P B Q = L U: columns eliminated in sparsity order Q
   // (thin columns first keeps the fill an order of magnitude down on the
   // scheduling LPs, whose bases mix unit logicals, 2-nonzero dominance
-  // columns, and a few dense load columns), rows chosen by partial
-  // pivoting P. Everything below is indexed by elimination step.
+  // columns, and a few dense load columns), rows chosen by threshold
+  // partial pivoting P toward the sparsest rows of B (row_count_).
+  // Everything below is indexed by elimination step.
   PackedColumns lcols_;  ///< per step: (row, multiplier) below the pivot
   PackedColumns ucols_;  ///< per step: (earlier step, U entry)
   std::vector<double> udiag_;
@@ -142,6 +151,8 @@ class RevisedSolver {
   // (free_rows_); in_reach_ marks reach_ and is all zero between columns.
   std::vector<std::size_t> reach_, steps_, free_rows_, deficient_;
   std::vector<char> in_reach_;
+  std::vector<std::size_t> row_count_;  ///< nonzeros of B per row
+  std::vector<std::size_t> nnz_start_;  ///< counting-sort buckets
 
   // Product-form eta file: update i replaced the basis column at
   // eta_slot_[i]; its FTRAN image was eta_pivot_[i] at that slot and
@@ -169,6 +180,7 @@ class RevisedSolver {
   std::vector<std::size_t> candidates_;
   std::vector<std::pair<double, std::size_t>> eligible_;  ///< full_scan
   std::vector<std::size_t> basic_;                        ///< init_basis
+  std::vector<std::size_t> flips_;  ///< make_dual_feasible
   std::vector<Kink> kinks_;
   std::vector<char> shunned_;  ///< columns with numerically unusable pivots
   bool any_shunned_ = false;
@@ -180,6 +192,8 @@ class RevisedSolver {
   double total_infeas_ = 0.0;
   std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;
+  std::size_t factorizations_ = 0;  ///< completed LUs this solve
+  std::size_t lu_nnz_ = 0;          ///< off-diagonal L+U entries, summed
   bool use_bland_ = false;
   std::size_t stall_count_ = 0;
   /// True when the last factorize() had to repair a singular basis (the
@@ -190,8 +204,8 @@ class RevisedSolver {
 
   /// Deterministic fault injection (lp/fault.h); disarmed unless the options
   /// carry a plan. Sites: eta pushes (kEtaFlip), try_factorize
-  /// (kFactorPerturb), ftran results (kFtranNan), the periodic refactor
-  /// trigger (kSkipRefactor), and the dual's Devex weight updates
+  /// (kFactorPerturb), ftran results (kFtranNan), the refactor trigger
+  /// (kSkipRefactor, in needs_refactor), and the dual's Devex weight updates
   /// (kStaleDevex).
   FaultInjector injector_;
 

@@ -18,9 +18,8 @@ const Solution& Session::solve() {
   if (!basis_.empty()) simplex.warm_start = &basis_;
   last_ = lp::solve(model_, simplex, workspace_);
   ++effort_.lp_solves;
-  effort_.lp_iterations += last_.iterations;
   if (last_.via_dual) ++effort_.lp_dual_solves;
-  last_.add_guard_counters(effort_);
+  last_.add_counters(effort_);
   if (!last_.basis.empty() && (last_.optimal() || last_.via_dual)) {
     basis_ = last_.basis;
   }

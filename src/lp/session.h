@@ -24,8 +24,8 @@ namespace setsched::lp {
 ///   * the audit cadence. Solve 1, N+1, 2N+1, ... of the chain runs under
 ///     the lp::solve guard (N = audit_interval; 0 = never), on top of
 ///     options.guard, which guards every solve.
-///   * the effort counters: lp_solves, lp_iterations, lp_dual_solves and the
-///     guard counters of every solve.
+///   * the effort counters: lp_solves, lp_iterations, lp_dual_solves, the
+///     factorization counters and the guard counters of every solve.
 ///   * the solver's workspace (lp::Workspace): the storage of the
 ///     column-wise copy of the model, the LU, the eta file and the scratch,
 ///     reused by every solve of the chain. Each solve still re-gathers the

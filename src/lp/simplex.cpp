@@ -514,7 +514,10 @@ Solution solve_guarded(const Model& model, const SimplexOptions& options,
   }
 
   std::size_t audits_suspect = 1;
+  // The ladder's work is summed into whichever answer it returns.
   std::size_t iterations = sol.iterations;
+  std::size_t factorizations = sol.factorizations;
+  std::size_t lu_nnz = sol.lu_nnz;
   const std::size_t faults = sol.faults_injected;
   obs::emit_instant("lp_audit_suspect", "lp", "complaint", primary.complaint);
 
@@ -536,10 +539,14 @@ Solution solve_guarded(const Model& model, const SimplexOptions& options,
     }
     Solution again = solve_revised(model, retry, workspace);
     iterations += again.iterations;
+    factorizations += again.factorizations;
+    lu_nnz += again.lu_nnz;
     const AuditReport audit = audit_solution(model, again, retry);
     again.audit_verdict = audit.verdict;
     if (!again.audit_contested()) {
       again.iterations = iterations;
+      again.factorizations = factorizations;
+      again.lu_nnz = lu_nnz;
       again.faults_injected = faults;
       again.audits_suspect = audits_suspect;
       again.recoveries = 1;
@@ -563,6 +570,8 @@ Solution solve_guarded(const Model& model, const SimplexOptions& options,
                              ? AuditVerdict::kClean
                              : audit.verdict;
   oracle.iterations = iterations;
+  oracle.factorizations = factorizations;
+  oracle.lu_nnz = lu_nnz;
   oracle.faults_injected = faults;
   oracle.audits_suspect = audits_suspect;
   oracle.oracle_fallbacks = 1;

@@ -69,6 +69,11 @@ struct Solution {
   /// from the tableau solver.
   Basis basis;
   std::size_t iterations = 0;
+  /// LU factorizations of the revised solver (the one on entry, then one
+  /// per refactorization trigger), and their off-diagonal L and U entries
+  /// summed over those factorizations. 0 from the tableau.
+  std::size_t factorizations = 0;
+  std::size_t lu_nnz = 0;
   /// True when the dual simplex drove this solve to its terminal state
   /// (optimal or infeasible) — i.e. the solve was a dual re-optimization of
   /// a warm basis or an explicit kDual run. Deliberately false when the
@@ -102,8 +107,13 @@ struct Solution {
     return audit_verdict == AuditVerdict::kSuspect ||
            audit_verdict == AuditVerdict::kFailed;
   }
-  /// Adds this solve's guard-ladder counters to a solver's effort.
-  void add_guard_counters(EffortCounters& effort) const noexcept {
+  /// Adds this solve's iterations, factorization work and guard-ladder
+  /// counters to a solver's effort (lp_solves and lp_dual_solves are the
+  /// caller's: a chain counts solves it settled without the simplex).
+  void add_counters(EffortCounters& effort) const noexcept {
+    effort.lp_iterations += iterations;
+    effort.lp_factorizations += factorizations;
+    effort.lp_lu_nnz += lu_nnz;
     effort.lp_audits_suspect += audits_suspect;
     effort.lp_recoveries += recoveries;
     effort.lp_oracle_fallbacks += oracle_fallbacks;

@@ -102,10 +102,7 @@ std::optional<RelaxedLp> solve_relaxed_lp(const Instance& instance, double T,
   }
 
   const lp::Solution sol = lp::solve(model, options);
-  if (effort != nullptr) {
-    effort->lp_iterations += sol.iterations;
-    sol.add_guard_counters(*effort);
-  }
+  if (effort != nullptr) sol.add_counters(*effort);
   if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
   check(sol.optimal(), "LP-RelaxedRA solve failed");
 

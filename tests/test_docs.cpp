@@ -129,7 +129,7 @@ TEST(Docs, BenchSchemaDocumentsEveryJsonlKey) {
     EXPECT_NE(schema.find("`" + key + "`"), std::string::npos)
         << "JSONL key '" << key << "' is not documented in BENCH_SCHEMA.md";
   }
-  EXPECT_EQ(keys.size(), 32u) << "RunRecord schema size changed; update "
+  EXPECT_EQ(keys.size(), 34u) << "RunRecord schema size changed; update "
                                  "docs/BENCH_SCHEMA.md and this pin";
 
   // The nested phase_ms keys are elided when zero, so the default record

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -262,11 +263,14 @@ TEST(Session, PrimalPhaseOneInfeasibleBasisIsDropped) {
   ASSERT_TRUE(session.solve().optimal());
   const Basis optimal = session.basis();
 
-  // A negative cost on the nonbasic x makes the warm basis dual-infeasible,
-  // so the infeasibility is found by the primal phase 1 instead; its end
-  // basis must not replace the retained one.
-  session.model().set_objective(0, -5);
-  make_infeasible(session.model());
+  // A new column w, unbounded above with a negative cost, in x + y - w >= 2
+  // makes the warm basis dual-infeasible in a way no bound flip repairs, so
+  // the infeasibility is found by the primal phase 1 instead; its end basis
+  // must not replace the retained one.
+  Model& m = session.model();
+  const auto w = m.add_variable(0, kInfinity, -5);
+  m.add_to_row(0, w, -1);
+  make_infeasible(m);
   const Solution& sol = session.solve();
   ASSERT_EQ(sol.status, SolveStatus::kInfeasible);
   ASSERT_FALSE(sol.via_dual);
@@ -297,9 +301,8 @@ TEST(Session, CountersAreTheSumOfTheReturnedSolutions) {
   EffortCounters sum;
   const auto add = [&sum](const Solution& sol) {
     ++sum.lp_solves;
-    sum.lp_iterations += sol.iterations;
     if (sol.via_dual) ++sum.lp_dual_solves;
-    sol.add_guard_counters(sum);
+    sol.add_counters(sum);
   };
   add(session.solve());
   session.model().set_rhs(0, 3);
@@ -310,6 +313,9 @@ TEST(Session, CountersAreTheSumOfTheReturnedSolutions) {
   EXPECT_EQ(sum.lp_solves, 4u);
   EXPECT_GT(sum.lp_iterations, 0u);
   EXPECT_GT(sum.lp_dual_solves, 0u);
+  // Every simplex solve factorizes on entry; the recorded one does not.
+  EXPECT_GE(sum.lp_factorizations, 3u);
+  EXPECT_GT(sum.lp_lu_nnz, 0u);
   EXPECT_EQ(session.effort(), sum);
 }
 
@@ -321,6 +327,26 @@ void expect_matches_tableau(const Model& m, const Solution& sol) {
   EXPECT_NEAR(sol.objective, oracle.objective,
               1e-6 * std::max(1.0, std::abs(oracle.objective)));
   expect_optimality_certificate(m, sol);
+}
+
+TEST(Session, WrongBoundBoxedColumnsAreFlippedIntoTheDual) {
+  // A negative cost on the nonbasic boxed x makes the warm basis
+  // dual-infeasible; moving x to its upper bound restores dual feasibility,
+  // so the dual simplex still decides both edits below, each of which makes
+  // the warm basis primal-infeasible too.
+  for (const bool infeasible : {false, true}) {
+    Session session(two_cover_model());
+    ASSERT_TRUE(session.solve().optimal());
+    session.model().set_objective(0, -5);
+    if (infeasible) {
+      make_infeasible(session.model());
+    } else {
+      session.model().set_rhs(0, 3);
+    }
+    const Solution& sol = session.solve();
+    EXPECT_TRUE(sol.via_dual) << "infeasible " << infeasible;
+    expect_matches_tableau(session.model(), sol);
+  }
 }
 
 /// min x0 + 2 x1 + x2  s.t.  x0 + x1 >= 1,  x0 + x1 + x2 >= 2,  x2 <= 3,
@@ -594,6 +620,52 @@ TEST(WarmStart, ProbeAfterSeedTakesFewerIterationsThanColdOnMedium) {
       << "warm-started probe must beat a cold solve";
   // And not marginally: the warm re-optimization should be a small fraction.
   EXPECT_LT(warm_iterations * 2, cold_probe_iterations);
+}
+
+TEST(FillTrigger, RefactorizesATSearchChainByFillAlone) {
+  // The T-search of search_assignment_lp on the ~1.1k-row unrelated-medium
+  // relaxation, with refactor_interval out of reach: only the eta file's
+  // fill can trigger a refactorization, and every probe must still match
+  // the dense tableau's verdict and objective.
+  const ProblemInput input = generate_preset("unrelated-medium", 1);
+  const Instance& inst = input.instance;
+  double lo = std::max(assignment_lp_floor(inst), unrelated_lower_bound(inst));
+  double hi = unrelated_upper_bound(inst);
+  AssignmentLpOptions options;
+  options.simplex.refactor_interval = 1'000'000;
+  ParametricAssignmentLp chain(inst, hi, options);
+  lp::SimplexOptions tableau;
+  tableau.algorithm = SimplexAlgorithm::kTableau;
+  const auto probe = [&](double T) {
+    const bool feasible = chain.solve(T).has_value();
+    const lp::Solution& sol = chain.session().last();
+    const lp::Solution oracle = lp::solve(chain.session().model(), tableau);
+    EXPECT_EQ(sol.status, oracle.status) << "T=" << T;
+    if (oracle.optimal() && sol.optimal()) {
+      EXPECT_NEAR(sol.objective, oracle.objective,
+                  1e-6 * std::max(1.0, std::abs(oracle.objective)))
+          << "T=" << T;
+    }
+    return feasible;
+  };
+  ASSERT_TRUE(probe(hi));
+  if (!probe(lo)) {
+    while (hi / lo > 1.05) {
+      const double mid = std::sqrt(lo * hi);
+      if (probe(mid)) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+  }
+  const EffortCounters& effort = chain.effort();
+  EXPECT_GT(effort.lp_factorizations, effort.lp_solves)
+      << "the fill trigger never refactorized";
+  // Threshold pivoting toward sparse rows: largest-magnitude pivots gave
+  // ~13.7k L+U entries per factorization on this T-search, this rule ~6.0k.
+  ASSERT_GT(effort.lp_factorizations, 0u);
+  EXPECT_LE(effort.lp_lu_nnz / effort.lp_factorizations, 7'500u);
 }
 
 TEST(WarmStart, SearchCountersAreReported) {

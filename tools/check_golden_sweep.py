@@ -25,19 +25,14 @@ Usage:
   python3 tools/check_golden_sweep.py --expt build/setsched_expt --out DIR
 
 The sorted JSONL of every sweep is left in DIR. To regenerate the golden
-files after an intended behaviour change, run the sweeps by hand and sort:
+files after an intended behaviour change, run the same sweeps with --update,
+which writes their sorted JSONL into tests/golden/ instead of comparing:
 
-  for s in a i e; do
-    case $s in
-      a) args="--all-solvers --seeds=2 --presets=unrelated-tiny,unrelated-small" ;;
-      i) args="--all-solvers --seeds=2 --presets=unrelated-tiny --inject=all@0.05" ;;
-      e) args="--presets=unrelated-small --seeds=12 \\
-           --solvers=exact,exact-dive,dive-then-prove,branch-and-price" ;;
-    esac
-    build/setsched_expt $args --time-limit=600 \\
-      --no-timing --threads=4 --quiet --jsonl=/tmp/sweep_$s.jsonl
-    sort /tmp/sweep_$s.jsonl > tests/golden/sweep_$s.jsonl
-  done
+  python3 tools/check_golden_sweep.py --expt build/setsched_expt --out DIR \\
+      --update
+
+Then review the diff of tests/golden/ and say in the commit which fields
+moved.
 """
 
 from __future__ import annotations
@@ -88,6 +83,9 @@ def main() -> int:
                         help="path to the setsched_expt binary")
     parser.add_argument("--out", default=".",
                         help="directory for the sweep outputs")
+    parser.add_argument("--update", action="store_true",
+                        help="write the sorted sweeps into tests/golden/ "
+                             "instead of comparing against it")
     args = parser.parse_args()
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -99,10 +97,16 @@ def main() -> int:
                        check=True)
         got = sorted(raw.read_text().splitlines(keepends=True))
         (out / f"{name}.jsonl").write_text("".join(got))
+        if args.update:
+            (GOLDEN / f"{name}.jsonl").write_text("".join(got))
+            continue
         want = (GOLDEN / f"{name}.jsonl").read_text().splitlines(keepends=True)
         if got != want:
             explain(name, want, got)
             failed.append(name)
+    if args.update:
+        print("golden sweeps written:", ", ".join(SWEEPS))
+        return 0
     if failed:
         print("golden sweeps differ:", ", ".join(failed))
         return 1
