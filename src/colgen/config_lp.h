@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "common/thread_pool.h"
 #include "core/instance.h"
@@ -9,12 +10,10 @@
 
 namespace setsched {
 
-/// Pricing tolerance of the configuration LP, shared by the T-search
-/// (solve_config_lp) and the branch-and-price bounder (exact/config_bound.h)
-/// so both restricted masters behave alike: the dual-value margin a priced
-/// column must beat its machine's convexity dual by to count as improving,
-/// the per-job dual floor below which free jobs are not priced, and the
-/// coverage slack of the kFeasible verdict (coverage >= n - tol).
+/// Pricing tolerance of the configuration LP's round loop
+/// (CoverageMaster::probe): the margin a priced column must beat its
+/// machine's convexity dual by, the per-job dual floor below which free jobs
+/// are not priced, and the coverage slack of kFeasible (coverage >= n - tol).
 inline constexpr double kConfigLpPricingTol =
     1e-6;  // lint: allow-tolerance (named definition site)
 
@@ -35,69 +34,42 @@ inline constexpr double kConfigLpPricingTol =
 struct ConfigLpOptions {
   /// Optional pool: pricing problems across machines run in parallel.
   ThreadPool* pool = nullptr;
-  /// Simplex knobs for the restricted master (colgen/coverage_master.h). The
-  /// RMP is built once and grows by columns; each round's solve warm-starts
-  /// from the previous round's basis (revised path only).
+  /// Simplex knobs for the restricted master (colgen/coverage_master.h).
   lp::SimplexOptions simplex = {};
 };
 
+/// How a configuration-LP probe ended (CoverageMaster::probe).
 enum class ConfigLpStatus {
   kFeasible,          ///< coverage n reached; fractional solution returned
   kInfeasibleAtGrid,  ///< no improving column and coverage < n
+  kPinsOverflow,  ///< the jobs pinned to one machine alone overflow the grid
   kIterationLimit,
+  kContested,  ///< a master solve was not optimal or its audit contested it
 };
 
-/// The effort counters are the RMP's session effort: lp_solves (one per
-/// round that added a column), lp_iterations, lp_dual_solves and the guard
-/// counters, summed over all RMP solves.
+/// The effort counters are the master's (CoverageMaster::effort): one
+/// lp_solve per round, lp_iterations, the dual, factorization and guard
+/// counters, cg_columns and cg_pricing_rounds.
 struct ConfigLpResult : EffortCounters {
   ConfigLpStatus status = ConfigLpStatus::kIterationLimit;
   FractionalAssignment fractional;  ///< valid iff kFeasible
   double coverage = 0.0;            ///< final RMP objective (<= n)
   std::size_t columns = 0;
-  std::size_t iterations = 0;
 };
 
+/// The configuration LP at one guess T: a fresh master, one probe.
 [[nodiscard]] ConfigLpResult solve_config_lp(const Instance& instance, double T,
                                              const ConfigLpOptions& options = {});
 
-/// One priced configuration column for a machine (the pricing subproblem's
-/// optimum): the covered job set and its total dual value.
-struct PricedConfig {
-  double value = 0.0;  ///< Σ duals of covered jobs (mandatory jobs included)
-  std::vector<JobId> jobs;
-  /// Pin feasibility certificate (branch-and-price only; always true when no
-  /// pins are passed): false means the jobs *pinned to this machine* alone
-  /// overflow the grid at T. Because weights are rounded up at an inflated
-  /// probe T (exact/config_bound.h picks T so any truly-T-feasible set
-  /// rounds within the grid), overflow of the mandatory subset certifies
-  /// that machine's true load exceeds T in EVERY completion of the partial
-  /// schedule — a sound prune.
-  bool pins_fit = true;
-};
-
-/// Exact knapsack-with-class-opening-costs pricing for one machine on the
-/// scaled grid (weights rounded up, so any returned set truly fits in T).
-/// This is the pricing subproblem of solve_config_lp(), exposed for the
-/// branch-and-price bounder (exact/config_bound.h).
-///
-/// `pinned` (optional, size n, kUnassigned = free) restricts the priced
-/// configuration to ones consistent with a partial schedule: jobs pinned to
-/// machine `i` are MANDATORY (always included, their class openings and
-/// weights pre-committed, their duals credited even when below `tol`), jobs
-/// pinned elsewhere are EXCLUDED. Without pins a value below `tol` returns
-/// an empty job set (no worthwhile configuration); with mandatory jobs the
-/// pinned set is always returned so the RMP can cover pinned jobs.
-[[nodiscard]] PricedConfig price_machine_config(
-    const Instance& instance, MachineId i, double T,
-    const std::vector<double>& dual, std::size_t grid, double tol,
-    const std::vector<MachineId>* pinned = nullptr);
-
 /// Theorem 3.3 rounding driven by the configuration LP instead of the direct
-/// assignment LP: binary-searches the smallest grid-feasible T, then runs
-/// the unchanged randomized rounding on the recovered fractional solution.
+/// assignment LP. The T-search widens the best-machine makespan by 1.3x (at
+/// most 8 times) until the LP accepts, then bisects geometrically down to
+/// the search precision, every probe on ONE CoverageMaster retuned to its T.
+/// The rounding then runs on the solution accepted at the smallest T.
+/// `on_probe`, when set, sees every probe's T and result in order.
 [[nodiscard]] RoundingResult randomized_rounding_config(
     const Instance& instance, const RoundingOptions& rounding = {},
-    const ConfigLpOptions& config = {});
+    const ConfigLpOptions& config = {},
+    const std::function<void(double, const ConfigLpResult&)>& on_probe = {});
 
 }  // namespace setsched

@@ -1,7 +1,6 @@
 #include "exact/config_bound.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "exact/tolerances.h"
 
@@ -21,150 +20,44 @@ constexpr std::size_t kRootRounds = 80;
 
 ConfigLpBounder::ConfigLpBounder(const Instance& instance, double T_build,
                                  const ConfigBoundOptions& options)
-    : inst_(instance), opt_(options) {
+    : opt_(options) {
   if (T_build <= 0.0 || opt_.grid == 0) return;
-  const std::size_t n = inst_.num_jobs();
-  slack_ = static_cast<double>(n + inst_.num_classes()) /
+  const std::size_t n = instance.num_jobs();
+  slack_ = static_cast<double>(n + instance.num_classes()) /
            static_cast<double>(opt_.grid);
   if (slack_ >= kCgMaxGridSlack) return;  // grid too coarse to say anything
 
   lp::SimplexOptions simplex = opt_.simplex;
   simplex.guard = true;  // every prune verdict must survive the audit
-  master_.emplace(n, inst_.num_machines(), simplex);
-  pinned_.assign(n, kUnassigned);
-}
-
-bool ConfigLpBounder::conflicts(const PoolColumn& c, JobId j,
-                                MachineId i) const {
-  const bool contains =
-      std::binary_search(c.jobs.begin(), c.jobs.end(), j);
-  // A machine-i column must contain every job pinned to i; any other
-  // machine's column must not contain it.
-  return c.machine == i ? !contains : contains;
-}
-
-void ConfigLpBounder::sync_bounds(const PoolColumn& c) {
-  master_->set_enabled(c.z, c.pin_blocks == 0 && !c.load_blocked);
-}
-
-void ConfigLpBounder::pin(JobId j, MachineId i) {
-  if (!master_) return;
-  pinned_[j] = i;
-  for (PoolColumn& c : pool_) {
-    if (!conflicts(c, j, i)) continue;
-    if (++c.pin_blocks == 1 && !c.load_blocked) sync_bounds(c);
-  }
-}
-
-void ConfigLpBounder::unpin(JobId j) {
-  if (!master_) return;
-  const MachineId i = pinned_[j];
-  pinned_[j] = kUnassigned;
-  if (i == kUnassigned) return;
-  for (PoolColumn& c : pool_) {
-    if (!conflicts(c, j, i)) continue;
-    if (--c.pin_blocks == 0 && !c.load_blocked) sync_bounds(c);
-  }
-}
-
-void ConfigLpBounder::retune(double t_eff) {
-  current_T_ = t_eff;
-  for (PoolColumn& c : pool_) {
-    const bool blocked = c.load > t_eff;
-    if (blocked == c.load_blocked) continue;
-    c.load_blocked = blocked;
-    if (c.pin_blocks == 0) sync_bounds(c);
-  }
-}
-
-void ConfigLpBounder::add_column(MachineId i, std::vector<JobId> jobs) {
-  std::sort(jobs.begin(), jobs.end());
-  PoolColumn c;
-  c.machine = i;
-  c.jobs = std::move(jobs);
-  std::vector<char> touched(inst_.num_classes(), 0);
-  for (const JobId j : c.jobs) {
-    c.load += inst_.proc(i, j);
-    touched[inst_.job_class(j)] = 1;
-  }
-  for (ClassId k = 0; k < inst_.num_classes(); ++k) {
-    if (touched[k]) c.load += inst_.setup(i, k);
-  }
-  c.z = master_->add_column(i, c.jobs);
-  // The pricer only emits pin-consistent columns that truly fit the current
-  // probe T (weights are rounded up), so a fresh column starts enabled.
-  c.pin_blocks = 0;
-  c.load_blocked = c.load > current_T_;
-  if (c.load_blocked) sync_bounds(c);
-  pool_.push_back(std::move(c));
-}
-
-ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
-                                              std::size_t max_rounds) {
-  const std::size_t n = inst_.num_jobs();
-  const std::size_t m = inst_.num_machines();
-  const double coverage_target = static_cast<double>(n) - kConfigLpPricingTol;
+  master_.emplace(instance, opt_.grid, ColumnFit::kTrueLoad, simplex,
+                  /*colgen_phase=*/false);
   // The prune certificate needs headroom for pricing's per-machine dual
   // tolerance (see kCgCoverageSlackPerRow).
-  const double prune_below = static_cast<double>(n) -
-                             static_cast<double>(m + 1) *
-                                 kCgCoverageSlackPerRow;
-  last_probe_rounds_ = 0;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    ++last_probe_rounds_;
-    ++pricing_rounds_;
-
-    const lp::Solution& sol = master_->solve();
-    if (!sol.optimal() || sol.audit_contested()) return Probe::kContested;
-    if (sol.objective >= coverage_target) return Probe::kFeasible;
-    master_->update_duals();
-
-    bool added = false;
-    for (MachineId i = 0; i < m; ++i) {
-      PricedConfig priced =
-          price_machine_config(inst_, i, t_eff, master_->job_duals(),
-                               opt_.grid, kConfigLpPricingTol, &pinned_);
-      // The jobs pinned to machine i alone overflow the grid: their true
-      // load exceeds the probe T in every completion (grid conservatism).
-      if (!priced.pins_fit) return Probe::kInfeasible;
-      if (priced.jobs.empty()) continue;
-      if (priced.value <= master_->machine_duals()[i] + kConfigLpPricingTol) {
-        continue;
-      }
-      add_column(i, std::move(priced.jobs));
-      added = true;
-    }
-    if (!added) {
-      // Exhaustive pricing: the duals are feasible for the full
-      // pin-consistent master, so its optimum is bounded by the RMP's.
-      return sol.objective < prune_below ? Probe::kInfeasible
-                                         : Probe::kFeasible;
-    }
-  }
-  return Probe::kStall;
+  prune_below_ = static_cast<double>(n) -
+                 static_cast<double>(instance.num_machines() + 1) *
+                     kCgCoverageSlackPerRow;
 }
 
 bool ConfigLpBounder::probe_verdict(double T, std::size_t max_rounds) {
   if (!master_ || T <= 0.0) return true;  // no bounder, no pruning
   ++probes_;
-  const double t_eff = T / (1.0 - slack_);
-  if (t_eff != current_T_) retune(t_eff);
-  switch (probe(t_eff, max_rounds)) {
-    case Probe::kFeasible:
-      consecutive_stalls_ = 0;
-      return true;
-    case Probe::kInfeasible:
-      consecutive_stalls_ = 0;
-      return false;
-    case Probe::kStall:
-      ++consecutive_stalls_;
-      ++fallbacks_;
-      return true;
-    case Probe::kContested:
-      ++fallbacks_;
-      return true;
+  master_->retune(T / (1.0 - slack_));
+  const ConfigLpStatus status = master_->probe(max_rounds);
+  if (status == ConfigLpStatus::kContested ||
+      status == ConfigLpStatus::kIterationLimit) {
+    // Demoted to "no bound"; only round-limit stalls feed the demotion signal.
+    if (status == ConfigLpStatus::kIterationLimit) ++consecutive_stalls_;
+    ++fallbacks_;
+    return true;
   }
-  return true;  // unreachable
+  consecutive_stalls_ = 0;
+  // kPinsOverflow: the jobs pinned to one machine alone overflow the grid,
+  // so their true load exceeds T in every completion (grid conservatism).
+  // kInfeasibleAtGrid: exhaustive pricing leaves duals feasible for the
+  // full pin-consistent master, so its optimum is bounded by the RMP's.
+  return status == ConfigLpStatus::kFeasible ||
+         (status == ConfigLpStatus::kInfeasibleAtGrid &&
+          master_->coverage() >= prune_below_);
 }
 
 bool ConfigLpBounder::feasible(double T) {
@@ -177,13 +70,9 @@ double ConfigLpBounder::root_lower_bound(double lo, double hi) {
   double ceiling = hi;
   const std::size_t rounds = std::max(opt_.rounds_per_node, kRootRounds);
   for (std::size_t used = 0; used < kRootProbes; ++used) {
-    if (ceiling - certified <=
-        kCgRootGapRelTol * std::max(1.0, certified)) {
-      break;
-    }
-    if (opt_.deadline &&
-        std::chrono::steady_clock::now() > *opt_.deadline) {
-      break;  // out of wall clock; keep what is certified so far
+    if (ceiling - certified <= kCgRootGapRelTol * std::max(1.0, certified) ||
+        (opt_.deadline && std::chrono::steady_clock::now() > *opt_.deadline)) {
+      break;  // narrow enough, or out of wall clock: keep what is certified
     }
     const double mid = 0.5 * (certified + ceiling);
     if (probe_verdict(mid, rounds)) {
@@ -204,33 +93,9 @@ double ConfigLpBounder::root_lower_bound(double lo, double hi) {
 
 EffortCounters ConfigLpBounder::effort() const {
   EffortCounters out;
-  if (master_) out = master_->session().effort();
-  out.cg_columns = pool_.size();
-  out.cg_pricing_rounds = pricing_rounds_;
+  if (master_) out = master_->effort();
   out.cg_fallbacks = fallbacks_;
   return out;
-}
-
-bool ConfigLpBounder::check_invariants() const {
-  if (!master_) return true;
-  const lp::Session& session = master_->session();
-  const lp::Model& rmp = session.model();
-  for (const PoolColumn& c : pool_) {
-    int blocks = 0;
-    for (JobId j = 0; j < inst_.num_jobs(); ++j) {
-      if (pinned_[j] == kUnassigned) continue;
-      if (conflicts(c, j, pinned_[j])) ++blocks;
-    }
-    if (blocks != c.pin_blocks) return false;
-    const bool disabled = c.pin_blocks > 0 || c.load_blocked;
-    if (rmp.upper(c.z) != (disabled ? 0.0 : 1.0)) return false;
-    if (c.z >= rmp.num_variables()) return false;
-  }
-  // Columns are append-only, so a warm basis carried across backtracking may
-  // never reference more structurals than the model holds.
-  if (session.basis().structurals.size() > rmp.num_variables()) return false;
-  if (session.basis().logicals.size() > rmp.num_constraints()) return false;
-  return true;
 }
 
 }  // namespace setsched::exact

@@ -3,9 +3,7 @@
 #include <chrono>
 #include <cstddef>
 #include <optional>
-#include <vector>
 
-#include "colgen/config_lp.h"
 #include "colgen/coverage_master.h"
 #include "core/counters.h"
 #include "core/instance.h"
@@ -32,15 +30,11 @@ struct ConfigBoundOptions {
   lp::SimplexOptions simplex;
 };
 
-/// Configuration-LP bounds for the branch-and-bound: branch-and-price. The
-/// restricted master (colgen/coverage_master.h) is built ONCE and only ever
-/// grows; every probe warm-starts from the previous node's basis on the
-/// master's lp::Session, exactly like the T-search warm chain, and pricing at a node is restricted to configurations consistent
-/// with the node's partial schedule (price_machine_config pins). The column
-/// pool and basis survive backtracking: columns are never erased — a column
-/// inconsistent with the current pins (or too loaded for the current probe
-/// T) is disabled by forcing its bounds to [0, 0], so basis indices stay
-/// stable and unpinning re-enables exactly what pinning disabled.
+/// Configuration-LP bounds for the branch-and-bound: branch-and-price. All
+/// probes run on one CoverageMaster (colgen/coverage_master.h), whose pool
+/// and warm basis survive backtracking; pricing at a node is restricted to
+/// configurations consistent with its partial schedule (pins). The bounder
+/// adds the grid inflation of the probe T, the verdicts and the root bisection.
 ///
 /// Soundness of every prune rests on two certificates:
 ///   * Grid conservatism: probes at T run the pricer at
@@ -53,8 +47,9 @@ struct ConfigBoundOptions {
 ///     the master below n — no fractional (hence no integral) completion of
 ///     the pinned partial schedule fits in T. Extra pool columns (priced at
 ///     looser T or under other pins) can only RAISE the RMP optimum, so they
-///     weaken prunes but never corrupt them; disabling them is purely a
-///     bound-quality measure.
+///     weaken prunes but never corrupt them; disabling the ones whose true
+///     load exceeds T_eff (ColumnFit::kTrueLoad) is purely a bound-quality
+///     measure.
 /// Contested (guard-audited) or non-optimal RMP solves demote the probe to
 /// "no bound" — the node is searched, never pruned on corrupted numerics.
 class ConfigLpBounder {
@@ -66,13 +61,9 @@ class ConfigLpBounder {
 
   [[nodiscard]] bool available() const noexcept { return master_.has_value(); }
 
-  /// Pin/unpin the branching decision "job j runs on machine i". Pool
-  /// columns conflicting with the pin (machine-i columns missing j, other
-  /// machines' columns containing j) are disabled while it is active.
-  /// Columns priced under an active pin are consistent with it by
-  /// construction, so unpin() re-enables exactly the set pin() disabled.
-  void pin(JobId j, MachineId i);
-  void unpin(JobId j);
+  /// Pin/unpin the branching decision "job j runs on machine i".
+  void pin(JobId j, MachineId i) { if (master_) master_->pin(j, i); }
+  void unpin(JobId j) { if (master_) master_->unpin(j); }
 
   /// True iff a fractional configuration-LP completion respecting the pins
   /// with makespan <= T may exist (or the bounder is unavailable / the probe
@@ -88,13 +79,12 @@ class ConfigLpBounder {
   /// (kRootProbes, kRootRounds in config_bound.cpp).
   [[nodiscard]] double root_lower_bound(double lo, double hi);
 
-  // --- effort counters (SolverStats cg_* trio + internals) -----------------
-  /// Everything the bounder spent: the RMP session's lp_solves (one per
-  /// pricing round), lp_iterations, lp_dual_solves and guard counters, plus
-  /// cg_columns, cg_pricing_rounds and cg_fallbacks.
+  /// The master's effort (CoverageMaster::effort) plus cg_fallbacks.
   [[nodiscard]] EffortCounters effort() const;
   /// Configuration columns priced into the RMP (pool size; append-only).
-  [[nodiscard]] std::size_t columns() const noexcept { return pool_.size(); }
+  [[nodiscard]] std::size_t columns() const noexcept {
+    return master_ ? master_->size() : 0;
+  }
   /// Probes demoted to "no bound": contested/non-optimal RMP solves plus
   /// round-limit stalls. The caller's auto-mode demotion adds to this.
   [[nodiscard]] std::size_t fallbacks() const noexcept { return fallbacks_; }
@@ -104,7 +94,7 @@ class ConfigLpBounder {
   /// regression hook: a child probe resuming the parent's pool/basis must
   /// beat a cold bounder's rebuild).
   [[nodiscard]] std::size_t last_probe_rounds() const noexcept {
-    return last_probe_rounds_;
+    return master_ ? master_->last_probe_rounds() : 0;
   }
   /// Consecutive round-limit stalls (auto-mode demotion signal; reset by any
   /// probe that terminates properly).
@@ -112,51 +102,27 @@ class ConfigLpBounder {
     return consecutive_stalls_;
   }
 
-  /// Test hook: verifies the pool/RMP invariants — every column's recorded
-  /// pin-block count matches a recount against the live pins, disabled
-  /// bounds agree with (pin_blocks, load_blocked), and the warm basis never
-  /// references a variable the model does not hold (columns are append-only,
-  /// so backtracking can never strand a basic column).
-  [[nodiscard]] bool check_invariants() const;
+  /// Test hook: CoverageMaster::check_invariants.
+  [[nodiscard]] bool check_invariants() const {
+    return !master_ || master_->check_invariants();
+  }
 
  private:
-  struct PoolColumn {
-    MachineId machine = 0;
-    std::vector<JobId> jobs;  ///< sorted
-    double load = 0.0;        ///< true load: Σ proc + touched-class setups
-    std::size_t z = 0;        ///< RMP variable index (stable forever)
-    int pin_blocks = 0;       ///< active pins this column conflicts with
-    bool load_blocked = false;  ///< true load exceeds the current probe T
-  };
-
-  enum class Probe { kFeasible, kInfeasible, kStall, kContested };
-
-  [[nodiscard]] bool conflicts(const PoolColumn& c, JobId j,
-                               MachineId i) const;
-  void sync_bounds(const PoolColumn& c);
-  void retune(double t_eff);
-  void add_column(MachineId i, std::vector<JobId> jobs);
-  [[nodiscard]] Probe probe(double t_eff, std::size_t max_rounds);
   /// feasible() with an explicit per-probe round budget (root probes get
   /// kRootRounds, node probes opt_.rounds_per_node).
   [[nodiscard]] bool probe_verdict(double T, std::size_t max_rounds);
 
-  const Instance& inst_;
   ConfigBoundOptions opt_;
   /// Conservative grid inflation (n + classes) / grid; probes at T price at
   /// T / (1 - slack_).
   double slack_ = 0.0;
-  double current_T_ = -1.0;  ///< T_eff the pool's load-blocking is tuned to
+  /// Converged coverage below this certifies a prune.
+  double prune_below_ = 0.0;
 
-  /// The RMP; empty when the bounder is unavailable.
-  std::optional<CoverageMaster> master_;
-  std::vector<PoolColumn> pool_;
-  std::vector<MachineId> pinned_;
+  std::optional<CoverageMaster> master_;  ///< empty when unavailable
 
-  std::size_t pricing_rounds_ = 0;
   std::size_t fallbacks_ = 0;
   std::size_t probes_ = 0;
-  std::size_t last_probe_rounds_ = 0;
   std::size_t consecutive_stalls_ = 0;
 };
 

@@ -1,9 +1,9 @@
 #include "restricted/approx.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
+#include "common/bisect.h"
 #include "common/check.h"
 #include "core/bounds.h"
 #include "restricted/pseudoforest.h"
@@ -38,13 +38,13 @@ LpWindow search_relaxed_lp(const Instance& instance, double precision,
   }
   auto best = solve_relaxed_lp(instance, hi, simplex, &out.effort);
   check(best.has_value(), "LP-RelaxedRA infeasible at a feasible makespan");
-  while (hi / lo > 1.0 + precision) {
-    const double mid = std::sqrt(lo * hi);
-    if (auto sol = solve_relaxed_lp(instance, mid, simplex, &out.effort)) {
-      hi = mid;
+  while (const std::optional<double> mid =
+             geometric_midpoint(lo, hi, precision)) {
+    if (auto sol = solve_relaxed_lp(instance, *mid, simplex, &out.effort)) {
+      hi = *mid;
       best = std::move(sol);
     } else {
-      lo = mid;
+      lo = *mid;
     }
   }
   out.lp = std::move(*best);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/bisect.h"
 #include "common/check.h"
 #include "core/bounds.h"
 #include "uniform/groups.h"
@@ -84,8 +85,9 @@ PtasResult ptas_uniform(const UniformInstance& instance,
 
   // Geometric binary search. Invariants: a schedule of makespan <= hi is
   // known; every probe rejection raises `lo` to a certified lower bound.
-  while (hi / lo > 1.0 + epsilon) {
-    const double mid = std::sqrt(lo * hi);
+  while (const std::optional<double> next =
+             geometric_midpoint(lo, hi, epsilon)) {
+    const double mid = *next;
     ++result.probes;
     const Probe probe = probe_T(instance, mid, epsilon, options.max_states);
     result.max_dp_states = std::max(result.max_dp_states, probe.dp_states);

@@ -1,9 +1,9 @@
 #include "unrelated/assignment_lp.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
+#include "common/bisect.h"
 #include "common/check.h"
 #include "core/bounds.h"
 
@@ -206,13 +206,13 @@ LpSearchResult search_assignment_lp(const Instance& instance, double precision,
       return finish(lo, lo, std::move(*at_lo));
     }
   }
-  while (hi / lo > 1.0 + precision) {
-    const double mid = std::sqrt(lo * hi);
-    if (auto sol = lp.solve(mid)) {
-      hi = mid;
+  while (const std::optional<double> mid =
+             geometric_midpoint(lo, hi, precision)) {
+    if (auto sol = lp.solve(*mid)) {
+      hi = *mid;
       best = std::move(sol);
     } else {
-      lo = mid;
+      lo = *mid;
     }
   }
   return finish(hi, lo, std::move(*best));

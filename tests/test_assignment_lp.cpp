@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/generators.h"
+#include "core/schedule.h"
 #include "exact/branch_bound.h"
+#include "restricted/approx.h"
 #include "unrelated/assignment_lp.h"
 
 namespace setsched {
@@ -125,6 +129,39 @@ TEST_P(LpSearchTest, WindowBracketsOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpSearchTest,
                          ::testing::Range<std::uint64_t>(0, 12));
+
+// A precision below machine epsilon (1.0 + 1e-300 == 1.0) used to hang
+// every geometric T-search: once lo and hi are adjacent doubles,
+// sqrt(lo * hi) returns one of them and the search probed it forever. Both
+// searches must now stop at a window a few ulps wide, with a valid solution.
+TEST(GeometricSearch, PrecisionBelowMachineEpsilonTerminates) {
+  constexpr double kPrecision = 1e-300;
+  constexpr double kUlps = 1e-15;  // a few doubles apart
+  UnrelatedGenParams p;
+  p.num_jobs = 9;
+  p.num_machines = 3;
+  p.num_classes = 3;
+  const Instance unrelated = generate_unrelated(p, 4);
+  const LpSearchResult lp = search_assignment_lp(unrelated, kPrecision);
+  EXPECT_LE(lp.lower_bound, lp.feasible_T);
+  EXPECT_LE(lp.feasible_T, lp.lower_bound * (1.0 + kUlps));
+  // At the exact threshold a load row holds only up to the simplex's primal
+  // feasibility tolerance (1e-7) times its coefficients, which are <= T.
+  expect_valid_fractional(unrelated, lp.fractional, lp.feasible_T,
+                          1e-7 * lp.feasible_T);
+
+  RestrictedGenParams rp;
+  rp.num_jobs = 10;
+  rp.num_machines = 3;
+  rp.num_classes = 3;
+  const Instance restricted = generate_restricted_class_uniform(rp, 4);
+  const ConstantApproxResult approx =
+      two_approx_restricted(restricted, kPrecision);
+  EXPECT_FALSE(schedule_error(restricted, approx.schedule).has_value());
+  EXPECT_LE(approx.lp_lower_bound, approx.lp_T);
+  EXPECT_LE(approx.lp_T, approx.lp_lower_bound * (1.0 + kUlps));
+  EXPECT_LE(approx.makespan, 2.0 * approx.lp_T + 1e-6);
+}
 
 TEST(AssignmentLp, MinimizesTotalSetupMass) {
   // With a generous T, an (integral) solution with one machine doing all of

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/bisect.h"
 #include "common/check.h"
 #include "common/matrix.h"
 #include "common/prng.h"
@@ -19,6 +20,27 @@
 
 namespace setsched {
 namespace {
+
+TEST(GeometricMidpoint, IsTheGeometricMeanUntilTheBracketIsNarrow) {
+  EXPECT_EQ(geometric_midpoint(2.0, 8.0, 0.05), std::sqrt(2.0 * 8.0));
+  EXPECT_EQ(geometric_midpoint(100.0, 104.0, 0.05), std::nullopt);
+}
+
+TEST(GeometricMidpoint, StopsAtAdjacentDoublesBelowMachineEpsilon) {
+  const double lo = 1000.0;
+  const double hi = std::nextafter(lo, 2000.0);
+  EXPECT_EQ(geometric_midpoint(lo, hi, 1e-300), std::nullopt);
+  // A search at that precision ends, and a few ulps apart.
+  double a = 1.0;
+  double b = 3.0;
+  std::size_t probes = 0;
+  while (const std::optional<double> mid = geometric_midpoint(a, b, 1e-300)) {
+    ASSERT_LT(++probes, 200u);
+    (*mid * *mid < 2.0 ? a : b) = *mid;
+  }
+  EXPECT_LE(b / a, 1.0 + 1e-15);
+  EXPECT_LE(a * a, 2.0);
+}
 
 TEST(Check, PassesOnTrue) { EXPECT_NO_THROW(check(true, "ok")); }
 

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "api/presets.h"
+#include "colgen/coverage_master.h"
 #include "colgen/config_lp.h"
 #include "core/bounds.h"
 #include "core/generators.h"
@@ -204,6 +208,85 @@ TEST(ConfigRounding, LpEffortCountersAccumulateInnerRounds) {
   EXPECT_EQ(r.lp_solves, probe.lp_solves);
   EXPECT_EQ(r.lp_iterations, probe.lp_iterations);
 }
+
+/// (preset, seed) cells of the one-pool T-search checks.
+class ConfigLpSearchTest
+    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+ protected:
+  [[nodiscard]] Instance instance() const {
+    return generate_preset(std::get<0>(GetParam()), std::get<1>(GetParam()))
+        .instance;
+  }
+};
+
+// The T-search runs every probe on one master, retuned per T. With
+// ColumnFit::kGrid its pool only offers columns the pricer at T could emit,
+// so a converged probe decides the grid LP at T whatever the pool holds:
+// each verdict must equal a fresh single-probe solve at the same T unless
+// one of them ran out of rounds. Every accepted probe's solution must
+// satisfy the assignment-LP rows (1), (2) and (4) at its T. The fine
+// precision walks the probes close to the grid threshold, where columns
+// priced at a nearby T truly fit T but not T's grid: enabling them by true
+// load instead makes this test fail on every cell.
+TEST_P(ConfigLpSearchTest, OnePoolVerdictsMatchFreshProbes) {
+  const Instance inst = instance();
+  std::size_t probes = 0;
+  std::size_t accepted = 0;
+  RoundingOptions fine;
+  fine.search_precision = 1e-3;
+  const RoundingResult r = randomized_rounding_config(
+      inst, fine, {}, [&](double T, const ConfigLpResult& pooled) {
+        ++probes;
+        const ConfigLpResult fresh = solve_config_lp(inst, T);
+        if (pooled.status != ConfigLpStatus::kIterationLimit &&
+            fresh.status != ConfigLpStatus::kIterationLimit) {
+          EXPECT_EQ(pooled.status, fresh.status) << "probe at T = " << T;
+        }
+        if (pooled.status == ConfigLpStatus::kFeasible) {
+          ++accepted;
+          expect_valid_fractional(inst, pooled.fractional, T);
+        }
+      });
+  EXPECT_GT(probes, 1u);
+  EXPECT_GE(accepted, 1u);
+  EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
+  EXPECT_EQ(r.lp_solves, r.cg_pricing_rounds);  // one solve per round
+}
+
+// Replays the T-search's probe sequence on a master of each fit rule, then
+// a descending and an ascending sweep: the pool's invariants (pin and fit
+// blocking recounted, bounds, basis within the model) hold after every
+// retune and every probe, and the pool only grows.
+TEST_P(ConfigLpSearchTest, PoolInvariantsHoldAcrossRetunes) {
+  const Instance inst = instance();
+  std::vector<double> guesses;
+  (void)randomized_rounding_config(inst, {}, {},
+                                   [&](double T, const ConfigLpResult&) {
+                                     guesses.push_back(T);
+                                   });
+  ASSERT_GT(guesses.size(), 1u);
+  const double top = *std::max_element(guesses.begin(), guesses.end());
+  for (const double f : {1.2, 0.9, 0.7, 0.5, 0.8, 1.1, 1.5}) {
+    guesses.push_back(top * f);
+  }
+  for (const ColumnFit fit : {ColumnFit::kGrid, ColumnFit::kTrueLoad}) {
+    CoverageMaster pool(inst, 2048, fit, {}, /*colgen_phase=*/false);
+    std::size_t columns = 0;
+    for (const double T : guesses) {
+      pool.retune(T);
+      EXPECT_TRUE(pool.check_invariants()) << "after retune to " << T;
+      (void)pool.probe(80);
+      EXPECT_TRUE(pool.check_invariants()) << "after the probe at " << T;
+      EXPECT_GE(pool.size(), columns);
+      columns = pool.size();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ConfigLpSearchTest,
+    ::testing::Combine(::testing::Values("unrelated-tiny", "unrelated-small"),
+                       ::testing::Range<std::uint64_t>(1, 5)));
 
 TEST(ConfigLp, PricingHonorsSetupCosts) {
   // One machine, two classes; T fits one class + its setup but not both.
