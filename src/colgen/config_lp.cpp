@@ -29,7 +29,6 @@ ConfigLpResult probe_config_lp(CoverageMaster& master, double T,
     out.fractional = master.fractional();
   }
   out.coverage = master.coverage();
-  out.columns = master.size();
   out.effort() = master.effort();
   return out;
 }

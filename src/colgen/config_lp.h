@@ -54,7 +54,6 @@ struct ConfigLpResult : EffortCounters {
   ConfigLpStatus status = ConfigLpStatus::kIterationLimit;
   FractionalAssignment fractional;  ///< valid iff kFeasible
   double coverage = 0.0;            ///< final RMP objective (<= n)
-  std::size_t columns = 0;
 };
 
 /// The configuration LP at one guess T: a fresh master, one probe.

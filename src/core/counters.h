@@ -25,8 +25,9 @@ namespace setsched {
 ///                        contested a solve. 0 when the guard is off.
 ///   lp_recoveries        LP guard: contested solves recovered by the
 ///                        refactorize-warm / cold re-solve rungs.
-///   lp_oracle_fallbacks  LP guard: contested solves escalated to the dense
-///                        tableau oracle (the ladder's last rung).
+///   lp_oracle_fallbacks  LP guard: contested solves escalated to the
+///                        ladder's last rung, a cold re-solve that
+///                        refactorizes before every pivot.
 ///   cg_columns           Branch-and-price (exact/config_bound.h): columns
 ///                        priced into the restricted master.
 ///   cg_pricing_rounds    Branch-and-price: pricing rounds (one RMP solve

@@ -103,10 +103,10 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
       const std::size_t b = basis_[k];
       double infeas = 0.0;
       bool under = false;
-      if (xb_[k] < lower_[b] - opt_.feas_tol) {
+      if (xb_[k] < lower_[b] - kFeasTol) {
         infeas = lower_[b] - xb_[k];
         under = true;
-      } else if (xb_[k] > upper_[b] + opt_.feas_tol) {
+      } else if (xb_[k] > upper_[b] + kFeasTol) {
         infeas = xb_[k] - upper_[b];
       } else {
         continue;
@@ -169,7 +169,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
       // move must push xb_leave toward its violated bound.
       const double push = at_lower ? -a : a;  // sign of xb_leave change
       if (below ? push <= 0.0 : push >= 0.0) continue;
-      if (std::abs(a) < opt_.pivot_tol) {
+      if (std::abs(a) < kPivotTol) {
         skipped_tiny = true;
         continue;
       }
@@ -187,11 +187,11 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
         better = true;
       } else if (bland) {
         better = j < enter;
-        if (ratio > best_ratio + opt_.opt_tol) better = false;
-        if (ratio < best_ratio - opt_.opt_tol) better = true;
-      } else if (ratio < best_ratio - opt_.ratio_tie_tol()) {
+        if (ratio > best_ratio + kOptTol) better = false;
+        if (ratio < best_ratio - kOptTol) better = true;
+      } else if (ratio < best_ratio - kRatioTieTol) {
         better = true;
-      } else if (ratio <= best_ratio + opt_.ratio_tie_tol()) {
+      } else if (ratio <= best_ratio + kRatioTieTol) {
         better = mag > best_mag;
       } else {
         better = false;
@@ -226,9 +226,9 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
     const double apivot = alpha_[leave];
     // The row (enter_alpha) and column (apivot) views of the pivot element
     // must agree; drift beyond roundoff means the eta file degraded.
-    if (!std::isfinite(apivot) || std::abs(apivot) < opt_.pivot_tol ||
+    if (!std::isfinite(apivot) || std::abs(apivot) < kPivotTol ||
         std::abs(apivot - enter_alpha) >
-            opt_.pivot_agreement_tol() * std::max(1.0, std::abs(apivot))) {
+            kPivotAgreementTol * std::max(1.0, std::abs(apivot))) {
       std::fill(alpha_.begin(), alpha_.end(), 0.0);
       return DualOutcome::kFallback;
     }
@@ -240,7 +240,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
     step = std::max(step, 0.0);
 
     ++iterations_;
-    if (step <= opt_.feas_tol) {
+    if (step <= kFeasTol) {
       if (++dual_stall > 2 * (nrows_ + ncols_)) bland = true;
     } else {
       dual_stall = 0;
@@ -315,7 +315,7 @@ RevisedSolver::DualOutcome RevisedSolver::run_dual() {
           scale = std::max(scale, std::abs(rho_[r]));
         }
         y_ = rho_;
-        if (!(drift <= opt_.audit_slack() * scale)) {
+        if (!(drift <= kAuditSlack * scale)) {
           ++dual_drift_events_;
           incremental_duals_ok_ = false;
           obs::emit_instant("lp_dual_drift", "lp", nullptr, nullptr, "drift",

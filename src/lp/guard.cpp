@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "lp/tolerances.h"
+
 namespace setsched::lp {
 
 std::string_view audit_verdict_name(AuditVerdict verdict) {
@@ -53,30 +55,25 @@ double sign_violation(double d, VarStatus status) {
   return std::abs(d);
 }
 
+/// True when `sol` carries one basis status per column and per row of
+/// `model`: the statuses the dual-side audit checks the signs against.
+bool has_basis(const Model& model, const Solution& sol) {
+  return sol.basis.structurals.size() == model.num_variables() &&
+         sol.basis.logicals.size() == model.num_constraints();
+}
+
 /// Dual-side consistency shared by the optimal and infeasible audits:
 /// reduced-cost signs for the reported basis statuses plus row-dual signs
-/// against the row senses. Returns the worst violation magnitude.
+/// against the row senses (requires has_basis). Returns the worst violation
+/// magnitude.
 double dual_consistency(const Model& model, const Solution& sol,
                         const std::vector<double>& d) {
   const bool minimize = model.objective_sense() == Objective::kMinimize;
   const double flip = minimize ? 1.0 : -1.0;
   double worst = 0.0;
 
-  const bool have_basis =
-      sol.basis.structurals.size() == model.num_variables();
   for (std::size_t j = 0; j < model.num_variables(); ++j) {
-    VarStatus status;
-    if (have_basis) {
-      status = sol.basis.structurals[j];
-    } else if (j < sol.basic.size() && sol.basic[j]) {
-      status = VarStatus::kBasic;
-    } else if (!sol.x.empty() &&
-               std::abs(sol.x[j] - model.upper(j)) <
-                   std::abs(sol.x[j] - model.lower(j))) {
-      status = VarStatus::kAtUpper;
-    } else {
-      status = VarStatus::kAtLower;
-    }
+    const VarStatus status = sol.basis.structurals[j];
     // Fixed columns (lower == upper) have no sign constraint.
     if (status != VarStatus::kBasic && model.lower(j) == model.upper(j)) {
       continue;
@@ -88,20 +85,18 @@ double dual_consistency(const Model& model, const Solution& sol,
   // slack has d_slack = -y_r, so y_r <= 0 while the slack sits at lower
   // (minimize). When the logical is basic the row is non-binding and y_r
   // must vanish.
-  const bool have_logicals =
-      sol.basis.logicals.size() == model.num_constraints();
   for (std::size_t r = 0; r < model.num_constraints(); ++r) {
     const double yr = flip * sol.duals[r];
     switch (model.row_sense(r)) {
       case Sense::kLessEqual:
-        if (have_logicals && sol.basis.logicals[r] == VarStatus::kBasic) {
+        if (sol.basis.logicals[r] == VarStatus::kBasic) {
           worst = std::max(worst, std::abs(yr));
         } else {
           worst = std::max(worst, std::max(0.0, yr));
         }
         break;
       case Sense::kGreaterEqual:
-        if (have_logicals && sol.basis.logicals[r] == VarStatus::kBasic) {
+        if (sol.basis.logicals[r] == VarStatus::kBasic) {
           worst = std::max(worst, std::abs(yr));
         } else {
           worst = std::max(worst, std::max(0.0, -yr));
@@ -123,10 +118,9 @@ AuditVerdict classify(double worst_ratio) {
 
 }  // namespace
 
-AuditReport audit_solution(const Model& model, const Solution& solution,
-                           const SimplexOptions& options) {
+AuditReport audit_solution(const Model& model, const Solution& solution) {
   AuditReport report;
-  const double slack = options.audit_slack();
+  const double slack = kAuditSlack;
   const double row_slack = slack * 10.0;
 
   if (solution.status == SolveStatus::kInfeasible) {
@@ -147,7 +141,8 @@ AuditReport audit_solution(const Model& model, const Solution& solution,
       report.complaint = "infeasibility claim from a fault-injected solve";
       return report;
     }
-    if (solution.duals.size() != model.num_constraints()) {
+    if (solution.duals.size() != model.num_constraints() ||
+        !has_basis(model, solution)) {
       report.verdict = AuditVerdict::kSkipped;
       return report;
     }
@@ -169,7 +164,7 @@ AuditReport audit_solution(const Model& model, const Solution& solution,
     // The scheduling LPs all have bounded feasible regions, so an
     // unboundedness claim under guard is itself evidence of corruption
     // (a NaN-poisoned ratio test reports "no blocking row"). Contest it and
-    // let the ladder confirm with the oracle.
+    // let the ladder's fault-free re-solves confirm it.
     report.verdict = AuditVerdict::kSuspect;
     report.complaint = "unboundedness claim under guard";
     return report;
@@ -177,7 +172,8 @@ AuditReport audit_solution(const Model& model, const Solution& solution,
 
   if (solution.status != SolveStatus::kOptimal ||
       solution.x.size() != model.num_variables() ||
-      solution.duals.size() != model.num_constraints()) {
+      solution.duals.size() != model.num_constraints() ||
+      !has_basis(model, solution)) {
     report.verdict = AuditVerdict::kSkipped;
     return report;
   }

@@ -30,17 +30,17 @@ struct AuditReport {
 /// reports, and primal/dual objective agreement. O(nnz + n + m), no solver
 /// state needed — everything is recomputed from (model, solution).
 ///
-/// Classification: kClean when every check passes within
-/// options.audit_slack() (rows get the 10x row cushion); kFailed on any
+/// Classification: kClean when every check passes within kAuditSlack
+/// (lp/tolerances.h; rows get the 10x row cushion); kFailed on any
 /// non-finite value or a violation worse than 1e6 * slack; kSuspect in
 /// between. kOptimal solves get the full audit; kInfeasible solves get a
 /// dual-consistency audit of the returned duals (an infeasibility claim
 /// whose duals are sign-inconsistent or non-finite is not trustworthy
 /// evidence); kUnbounded is always contested (the scheduling LPs are
 /// bounded, so the claim itself smells of corruption); kIterationLimit is
-/// kSkipped (a budget bailout carries no answer to audit).
+/// kSkipped (a budget bailout carries no answer to audit), and so is a
+/// solution without duals or without a basis of the model's shape.
 [[nodiscard]] AuditReport audit_solution(const Model& model,
-                                         const Solution& solution,
-                                         const SimplexOptions& options);
+                                         const Solution& solution);
 
 }  // namespace setsched::lp

@@ -136,9 +136,7 @@ void RevisedSolver::build() {
   any_shunned_ = false;
   candidates_.clear();
 
-  max_iterations_ = opt_.max_iterations != 0
-                        ? opt_.max_iterations
-                        : 400 * (nrows_ + ncols_) + 10000;
+  max_iterations_ = 400 * (nrows_ + ncols_) + 10000;
 }
 
 void RevisedSolver::reset_to_logical_basis() {
@@ -255,7 +253,7 @@ bool RevisedSolver::try_factorize() {
   // reach hold exact zeros). The earlier steps are applied in ascending
   // order and the unclaimed rows scanned in ascending order, so the factors
   // do not depend on the order in which the reach was discovered.
-  const double lu_tol = opt_.lu_pivot_floor();
+  const double lu_tol = kLuPivotFloor;
   std::vector<double>& w = work_rows_;  // invariant: all zero on entry/exit
   deficient_.clear();
   const auto reach = [&](std::size_t r) {
@@ -507,11 +505,11 @@ bool RevisedSolver::phase_one_costs() {
   for (std::size_t k = 0; k < nrows_; ++k) {
     const std::size_t b = basis_[k];
     const double v = xb_[k];
-    if (v < lower_[b] - opt_.feas_tol) {
+    if (v < lower_[b] - kFeasTol) {
       cslot_[k] = -1.0;
       total_infeas_ += lower_[b] - v;
       any = true;
-    } else if (v > upper_[b] + opt_.feas_tol) {
+    } else if (v > upper_[b] + kFeasTol) {
       cslot_[k] = 1.0;
       total_infeas_ += v - upper_[b];
       any = true;
@@ -544,16 +542,16 @@ std::size_t RevisedSolver::full_scan(bool phase1, bool bland) {
   std::vector<std::pair<double, std::size_t>>& eligible = eligible_;
   eligible.clear();
   std::size_t best = kNone;
-  double best_score = opt_.opt_tol;
+  double best_score = kOptTol;
   for (std::size_t j = 0; j < ncols_; ++j) {
     if (state_[j] == VarStatus::kBasic) continue;
     if (lower_[j] == upper_[j]) continue;  // fixed
     if (shunned_[j]) continue;
     const double d = reduced_cost(j, phase1);
     double score = 0.0;
-    if (state_[j] == VarStatus::kAtLower && d < -opt_.opt_tol) {
+    if (state_[j] == VarStatus::kAtLower && d < -kOptTol) {
       score = -d;
-    } else if (state_[j] == VarStatus::kAtUpper && d > opt_.opt_tol) {
+    } else if (state_[j] == VarStatus::kAtUpper && d > kOptTol) {
       score = d;
     } else {
       continue;
@@ -581,16 +579,16 @@ std::size_t RevisedSolver::price(bool phase1) {
   // Minor pass over the candidate list with fresh reduced costs; fall back
   // to a full pricing scan (which also refreshes the list) when it runs dry.
   std::size_t best = kNone;
-  double best_score = opt_.opt_tol;
+  double best_score = kOptTol;
   std::size_t keep = 0;
   for (const std::size_t j : candidates_) {
     if (state_[j] == VarStatus::kBasic || shunned_[j]) continue;
     candidates_[keep++] = j;
     const double d = reduced_cost(j, phase1);
     double score = 0.0;
-    if (state_[j] == VarStatus::kAtLower && d < -opt_.opt_tol) {
+    if (state_[j] == VarStatus::kAtLower && d < -kOptTol) {
       score = -d;
-    } else if (state_[j] == VarStatus::kAtUpper && d > opt_.opt_tol) {
+    } else if (state_[j] == VarStatus::kAtUpper && d > kOptTol) {
       score = d;
     } else {
       continue;
@@ -624,18 +622,14 @@ Solution RevisedSolver::extract(SolveStatus status) {
   if (status != SolveStatus::kOptimal) return sol;
 
   sol.x.resize(nstruct_);
-  sol.basic.assign(nstruct_, false);
-  for (std::size_t j = 0; j < nstruct_; ++j) {
-    sol.x[j] = bound_value(j);
-    sol.basic[j] = state_[j] == VarStatus::kBasic;
-  }
+  for (std::size_t j = 0; j < nstruct_; ++j) sol.x[j] = bound_value(j);
   for (std::size_t k = 0; k < nrows_; ++k) {
     if (basis_[k] >= nstruct_) continue;
     double v = xb_[k];
     // Snap roundoff onto the box.
     const std::size_t b = basis_[k];
-    if (v < lower_[b] && v > lower_[b] - opt_.feas_tol * 10) v = lower_[b];
-    if (v > upper_[b] && v < upper_[b] + opt_.feas_tol * 10) v = upper_[b];
+    if (v < lower_[b] && v > lower_[b] - kFeasTol * 10) v = lower_[b];
+    if (v > upper_[b] && v < upper_[b] + kFeasTol * 10) v = upper_[b];
     sol.x[b] = v;
   }
   sol.objective = 0.0;
@@ -706,7 +700,7 @@ Solution RevisedSolver::run_primal() {
       double leave_mag = 0.0;
       for (std::size_t k = 0; k < nrows_; ++k) {
         const double a = dir * alpha_[k];
-        if (std::abs(a) < opt_.pivot_tol) continue;
+        if (std::abs(a) < kPivotTol) continue;
         const std::size_t b = basis_[k];
         const double v = xb_[k];
         const double target = a > 0.0 ? lower_[b] : upper_[b];
@@ -717,9 +711,9 @@ Solution RevisedSolver::run_primal() {
         bool better;
         if (leave_slot == kNone) {
           better = t < row_t;
-        } else if (t < row_t - opt_.ratio_tie_tol()) {
+        } else if (t < row_t - kRatioTieTol) {
           better = true;
-        } else if (t <= row_t + opt_.ratio_tie_tol()) {
+        } else if (t <= row_t + kRatioTieTol) {
           // Tie-break: Bland-friendly smallest column when stalling, biggest
           // pivot magnitude otherwise (numerical stability).
           better =
@@ -740,11 +734,11 @@ Solution RevisedSolver::run_primal() {
       kinks.clear();
       for (std::size_t k = 0; k < nrows_; ++k) {
         const double a = dir * alpha_[k];
-        if (std::abs(a) < opt_.pivot_tol) continue;
+        if (std::abs(a) < kPivotTol) continue;
         const std::size_t b = basis_[k];
         const double v = xb_[k];
-        const bool below = v < lower_[b] - opt_.feas_tol;
-        const bool above = v > upper_[b] + opt_.feas_tol;
+        const bool below = v < lower_[b] - kFeasTol;
+        const bool above = v > upper_[b] + kFeasTol;
         const double mag = std::abs(a);
         if (a > 0.0) {  // basic decreases
           if (below) continue;  // moving further below: slope already paid
@@ -784,7 +778,7 @@ Solution RevisedSolver::run_primal() {
         leave_slot = kink.slot;
         row_t = kink.t;
         leave_to_upper = kink.to_upper;
-        if (slope <= opt_.opt_tol) break;
+        if (slope <= kOptTol) break;
       }
     }
 
@@ -806,7 +800,7 @@ Solution RevisedSolver::run_primal() {
     const double step = do_flip ? flip_t : row_t;
 
     ++iterations_;
-    if (step <= opt_.feas_tol) {
+    if (step <= kFeasTol) {
       ++stall_count_;
       if (stall_count_ > 2 * (nrows_ + ncols_)) use_bland_ = true;
     } else {
@@ -883,12 +877,12 @@ Solution RevisedSolver::run(const Model& model,
     bool primal_infeasible = false;
     for (std::size_t k = 0; k < nrows_ && !primal_infeasible; ++k) {
       const std::size_t b = basis_[k];
-      primal_infeasible = xb_[k] < lower_[b] - opt_.feas_tol ||
-                          xb_[k] > upper_[b] + opt_.feas_tol;
+      primal_infeasible = xb_[k] < lower_[b] - kFeasTol ||
+                          xb_[k] > upper_[b] + kFeasTol;
     }
     const bool worth_it =
         primal_infeasible || opt_.algorithm == SimplexAlgorithm::kDual;
-    if (worth_it && make_dual_feasible(opt_.dual_feas_floor())) {
+    if (worth_it && make_dual_feasible(kDualFeasFloor)) {
       const obs::PhaseTimer dual_timer(obs::Phase::kLpDual);
       switch (run_dual()) {
         case DualOutcome::kOptimal:

@@ -15,6 +15,7 @@
 #include "lp/fault.h"
 #include "lp/pricing.h"
 #include "lp/simplex.h"
+#include "lp/tolerances.h"
 
 namespace setsched::lp::internal {
 
@@ -218,7 +219,7 @@ class RevisedSolver {
   std::size_t dual_drift_events_ = 0;
 
   [[nodiscard]] double infeas_tol() const {
-    return opt_.feas_tol * std::max<double>(1.0, static_cast<double>(nrows_));
+    return kFeasTol * std::max<double>(1.0, static_cast<double>(nrows_));
   }
 };
 

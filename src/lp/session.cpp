@@ -20,7 +20,8 @@ const Solution& Session::solve() {
   ++effort_.lp_solves;
   if (last_.via_dual) ++effort_.lp_dual_solves;
   last_.add_counters(effort_);
-  if (!last_.basis.empty() && (last_.optimal() || last_.via_dual)) {
+  if (!last_.basis.empty() && !last_.audit_contested() &&
+      (last_.optimal() || last_.via_dual)) {
     basis_ = last_.basis;
   }
   return last_;

@@ -14,13 +14,13 @@ namespace setsched::lp {
 /// columns); the session owns everything else the chain needs:
 ///
 ///   * the retained basis. Every solve warm-starts from it, and the end
-///     basis replaces it iff it is non-empty and the solve was optimal or
-///     dual-terminal (via_dual). A dual-terminal infeasible basis is still
-///     dual-feasible and re-optimizes the next solve in a few pivots; a
-///     primal phase-1 end basis is a degenerate artifact that poisons the
-///     chain, so it is dropped. A guarded solve whose audit stays contested
-///     never leaves a basis: the guard ladder's last rung is the dense
-///     tableau, which returns none.
+///     basis replaces it iff it is non-empty, the audit did not contest the
+///     solve, and the solve was optimal or dual-terminal (via_dual). A
+///     dual-terminal infeasible basis is still dual-feasible and
+///     re-optimizes the next solve in a few pivots; a primal phase-1 end
+///     basis is a degenerate artifact that poisons the chain, so it is
+///     dropped, and so is the basis of a guarded solve whose audit stays
+///     contested after the whole ladder.
 ///   * the audit cadence. Solve 1, N+1, 2N+1, ... of the chain runs under
 ///     the lp::solve guard (N = audit_interval; 0 = never), on top of
 ///     options.guard, which guards every solve.

@@ -60,13 +60,11 @@ struct Solution {
   /// model's *original* objective sense. For a kMinimize model: y_r <= 0 for
   /// binding <= rows; for kMaximize: y_r >= 0 for binding <= rows.
   std::vector<double> duals;
-  /// True for variables that ended basic (useful to inspect the extreme
-  /// point structure; at most num_constraints variables are basic).
-  std::vector<bool> basic;
-  /// Final basis snapshot for warm starting subsequent solves. Populated by
-  /// the revised solver on kOptimal and kInfeasible (an infeasible probe's
-  /// basis is still a good seed for the next probe of a T-search); empty
-  /// from the tableau solver.
+  /// Final basis snapshot for warm starting subsequent solves, and the
+  /// statuses the audit checks the reduced-cost signs against. Populated on
+  /// kOptimal by both solvers, and by the revised solver on kInfeasible too
+  /// (an infeasible probe's basis is still a good seed for the next probe of
+  /// a T-search).
   Basis basis;
   std::size_t iterations = 0;
   /// LU factorizations of the revised solver (the one on entry, then one
@@ -88,8 +86,9 @@ struct Solution {
   /// the recovery ladder produced the returned answer.
   AuditVerdict audit_verdict = AuditVerdict::kSkipped;
   /// Guard-ladder counters for this solve: non-clean audits observed,
-  /// successful warm/cold re-solve recoveries, and escalations to the dense
-  /// tableau oracle. All zero when unguarded.
+  /// successful warm/cold re-solve recoveries (rungs 1 and 2), and
+  /// escalations to the last rung, a cold re-solve that refactorizes before
+  /// every pivot. All zero when unguarded.
   std::size_t audits_suspect = 0;
   std::size_t recoveries = 0;
   std::size_t oracle_fallbacks = 0;
@@ -122,13 +121,12 @@ struct Solution {
 
 /// Which simplex implementation solve() runs.
 enum class SimplexAlgorithm : std::uint8_t {
-  /// Revised solver, unless audit mode is requested (audit instruments the
-  /// dense tableau, which then acts as the reference oracle). The revised
-  /// solver itself picks dual re-optimization whenever a warm basis is
-  /// primal-infeasible but dual-feasible (the state a warm basis is in
-  /// right after an rhs/bound re-parameterization).
+  /// The sparse revised solver. It picks dual re-optimization whenever a
+  /// warm basis is primal-infeasible but dual-feasible (the state a warm
+  /// basis is in right after an rhs/bound re-parameterization).
   kAuto,
-  /// Dense bounded-variable two-phase tableau (reference implementation).
+  /// Dense bounded-variable two-phase tableau: the reference oracle the
+  /// tests compare against. No production path selects it.
   kTableau,
   /// Revised solver, but prefer the dual simplex: run the dual loop whenever
   /// the starting basis is dual-feasible (even without primal
@@ -140,23 +138,6 @@ enum class SimplexAlgorithm : std::uint8_t {
 };
 
 struct SimplexOptions {
-  /// Feasibility tolerance on variable values / rhs.
-  // lint: allow-knob (LP kernel tuning)
-  double feas_tol = 1e-7;  // lint: allow-tolerance (primary definition)
-  /// Optimality tolerance on reduced costs.
-  // lint: allow-knob (LP kernel tuning)
-  double opt_tol = 1e-9;  // lint: allow-tolerance (primary definition)
-  /// Minimum acceptable pivot magnitude.
-  // lint: allow-knob (LP kernel tuning)
-  double pivot_tol = 1e-8;  // lint: allow-tolerance (primary definition)
-  /// 0 = automatic (proportional to rows + cols).
-  // lint: allow-knob (LP kernel tuning)
-  std::size_t max_iterations = 0;
-  /// Paranoid mode: snapshot the initial system and verify the incremental
-  /// solver state against it after every pivot (throws CheckError on drift).
-  /// Costs one O(rows*cols) pass per pivot; intended for tests. Tableau only
-  /// (kAuto routes audited solves to the tableau).
-  bool audit = false;
   /// Implementation selector; see SimplexAlgorithm.
   SimplexAlgorithm algorithm = SimplexAlgorithm::kAuto;
   /// Starting basis for the revised solver (ignored by the tableau). The
@@ -165,57 +146,20 @@ struct SimplexOptions {
   /// broken bases are repaired, never trusted blindly.
   const Basis* warm_start = nullptr;
   /// Revised solver: rebuild the LU factorization after this many eta
-  /// updates (bounds the eta file and the accumulated roundoff).
-  std::size_t refactor_interval = 64;  // lint: allow-knob (tests shorten it)
+  /// updates (bounds the eta file and the accumulated roundoff). The guard
+  /// ladder's last rung sets it to 1: a fresh LU before every pivot.
+  std::size_t refactor_interval = 64;
   /// Run the post-solve residual audit (lp/guard.h) and, on a non-clean
   /// verdict, the recovery escalation ladder: refactorize-and-warm-re-solve,
-  /// then cold solve, then the dense tableau oracle. Off by default — the
-  /// guarded path must cost nothing when disabled. Consumers that prune
-  /// search trees on LP verdicts (src/exact) turn it on.
+  /// then a cold solve, then a cold solve that refactorizes before every
+  /// pivot. Off by default — the guarded path must cost nothing when
+  /// disabled. Consumers that prune search trees on LP verdicts (src/exact)
+  /// turn it on.
   bool guard = false;
   /// Deterministic fault-injection plan (lp/fault.h); nullptr = no faults.
   /// The caller keeps ownership for the duration of the solve. Recovery
   /// re-solves triggered by the guard run fault-free.
   const FaultPlan* fault_plan = nullptr;
-
-  // Named derived tolerances — one contract shared by the solvers and the
-  // guard instead of scattered magic constants.
-  /// Slack for post-hoc primal checks (bound violations, audited row
-  /// residuals): a 10x cushion over feas_tol, since audited quantities have
-  /// accumulated a whole solve's roundoff. The tableau audit's row-equation
-  /// check allows another 10x on top (rows sum many terms).
-  [[nodiscard]] double audit_slack() const noexcept { return feas_tol * 10.0; }
-  /// Pivot row/column agreement: the FTRAN and BTRAN views of the pivot
-  /// element must agree to this relative tolerance or the dual simplex
-  /// bails to the primal (a disagreement means the factorization is lying).
-  [[nodiscard]] double pivot_agreement_tol() const noexcept {
-    return pivot_tol * 100.0;
-  }
-  /// Dual-feasibility floor for the dual-simplex prologue: reduced costs may
-  /// dip this far below optimality-sign and the basis still counts as
-  /// dual-feasible (warm bases carry primal-scale noise, so the floor never
-  /// drops below feas_tol).
-  [[nodiscard]] double dual_feas_floor() const noexcept {
-    const double scaled = opt_tol * 100.0;
-    return scaled > feas_tol ? scaled : feas_tol;
-  }
-  /// Floor on the LU factorization's acceptable pivot magnitude: the
-  /// eliminations tolerate pivots down to this even when pivot_tol is set
-  /// tighter, because a structurally necessary small pivot is better than a
-  /// spurious singularity (deficient columns are repaired with logicals).
-  [[nodiscard]] double lu_pivot_floor() const noexcept {
-    const double floor = 1e-11;  // lint: allow-tolerance (definition site)
-    return pivot_tol > floor ? pivot_tol : floor;
-  }
-  /// Absolute tie window of the ratio tests (primal leaving row, dual
-  /// entering column): candidates within this band of the best step length
-  /// count as tied, and the tie-break (Bland's smallest index when stalling,
-  /// largest pivot magnitude otherwise) picks among them. Deliberately far
-  /// below feas_tol — it only has to separate genuinely equal steps from
-  /// roundoff-distinct ones, and widening it degenerates the ratio test.
-  [[nodiscard]] double ratio_tie_tol() const noexcept {
-    return 1e-12;  // lint: allow-tolerance (named-tolerance definition site)
-  }
 };
 
 /// What the sparse revised simplex keeps from one solve to the next: the
@@ -240,8 +184,8 @@ class Workspace {
 };
 
 /// Solves the LP. The default (kAuto) runs the sparse revised simplex; the
-/// dense two-phase tableau remains available as the reference oracle (and is
-/// what audit mode instruments). Both implementations use bounded-variable
+/// dense two-phase tableau remains available as the tests' reference
+/// oracle (kTableau). Both implementations use bounded-variable
 /// pricing, switch to Bland's rule after a long stall to guarantee
 /// termination, and return basic optimal solutions — extreme points of the
 /// feasible region, a property Theorem 3.10's pseudoforest rounding relies
@@ -251,7 +195,9 @@ class Workspace {
 [[nodiscard]] Solution solve(const Model& model, const SimplexOptions& options,
                              Workspace& workspace);
 
-/// The dense two-phase tableau, directly (reference oracle).
+/// The dense two-phase tableau, directly (the tests' reference oracle). It
+/// reads no option: it always solves cold, and the parameter keeps the
+/// signature of the other engines.
 [[nodiscard]] Solution solve_tableau(const Model& model,
                                      const SimplexOptions& options = {});
 

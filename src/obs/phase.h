@@ -22,7 +22,7 @@ namespace setsched::obs {
 ///    lp_pricing.
 /// dominance and refix are sub-phases of prove/dive.
 enum class Phase : std::uint8_t {
-  kLpSolve = 0,     ///< whole lp::solve_revised / solve_tableau call
+  kLpSolve = 0,     ///< whole lp::solve_revised call
   kLpPrimal,        ///< primal simplex loop (phases 1+2)
   kLpDual,          ///< dual simplex loop
   kLpFtran,         ///< FTRAN solves (B z = a)

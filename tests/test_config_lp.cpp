@@ -26,7 +26,7 @@ TEST(ConfigLp, FeasibleAtGenerousT) {
   const double T = unrelated_upper_bound(inst) * 1.5;
   const ConfigLpResult r = solve_config_lp(inst, T);
   EXPECT_EQ(r.status, ConfigLpStatus::kFeasible);
-  EXPECT_GT(r.columns, 0u);
+  EXPECT_GT(r.cg_columns, 0u);
 }
 
 TEST(ConfigLp, InfeasibleWellBelowFloor) {

@@ -119,7 +119,7 @@ TEST(Guard, CleanSolveAuditsClean) {
     opt.algorithm = algorithm;
     const Solution sol = solve(m, opt);
     ASSERT_TRUE(sol.optimal());
-    const AuditReport report = audit_solution(m, sol, opt);
+    const AuditReport report = audit_solution(m, sol);
     EXPECT_EQ(report.verdict, AuditVerdict::kClean)
         << (report.complaint != nullptr ? report.complaint : "(none)");
   }
@@ -131,23 +131,23 @@ TEST(Guard, GradedPrimalCorruptionEscalatesTheVerdict) {
   Solution sol = solve(m, options);
   ASSERT_TRUE(sol.optimal());
 
-  // A violation just past audit_slack (1e-6): suspect, not failed.
+  // A violation just past kAuditSlack (1e-6): suspect, not failed.
   Solution tampered = sol;
   tampered.x[0] += 1e-3;
-  AuditReport report = audit_solution(m, tampered, options);
+  AuditReport report = audit_solution(m, tampered);
   EXPECT_EQ(report.verdict, AuditVerdict::kSuspect);
   EXPECT_NE(report.complaint, nullptr);
 
   // A violation 1e6x past the slack: failed outright.
   tampered = sol;
   tampered.x[0] += 10.0;
-  report = audit_solution(m, tampered, options);
+  report = audit_solution(m, tampered);
   EXPECT_EQ(report.verdict, AuditVerdict::kFailed);
 
   // NaN anywhere is an automatic fail.
   tampered = sol;
   tampered.x[0] = std::numeric_limits<double>::quiet_NaN();
-  report = audit_solution(m, tampered, options);
+  report = audit_solution(m, tampered);
   EXPECT_EQ(report.verdict, AuditVerdict::kFailed);
 }
 
@@ -157,7 +157,7 @@ TEST(Guard, ObjectiveDisagreementIsContested) {
   Solution sol = solve(m, options);
   ASSERT_TRUE(sol.optimal());
   sol.objective += 1.0;  // primal/dual objective identity breaks
-  const AuditReport report = audit_solution(m, sol, options);
+  const AuditReport report = audit_solution(m, sol);
   EXPECT_NE(report.verdict, AuditVerdict::kClean);
 }
 
@@ -165,7 +165,7 @@ TEST(Guard, IterationLimitIsSkippedNotContested) {
   const Model m = reference_model();
   Solution sol;
   sol.status = SolveStatus::kIterationLimit;
-  const AuditReport report = audit_solution(m, sol, SimplexOptions{});
+  const AuditReport report = audit_solution(m, sol);
   EXPECT_EQ(report.verdict, AuditVerdict::kSkipped);
 }
 
@@ -173,7 +173,7 @@ TEST(Guard, UnboundedClaimIsAlwaysSuspect) {
   const Model m = reference_model();
   Solution sol;
   sol.status = SolveStatus::kUnbounded;
-  const AuditReport report = audit_solution(m, sol, SimplexOptions{});
+  const AuditReport report = audit_solution(m, sol);
   EXPECT_EQ(report.verdict, AuditVerdict::kSuspect);
 }
 
@@ -185,7 +185,7 @@ TEST(Guard, InfeasibilityClaimFromFaultedSolveIsSuspect) {
   sol.status = SolveStatus::kInfeasible;
   sol.duals = {0.0, 0.0};  // perfectly sign-consistent
   sol.faults_injected = 1;
-  const AuditReport report = audit_solution(m, sol, SimplexOptions{});
+  const AuditReport report = audit_solution(m, sol);
   EXPECT_EQ(report.verdict, AuditVerdict::kSuspect);
 }
 
@@ -291,6 +291,25 @@ TEST(Guard, LadderRecoversAndCountsUnderHeavyInjection) {
     }
   }
   EXPECT_GT(recovered, 0u);
+}
+
+TEST(Guard, UnboundedLpReachesTheLastRungAndStaysContested) {
+  // Every unboundedness claim is contested, so a genuinely unbounded LP
+  // walks the whole ladder: the primary solve leaves no basis (rung 1 is
+  // skipped), the cold re-solve is contested again, and rung 3's answer is
+  // returned contested for the caller to demote.
+  Model m(Objective::kMaximize);
+  const auto x = m.add_variable(0, kInfinity, 1);
+  const auto y = m.add_variable(0, kInfinity, 0);
+  m.add_constraint({{x, 1}, {y, -1}}, Sense::kLessEqual, 1);
+  SimplexOptions opt;
+  opt.guard = true;
+  const Solution sol = solve(m, opt);
+  EXPECT_EQ(sol.status, SolveStatus::kUnbounded);
+  EXPECT_TRUE(sol.audit_contested());
+  EXPECT_EQ(sol.audits_suspect, 2u);
+  EXPECT_EQ(sol.recoveries, 0u);
+  EXPECT_EQ(sol.oracle_fallbacks, 1u);
 }
 
 TEST(Guard, GuardOffIsStatusQuo) {

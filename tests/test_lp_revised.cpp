@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "api/presets.h"
@@ -28,6 +29,10 @@ SimplexOptions with(SimplexAlgorithm algorithm) {
   SimplexOptions options;
   options.algorithm = algorithm;
   return options;
+}
+
+bool same_basis(const Basis& a, const Basis& b) {
+  return a.structurals == b.structurals && a.logicals == b.logicals;
 }
 
 /// Checks that (x, duals) is an optimal certificate: primal feasibility,
@@ -85,13 +90,14 @@ void expect_extreme_point(const Model& m, const Solution& sol,
                          sol.x[j] < m.upper(j) - tol);
     if (inside) {
       ++interior;
-      EXPECT_TRUE(sol.basic[j]) << "interior var " << j << " not basic";
+      EXPECT_EQ(sol.basis.structurals[j], VarStatus::kBasic)
+          << "interior var " << j << " not basic";
     }
   }
   EXPECT_LE(interior, m.num_constraints());
   std::size_t basics = 0;
   for (std::size_t j = 0; j < m.num_variables(); ++j) {
-    basics += sol.basic[j] ? 1 : 0;
+    basics += sol.basis.structurals[j] == VarStatus::kBasic ? 1 : 0;
   }
   EXPECT_LE(basics, m.num_constraints());
 }
@@ -177,6 +183,37 @@ TEST(DifferentialLp, UnboundedAndInfeasibleVerdictsAgree) {
   }
 }
 
+TEST(DifferentialLp, TableauBasisWarmStartsTheRevisedSolverAtItsOptimum) {
+  // The tableau reports its basis in the revised solver's convention: a
+  // >= row's nonbasic logical sits at its upper bound 0. Adopted as a warm
+  // start, that basis is already optimal, so the revised solver confirms it
+  // without a pivot.
+  // min x + 2y + 3z  s.t.  x + y >= 2,  y + z >= 1,  x + z >= 0.5,
+  // x - y <= 0.5, x, y, z in [0, 4]  ->  x = 1, y = 1, z = 0, objective 3;
+  // rows 1 and 2 bind, so their logicals are nonbasic at upper.
+  Model m(Objective::kMinimize);
+  const auto x = m.add_variable(0, 4, 1);
+  const auto y = m.add_variable(0, 4, 2);
+  const auto z = m.add_variable(0, 4, 3);
+  m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 2);
+  m.add_constraint({{y, 1}, {z, 1}}, Sense::kGreaterEqual, 1);
+  m.add_constraint({{x, 1}, {z, 1}}, Sense::kGreaterEqual, 0.5);
+  m.add_constraint({{x, 1}, {y, -1}}, Sense::kLessEqual, 0.5);
+  const Solution tableau = solve(m, with(SimplexAlgorithm::kTableau));
+  ASSERT_TRUE(tableau.optimal());
+  ASSERT_EQ(tableau.basis.structurals.size(), m.num_variables());
+  ASSERT_EQ(tableau.basis.logicals.size(), m.num_constraints());
+  SimplexOptions warm = with(SimplexAlgorithm::kAuto);
+  warm.warm_start = &tableau.basis;
+  const Solution revised = solve(m, warm);
+  ASSERT_TRUE(revised.optimal());
+  EXPECT_EQ(revised.iterations, 0u);
+  EXPECT_NEAR(revised.objective, 3.0, 1e-9);
+  EXPECT_NEAR(tableau.objective, 3.0, 1e-9);
+  EXPECT_EQ(tableau.basis.logicals[0], VarStatus::kAtUpper);
+  EXPECT_TRUE(same_basis(revised.basis, tableau.basis));
+}
+
 TEST(DifferentialLp, WarmStartReproducesOptimumAfterReparameterization) {
   // min x + 2y st x + y >= 4, x <= 3, y <= 5  ->  x=3, y=1, obj=5.
   Model m(Objective::kMinimize);
@@ -237,10 +274,6 @@ void make_infeasible(Model& m) {
   m.set_bounds(2, 0, 1);
 }
 
-bool same_basis(const Basis& a, const Basis& b) {
-  return a.structurals == b.structurals && a.logicals == b.logicals;
-}
-
 TEST(Session, DualTerminalInfeasibleBasisReplacesTheRetainedOne) {
   Session session(two_cover_model());
   ASSERT_TRUE(session.solve().optimal());
@@ -277,6 +310,32 @@ TEST(Session, PrimalPhaseOneInfeasibleBasisIsDropped) {
   ASSERT_FALSE(sol.basis.empty());
   EXPECT_FALSE(same_basis(sol.basis, optimal));
   EXPECT_TRUE(same_basis(session.basis(), optimal));
+}
+
+TEST(Session, ContestedBasisIsNeverRetained) {
+  // max 9.1e11 x  s.t. 11 x <= rhs, x in [0, 1]. At rhs 20, x sits at its
+  // upper bound and the audit is clean. At rhs 1, x is basic, and the audit
+  // recomputes its reduced cost as c - 11 * (c / 11) = -1.2e-4, past the
+  // audit slack on every rung: the last rung's answer comes back contested,
+  // with a basis that must not replace the retained one.
+  Model m(Objective::kMaximize);
+  const auto x = m.add_variable(0, 1, 9.1e11);
+  m.add_constraint({{x, 11}}, Sense::kLessEqual, 20);
+  SimplexOptions guarded;
+  guarded.guard = true;
+  Session session(std::move(m), guarded);
+  ASSERT_EQ(session.solve().audit_verdict, AuditVerdict::kClean);
+  const Basis clean = session.basis();
+  ASSERT_FALSE(clean.empty());
+
+  session.model().set_rhs(0, 1);
+  const Solution& sol = session.solve();
+  ASSERT_TRUE(sol.optimal());
+  EXPECT_TRUE(sol.audit_contested());
+  EXPECT_EQ(sol.oracle_fallbacks, 1u);
+  ASSERT_FALSE(sol.basis.empty());
+  EXPECT_FALSE(same_basis(sol.basis, clean));
+  EXPECT_TRUE(same_basis(session.basis(), clean));
 }
 
 TEST(Session, AuditCadenceGuardsEveryNthSolve) {
@@ -620,52 +679,6 @@ TEST(WarmStart, ProbeAfterSeedTakesFewerIterationsThanColdOnMedium) {
       << "warm-started probe must beat a cold solve";
   // And not marginally: the warm re-optimization should be a small fraction.
   EXPECT_LT(warm_iterations * 2, cold_probe_iterations);
-}
-
-TEST(FillTrigger, RefactorizesATSearchChainByFillAlone) {
-  // The T-search of search_assignment_lp on the ~1.1k-row unrelated-medium
-  // relaxation, with refactor_interval out of reach: only the eta file's
-  // fill can trigger a refactorization, and every probe must still match
-  // the dense tableau's verdict and objective.
-  const ProblemInput input = generate_preset("unrelated-medium", 1);
-  const Instance& inst = input.instance;
-  double lo = std::max(assignment_lp_floor(inst), unrelated_lower_bound(inst));
-  double hi = unrelated_upper_bound(inst);
-  AssignmentLpOptions options;
-  options.simplex.refactor_interval = 1'000'000;
-  ParametricAssignmentLp chain(inst, hi, options);
-  lp::SimplexOptions tableau;
-  tableau.algorithm = SimplexAlgorithm::kTableau;
-  const auto probe = [&](double T) {
-    const bool feasible = chain.solve(T).has_value();
-    const lp::Solution& sol = chain.session().last();
-    const lp::Solution oracle = lp::solve(chain.session().model(), tableau);
-    EXPECT_EQ(sol.status, oracle.status) << "T=" << T;
-    if (oracle.optimal() && sol.optimal()) {
-      EXPECT_NEAR(sol.objective, oracle.objective,
-                  1e-6 * std::max(1.0, std::abs(oracle.objective)))
-          << "T=" << T;
-    }
-    return feasible;
-  };
-  ASSERT_TRUE(probe(hi));
-  if (!probe(lo)) {
-    while (hi / lo > 1.05) {
-      const double mid = std::sqrt(lo * hi);
-      if (probe(mid)) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-  }
-  const EffortCounters& effort = chain.effort();
-  EXPECT_GT(effort.lp_factorizations, effort.lp_solves)
-      << "the fill trigger never refactorized";
-  // Threshold pivoting toward sparse rows: largest-magnitude pivots gave
-  // ~13.7k L+U entries per factorization on this T-search, this rule ~6.0k.
-  ASSERT_GT(effort.lp_factorizations, 0u);
-  EXPECT_LE(effort.lp_lu_nnz / effort.lp_factorizations, 7'500u);
 }
 
 TEST(WarmStart, SearchCountersAreReported) {

@@ -14,7 +14,7 @@ Five rules, each protecting an invariant the compiler cannot see:
   tolerance    No magic tolerance literals (scientific notation with a
                negative exponent, e.g. 1e-9) in src/lp, src/exact or
                src/colgen outside the named-tolerance definition sites
-               (lp::SimplexOptions, exact/tolerances.h, the annotated
+               (lp/tolerances.h, exact/tolerances.h, the annotated
                constants of colgen/config_lp). Everything else must spell a
                named constant so tolerances stay auditable in one place.
                Suppress per line: `// lint: allow-tolerance (reason)`,
@@ -248,7 +248,7 @@ class Linter:
                     self.report(
                         path, idx, "tolerance",
                         f"magic tolerance literal {m.group(0)}; hoist it into "
-                        "lp::SimplexOptions or exact/tolerances.h (or "
+                        "lp/tolerances.h or exact/tolerances.h (or "
                         "annotate `lint: allow-tolerance (reason)`)")
             if in_mutex_scope and "raw-mutex" not in allows:
                 m = RAW_MUTEX_RE.search(line)
