@@ -51,7 +51,6 @@ class Tableau {
   std::vector<double> row_unit_sign_;
   std::vector<std::size_t> slack_cols_;  // per row; SIZE_MAX for = rows
   std::vector<std::size_t> artificial_cols_;
-  std::vector<std::size_t> pivot_nz_;  // pivot(): nonzero pivot-row columns
   std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;
   bool use_bland_ = false;
@@ -159,28 +158,29 @@ void Tableau::rebuild_cost_row(const std::vector<double>& costs) {
 }
 
 void Tableau::pivot(std::size_t prow, std::size_t pcol) {
-  // The eliminations only touch the pivot row's nonzero columns: on the
-  // scheduling LPs that row is a small fraction of the tableau's width.
   double* piv_row = t_.row(prow);
-  const double inv = 1.0 / piv_row[pcol];
-  pivot_nz_.clear();
-  for (std::size_t j = 0; j < ncols_; ++j) {
-    if (piv_row[j] == 0.0) continue;
-    piv_row[j] *= inv;
-    pivot_nz_.push_back(j);
-  }
+  const double piv = piv_row[pcol];
+  const double inv = 1.0 / piv;
+  for (std::size_t j = 0; j < ncols_; ++j) piv_row[j] *= inv;
   piv_row[pcol] = 1.0;  // kill roundoff
 
-  const auto eliminate = [&](double* row) {
-    const double factor = row[pcol];
-    if (factor == 0.0) return;
-    for (const std::size_t j : pivot_nz_) row[j] -= factor * piv_row[j];
-    row[pcol] = 0.0;
-  };
   for (std::size_t r = 0; r < nrows_; ++r) {
-    if (r != prow) eliminate(t_.row(r));
+    if (r == prow) continue;
+    double* row = t_.row(r);
+    const double factor = row[pcol];
+    if (factor == 0.0) continue;
+    for (std::size_t j = 0; j < ncols_; ++j) row[j] -= factor * piv_row[j];
+    row[pcol] = 0.0;
   }
-  eliminate(cost_row_.data());
+  {
+    const double factor = cost_row_[pcol];
+    if (factor != 0.0) {
+      for (std::size_t j = 0; j < ncols_; ++j) {
+        cost_row_[j] -= factor * piv_row[j];
+      }
+      cost_row_[pcol] = 0.0;
+    }
+  }
 }
 
 bool Tableau::phase(bool phase_one, Solution& out) {

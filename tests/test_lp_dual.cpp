@@ -237,6 +237,11 @@ TEST_P(MakespanLpTest, MinMakespanMatchesTableauAndFeasibilityThreshold) {
   exact::LpBounder oracle_lp(inst, hi, oracle_simplex);
   const double oracle_value = oracle_lp.root_lower_bound(0.0, hi);
   ASSERT_GT(oracle_value, 0.0);
+  // The bounder guards every solve, and a contested answer would be
+  // re-solved by the revised rungs: the oracle side must be the tableau's.
+  const EffortCounters oracle_effort = oracle_lp.effort();
+  ASSERT_EQ(oracle_effort.lp_recoveries + oracle_effort.lp_oracle_fallbacks,
+            0u);
   EXPECT_NEAR(dual_value, oracle_value, 1e-5 * std::max(1.0, oracle_value));
 
   // Threshold property against the classic feasibility LP: LP(T) is

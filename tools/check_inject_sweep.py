@@ -100,7 +100,7 @@ def main() -> int:
     assert nan_activity > 0, "NaN-heavy sweep produced no recoveries"
 
     print("fault-injection sweep ok:", sum(suspect.values()), "contested,",
-          ladder, "recovered or referred to the oracle,", nan_activity,
+          ladder, "recovered or referred to the last rung,", nan_activity,
           "under ftran-nan@0.5; contested per solver:", suspect)
     return 0
 
