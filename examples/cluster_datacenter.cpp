@@ -1,7 +1,7 @@
 // Heterogeneous cluster scenario (unrelated machines): tasks grouped by the
 // container image they need (setup class = image pull onto the node). Run
 // times differ arbitrarily across nodes (CPU generations, accelerators).
-// Compares greedy baselines, Theorem 3.3 randomized rounding (direct LP and
+// Compares the greedy baseline, Theorem 3.3 randomized rounding (direct LP and
 // configuration-LP column generation), and a local-search post-pass.
 //
 //   ./examples/cluster_datacenter
@@ -39,8 +39,6 @@ int main() {
 
   const ScheduleResult spread = greedy_min_load(cluster);
   line("greedy min-load:          ", spread.makespan);
-  const ScheduleResult batch = greedy_class_batch(cluster);
-  line("greedy image-batch:       ", batch.makespan);
 
   RoundingOptions ropt;
   ropt.seed = 123;

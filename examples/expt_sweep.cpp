@@ -21,7 +21,7 @@ using namespace setsched::expt;
 int main() {
   ExperimentPlan plan;
   plan.presets = {"uniform-small", "unrelated-small"};
-  plan.solvers = {"greedy", "greedy-classes", "local-search", "lpt"};
+  plan.solvers = {"best-machine", "greedy", "local-search", "lpt"};
   plan.seed_begin = 1;
   plan.seed_end = 5;
   plan.threads = 2;  // private two-worker pool; 0 would share default_pool()

@@ -1,8 +1,7 @@
 // Factory changeover scenario (uniformly related machines): an injection
 // molding shop with presses of different throughput. Orders are grouped by
 // mold (setup class); switching molds costs a class-dependent changeover.
-// Compares plain LPT, the Lemma 2.1 setup-aware LPT, and the Section 2.1
-// PTAS.
+// Compares the Lemma 2.1 setup-aware LPT and the Section 2.1 PTAS.
 //
 //   ./examples/factory_changeover
 
@@ -32,10 +31,6 @@ int main() {
   std::cout << "Molding shop: " << shop.num_jobs() << " orders, "
             << shop.num_machines() << " presses, " << shop.num_classes()
             << " molds. Lower bound on the makespan: " << lb << "\n\n";
-
-  const ScheduleResult plain = lpt_uniform(shop);
-  std::cout << "plain LPT (ignores changeovers):    " << plain.makespan
-            << "  (" << plain.makespan / lb << "x LB)\n";
 
   const ScheduleResult merged = lpt_with_placeholders(shop);
   std::cout << "Lemma 2.1 LPT (changeover-aware):   " << merged.makespan

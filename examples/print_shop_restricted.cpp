@@ -33,11 +33,9 @@ int main() {
             << std::boolalpha << is_restricted_class_uniform(shop) << ")\n\n";
 
   const ScheduleResult spread = greedy_min_load(shop);
-  const ScheduleResult batch = greedy_class_batch(shop);
   const ConstantApproxResult two = two_approx_restricted(shop, 0.02);
 
   std::cout << "greedy min-load:        " << spread.makespan << "\n";
-  std::cout << "greedy stock-batch:     " << batch.makespan << "\n";
   std::cout << "Theorem 3.10 2-approx:  " << two.makespan << "\n";
   std::cout << "  LP-certified window: OPT in [" << two.lp_lower_bound << ", "
             << two.makespan << "], guarantee " << two.makespan / two.lp_T

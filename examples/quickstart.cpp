@@ -40,9 +40,8 @@ int main() {
     std::cout << "]\n";
   };
 
-  // Greedy baselines.
+  // Greedy baseline.
   report("greedy min-load   ", greedy_min_load(inst).schedule);
-  report("greedy class-batch", greedy_class_batch(inst).schedule);
 
   // Theorem 3.3: LP relaxation + randomized rounding.
   RoundingOptions ropt;

@@ -6,7 +6,7 @@
 //   setsched_cli --all           (--instance=<file> | --generate=<preset>)
 //
 // Options: --seed=N --epsilon=E --precision=P --time-limit=S
-//          --inject=SPEC --lp-audit-interval=N --csv
+//          --inject=SPEC --lp-audit --csv
 //          --trace=PATH (Chrome trace-event JSON of the run)
 // Presets: uniform-small uniform-large unrelated-small unrelated-medium
 //          unrelated-midsize restricted class-uniform planted
@@ -51,7 +51,6 @@ struct CliOptions {
   /// LP fault-injection spec (lp::FaultPlan::parse syntax), seeded from
   /// --seed. Empty = off.
   std::string inject;
-  std::size_t lp_audit_interval = 0;
   std::string trace_path;
 };
 
@@ -61,7 +60,7 @@ void print_usage(std::ostream& os) {
      << "                    (--instance=<file> | --generate=<preset>)\n"
      << "                    [--seed=N] [--epsilon=E] [--precision=P]\n"
      << "                    [--time-limit=S] [--csv]\n"
-     << "                    [--inject=SPEC] [--lp-audit-interval=N]\n"
+     << "                    [--inject=SPEC] [--lp-audit]\n"
      << "                    [--trace=PATH]\n"
      << "presets:";
   for (const std::string& preset : preset_names()) os << ' ' << preset;
@@ -106,9 +105,8 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
             expt::parse_positive_double(value, "time_limit_s");
       } else if (consume(arg, "--inject", &value)) {
         options.inject = value;
-      } else if (consume(arg, "--lp-audit-interval", &value)) {
-        options.lp_audit_interval =
-            static_cast<std::size_t>(expt::parse_u64(value, "lp_audit_interval"));
+      } else if (arg == "--lp-audit") {
+        options.context.lp_audit = true;
       } else {
         std::cerr << "setsched_cli: unknown argument '" << arg << "'\n";
         return std::nullopt;
@@ -173,7 +171,6 @@ int run(const CliOptions& options) {
 
   std::vector<expt::RunRecord> records(names.size());
   SolverContext context = options.context;
-  context.lp_audit_interval = options.lp_audit_interval;
   if (!options.inject.empty()) {
     context.fault_plan = lp::FaultPlan::parse(options.inject, options.seed);
   }

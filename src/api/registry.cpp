@@ -71,41 +71,26 @@ bool is_class_uniform(const ProblemInput& input) {
   return is_class_uniform_processing(input.instance);
 }
 
-/// Fault injection without the audit guard would just propagate corruption;
-/// arming the plan therefore forces the warm-chain audit cadence to "every
-/// solve" no matter what the caller configured.
-std::size_t effective_audit_interval(const SolverContext& context) {
-  return context.fault_plan.any() ? 1 : context.lp_audit_interval;
-}
-
 const lp::FaultPlan* armed_plan(const SolverContext& context) {
   return context.fault_plan.any() ? &context.fault_plan : nullptr;
 }
 
 /// Simplex knobs shared by every LP-based solver: the armed fault plan, and
-/// the residual-audit guard whenever audits are on.
+/// the residual-audit guard on every solve when audits are on. Fault
+/// injection without the guard would just propagate corruption, so arming
+/// the plan turns the guard on no matter what the caller configured.
 lp::SimplexOptions simplex_options(const SolverContext& context) {
   lp::SimplexOptions simplex;
   simplex.fault_plan = armed_plan(context);
-  simplex.guard = effective_audit_interval(context) > 0;
+  simplex.guard = context.lp_audit || context.fault_plan.any();
   return simplex;
-}
-
-/// The assignment-LP warm chain guards every audit_interval-th solve itself,
-/// so its base simplex options leave the guard off.
-AssignmentLpOptions assignment_lp_options(const SolverContext& context) {
-  AssignmentLpOptions options;
-  options.simplex = simplex_options(context);
-  options.simplex.guard = false;
-  options.audit_interval = effective_audit_interval(context);
-  return options;
 }
 
 RoundingOptions rounding_options(const SolverContext& context) {
   RoundingOptions options;
   options.seed = context.seed;
   options.search_precision = context.precision;
-  options.lp = assignment_lp_options(context);
+  options.lp = simplex_options(context);
   return options;
 }
 
@@ -161,23 +146,11 @@ void register_builtin_solvers(SolverRegistry& registry) {
   add("greedy", nullptr, [](const ProblemInput& input, const SolverContext&) {
     return finish(input.instance, greedy_min_load(input.instance).schedule);
   });
-  add("greedy-classes", nullptr,
-      [](const ProblemInput& input, const SolverContext&) {
-        return finish(input.instance, greedy_class_batch(input.instance).schedule);
-      });
-  add("cover-greedy", nullptr,
-      [](const ProblemInput& input, const SolverContext&) {
-        return finish(input.instance, cover_greedy(input.instance).schedule);
-      });
 
   // -- Uniformly related machines (Section 2) ------------------------------
   add("lpt", has_uniform, [](const ProblemInput& input, const SolverContext&) {
     return finish(input.instance, lpt_with_placeholders(*input.uniform).schedule);
   });
-  add("lpt-plain", has_uniform,
-      [](const ProblemInput& input, const SolverContext&) {
-        return finish(input.instance, lpt_uniform(*input.uniform).schedule);
-      });
   add("ptas", has_uniform,
       [](const ProblemInput& input, const SolverContext& context) {
         PtasOptions options;
@@ -190,7 +163,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
   add("assignment-lp", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
         ScheduleResult result = argmax_rounding(
-            input.instance, context.precision, assignment_lp_options(context));
+            input.instance, context.precision, simplex_options(context));
         return finish(input.instance, std::move(result.schedule),
                       result.stats);
       });

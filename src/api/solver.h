@@ -43,10 +43,10 @@ struct SolverContext {
   /// its simplex solves and enables the residual-audit guard so the
   /// injected corruption is caught and recovered instead of propagated.
   lp::FaultPlan fault_plan;
-  /// Residual-audit cadence for the approximation pipelines' warm LP chains
-  /// (every Nth solve audited; 0 = off). The exact solvers' bound probes are
-  /// always audited regardless. Forced to 1 while fault_plan is armed.
-  std::size_t lp_audit_interval = 0;
+  /// Residual audit of every LP solve of the approximation pipelines. The
+  /// exact solvers' bound probes are always audited regardless. Forced on
+  /// while fault_plan is armed.
+  bool lp_audit = false;
   /// Optional hard wall-clock deadline (harness watchdog): search-based
   /// solvers abort their budget when the steady clock passes it, bounding a
   /// whole solve call — including setup phases — to the cell's time slot.

@@ -13,24 +13,26 @@ namespace {
 /// The min-T objective is all-nonnegative, so every basis is dual-feasible:
 /// the dual simplex solves these relaxations end to end (cold and warm)
 /// without a single phase-1 pivot. kAuto therefore means kDual here.
-lp::SimplexOptions dual_engine(lp::SimplexOptions simplex) {
+/// Every bound the search prunes or fixes against must survive a residual
+/// audit (lp/guard.h), so every solve runs under the guard.
+lp::SimplexOptions guarded_dual_engine(lp::SimplexOptions simplex) {
   if (simplex.algorithm == lp::SimplexAlgorithm::kAuto) {
     simplex.algorithm = lp::SimplexAlgorithm::kDual;
   }
+  simplex.guard = true;
   return simplex;
 }
 
 }  // namespace
 
-// Every bound the search prunes or fixes against must survive a residual
-// audit (lp/guard.h), so the session guards every solve (cadence 1); the
-// escalation ladder absorbs suspect solves and feasible() /
+// The escalation ladder absorbs suspect solves and feasible() /
 // root_lower_bound() demote whatever still comes back contested.
 LpBounder::LpBounder(const Instance& instance, double T_build,
                      const lp::SimplexOptions& simplex)
     : instance_(&instance),
       T_build_(T_build),
-      session_(lp::Model(lp::Objective::kMinimize), dual_engine(simplex), 1),
+      session_(lp::Model(lp::Objective::kMinimize),
+               guarded_dual_engine(simplex)),
       pinned_(instance.num_jobs(), kUnassigned),
       fixed_zero_(instance.num_machines(), instance.num_jobs(), 0),
       root_fixed_(instance.num_machines(), instance.num_jobs(), 0) {

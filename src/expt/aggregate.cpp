@@ -171,7 +171,7 @@ void write_bench_json(std::ostream& os, const ExperimentPlan& plan,
   os << ",\n    \"cell_timeout_s\": ";
   write_double(os, plan.cell_timeout_s);
   os << ",\n    \"inject\": \"" << plan.inject << '"';
-  os << ",\n    \"lp_audit_interval\": " << plan.lp_audit_interval;
+  os << ",\n    \"lp_audit\": " << (plan.lp_audit ? "true" : "false");
   os << "\n  },\n  \"cells\": " << cells << ",\n  \"ok\": " << ok
      << ",\n  \"skipped\": " << skipped << ",\n  \"failed\": " << failed
      << ",\n  \"timeout\": " << timeout << ",\n  \"summaries\": [";

@@ -51,7 +51,7 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
   context.epsilon = plan.epsilon;
   context.precision = plan.precision;
   context.time_limit_s = plan.time_limit_s;
-  context.lp_audit_interval = plan.lp_audit_interval;
+  context.lp_audit = plan.lp_audit;
   // Each cell gets its own injection stream keyed on cell_seed, so a sweep
   // corrupts the same solves no matter how cells are scheduled.
   if (!plan.inject.empty()) {

@@ -10,7 +10,7 @@
 //                 [--seeds=N | --seeds=A..B]
 //
 // Options: --epsilon=E --precision=P --time-limit=S --cell-timeout=S
-//          --inject=SPEC --lp-audit-interval=N
+//          --inject=SPEC --lp-audit
 //          --threads=N --no-timing --jsonl=PATH --csv=PATH --bench-json=PATH
 //          --trace=PATH --quiet --progress
 //
@@ -54,7 +54,6 @@ constexpr std::pair<std::string_view, std::string_view> kPlanFlags[] = {
     {"--time-limit", "time_limit_s"},
     {"--cell-timeout", "cell_timeout_s"},
     {"--inject", "inject"},
-    {"--lp-audit-interval", "lp_audit_interval"},
     {"--threads", "threads"},
 };
 
@@ -77,7 +76,7 @@ void print_usage(std::ostream& os) {
      << "options: [--epsilon=E] [--precision=P] [--time-limit=S]\n"
      << "         [--cell-timeout=S]  (per-cell wall-clock watchdog; 0 = off)\n"
      << "         [--inject=SPEC]  (LP fault injection, e.g. all@0.01)\n"
-     << "         [--lp-audit-interval=N]  (audit every Nth LP solve; 0 = off)\n"
+     << "         [--lp-audit]  (audit every LP solve, not only exact probes)\n"
      << "         [--threads=N] [--no-timing]\n"
      << "         [--quiet] [--jsonl=PATH] [--csv=PATH] [--bench-json=PATH]\n"
      << "         [--trace=PATH]  (Chrome trace-event JSON of the sweep)\n"
@@ -120,6 +119,8 @@ std::optional<ExptOptions> parse_args(int argc, char** argv) {
       options.plan_keys.emplace_back("solvers", "all");
     } else if (arg == "--no-timing") {
       options.plan_keys.emplace_back("timing", "off");
+    } else if (arg == "--lp-audit") {
+      options.plan_keys.emplace_back("lp_audit", "on");
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (arg == "--progress") {

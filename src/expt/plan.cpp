@@ -52,6 +52,14 @@ double parse_double(std::string_view token, const std::string& what) {
   return value;
 }
 
+/// The on/off switches of a plan (timing, lp_audit).
+bool parse_on_off(std::string_view value, const std::string& what) {
+  check(value == "on" || value == "off",
+        "plan " + what + " must be 'on' or 'off', got '" +
+            std::string(value) + "'");
+  return value == "on";
+}
+
 }  // namespace
 
 std::uint64_t parse_u64(std::string_view token, const std::string& what) {
@@ -181,16 +189,12 @@ void apply_plan_key(ExperimentPlan& plan, std::string_view key,
     plan.cell_timeout_s = parse_double(value, "cell_timeout_s");
   } else if (key == "inject") {
     plan.inject = std::string(value);
-  } else if (key == "lp_audit_interval") {
-    plan.lp_audit_interval =
-        static_cast<std::size_t>(parse_u64(value, "lp_audit_interval"));
+  } else if (key == "lp_audit") {
+    plan.lp_audit = parse_on_off(value, "lp_audit");
   } else if (key == "threads") {
     plan.threads = static_cast<std::size_t>(parse_u64(value, "threads"));
   } else if (key == "timing") {
-    check(value == "on" || value == "off",
-          "plan timing must be 'on' or 'off', got '" + std::string(value) +
-              "'");
-    plan.record_timing = value == "on";
+    plan.record_timing = parse_on_off(value, "timing");
   } else {
     check(false, "unknown plan key '" + std::string(key) + "'");
   }

@@ -43,11 +43,9 @@ struct ExperimentPlan {
   /// own injection stream from its cell_seed, so sweeps are reproducible
   /// cell-by-cell regardless of scheduling.
   std::string inject;
-  /// Residual audits for the approximation pipelines (plan key
-  /// `lp_audit_interval`; 0 = off): the assignment-LP chain of `rounding`
-  /// and `assignment-lp` audits every K-th solve, the other LP solvers
-  /// audit every solve at any K >= 1. Exact bound probes audit always.
-  std::size_t lp_audit_interval = 0;
+  /// Residual audit of every LP solve of the approximation pipelines (plan
+  /// key `lp_audit`, on/off). Exact bound probes audit always.
+  bool lp_audit = false;
 
   [[nodiscard]] std::size_t num_seeds() const noexcept {
     return static_cast<std::size_t>(seed_end - seed_begin + 1);
@@ -105,7 +103,7 @@ struct CellKey {
 /// here. Keys: presets, solvers ("all" expands to the full registry), seeds
 /// (`N` means 1..N, `A..B` is inclusive), epsilon, precision, time_limit_s,
 /// cell_timeout_s (0 = off), threads, timing (on/off), inject (fault spec),
-/// lp_audit_interval. Throws CheckError on unknown keys or malformed values;
+/// lp_audit (on/off). Throws CheckError on unknown keys or malformed values;
 /// cross-key checks are left to validate().
 void apply_plan_key(ExperimentPlan& plan, std::string_view key,
                     std::string_view value);

@@ -65,7 +65,9 @@ bool has_basis(const Model& model, const Solution& sol) {
 /// Dual-side consistency shared by the optimal and infeasible audits:
 /// reduced-cost signs for the reported basis statuses plus row-dual signs
 /// against the row senses (requires has_basis). Returns the worst violation
-/// magnitude.
+/// magnitude, each column's relative to max(1, |c_j|): its reduced cost
+/// c_j - y^T A_j carries roundoff on the scale of c_j, so a large cost must
+/// not read as corruption. Row duals are logical columns with cost 0.
 double dual_consistency(const Model& model, const Solution& sol,
                         const std::vector<double>& d) {
   const bool minimize = model.objective_sense() == Objective::kMinimize;
@@ -78,7 +80,8 @@ double dual_consistency(const Model& model, const Solution& sol,
     if (status != VarStatus::kBasic && model.lower(j) == model.upper(j)) {
       continue;
     }
-    worst = std::max(worst, sign_violation(flip * d[j], status));
+    worst = std::max(worst, sign_violation(flip * d[j], status) /
+                                std::max(1.0, std::abs(model.objective(j))));
   }
 
   // Row duals are the logical columns' reduced costs in disguise: a <= row's

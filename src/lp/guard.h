@@ -5,8 +5,8 @@
 
 namespace setsched::lp {
 
-/// Findings of one post-solve residual audit. All magnitudes are absolute
-/// worst cases over their check; `complaint` is a static string naming the
+/// Findings of one post-solve residual audit. All magnitudes are worst
+/// cases over their check; `complaint` is a static string naming the
 /// first check that tripped (nullptr when clean).
 struct AuditReport {
   AuditVerdict verdict = AuditVerdict::kSkipped;
@@ -16,7 +16,8 @@ struct AuditReport {
   /// max over columns of bound violation of x_j.
   double bound_violation = 0.0;
   /// max wrong-sign reduced-cost magnitude over nonbasic columns, plus
-  /// |d_j| over basic columns (basic reduced costs must vanish).
+  /// |d_j| over basic columns (basic reduced costs must vanish), each
+  /// divided by max(1, |c_j|).
   double dual_residual = 0.0;
   /// relative disagreement between c^T x and the dual objective
   /// y^T b + sum_j d_j x_j (complementary slackness in aggregate).
@@ -31,7 +32,8 @@ struct AuditReport {
 /// state needed — everything is recomputed from (model, solution).
 ///
 /// Classification: kClean when every check passes within kAuditSlack
-/// (lp/tolerances.h; rows get the 10x row cushion); kFailed on any
+/// (lp/tolerances.h; rows get the 10x row cushion, reduced costs are
+/// scaled by max(1, |c_j|)); kFailed on any
 /// non-finite value or a violation worse than 1e6 * slack; kSuspect in
 /// between. kOptimal solves get the full audit; kInfeasible solves get a
 /// dual-consistency audit of the returned duals (an infeasibility claim

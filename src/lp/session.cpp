@@ -4,17 +4,11 @@
 
 namespace setsched::lp {
 
-Session::Session(Model model, const SimplexOptions& options,
-                 std::size_t audit_interval)
-    : model_(std::move(model)),
-      options_(options),
-      audit_interval_(audit_interval) {}
+Session::Session(Model model, const SimplexOptions& options)
+    : model_(std::move(model)), options_(options) {}
 
 const Solution& Session::solve() {
   SimplexOptions simplex = options_;
-  if (audit_interval_ > 0 && effort_.lp_solves % audit_interval_ == 0) {
-    simplex.guard = true;
-  }
   if (!basis_.empty()) simplex.warm_start = &basis_;
   last_ = lp::solve(model_, simplex, workspace_);
   ++effort_.lp_solves;

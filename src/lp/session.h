@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-
 #include "core/counters.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
@@ -20,10 +18,8 @@ namespace setsched::lp {
 ///     re-optimizes the next solve in a few pivots; a primal phase-1 end
 ///     basis is a degenerate artifact that poisons the chain, so it is
 ///     dropped, and so is the basis of a guarded solve whose audit stays
-///     contested after the whole ladder.
-///   * the audit cadence. Solve 1, N+1, 2N+1, ... of the chain runs under
-///     the lp::solve guard (N = audit_interval; 0 = never), on top of
-///     options.guard, which guards every solve.
+///     contested after the whole ladder. options.guard runs every solve of
+///     the chain under the lp::solve guard (or none of them).
 ///   * the effort counters: lp_solves, lp_iterations, lp_dual_solves, the
 ///     factorization counters and the guard counters of every solve.
 ///   * the solver's workspace (lp::Workspace): the storage of the
@@ -32,8 +28,7 @@ namespace setsched::lp {
 ///     columns and refactorizes its starting basis from the model data.
 class Session {
  public:
-  explicit Session(Model model, const SimplexOptions& options = {},
-                   std::size_t audit_interval = 0);
+  explicit Session(Model model, const SimplexOptions& options = {});
 
   /// The model, to edit between solves. Column indices must stay stable:
   /// the retained basis refers to them.
@@ -47,7 +42,7 @@ class Session {
 
   /// Counts a solve that the caller settled as infeasible without the
   /// simplex (exact combinatorial knowledge, e.g. an impossible pin). It
-  /// adds one lp_solves and advances the audit cadence, keeps the basis,
+  /// adds one lp_solves, keeps the basis,
   /// and sets last() to an unaudited kInfeasible solution.
   const Solution& record_infeasible();
 
@@ -63,7 +58,6 @@ class Session {
  private:
   Model model_;
   SimplexOptions options_;
-  std::size_t audit_interval_;
   Basis basis_;
   Solution last_;
   EffortCounters effort_;

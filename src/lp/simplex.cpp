@@ -423,7 +423,7 @@ Solution Tableau::run() {
 
 }  // namespace
 
-Solution solve_tableau(const Model& model, const SimplexOptions& /*options*/) {
+Solution solve_tableau(const Model& model) {
   check(model.num_constraints() > 0, "LP needs at least one constraint");
   check(model.num_variables() > 0, "LP needs at least one variable");
   return Tableau(model).run();
@@ -434,7 +434,7 @@ namespace {
 Solution dispatch(const Model& model, const SimplexOptions& options,
                   Workspace& workspace) {
   if (options.algorithm == SimplexAlgorithm::kTableau) {
-    return solve_tableau(model, options);
+    return solve_tableau(model);
   }
   // kAuto and kDual: the sparse revised solver, which re-optimizes warm
   // primal-infeasible/dual-feasible bases with the dual simplex (and, under

@@ -196,10 +196,8 @@ class Workspace {
                              Workspace& workspace);
 
 /// The dense two-phase tableau, directly (the tests' reference oracle). It
-/// reads no option: it always solves cold, and the parameter keeps the
-/// signature of the other engines.
-[[nodiscard]] Solution solve_tableau(const Model& model,
-                                     const SimplexOptions& options = {});
+/// reads no option: it always solves cold.
+[[nodiscard]] Solution solve_tableau(const Model& model);
 
 /// The sparse revised simplex, directly: column-wise sparse storage, LU
 /// basis factorization with product-form eta updates and periodic

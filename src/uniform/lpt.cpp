@@ -40,13 +40,6 @@ std::vector<MachineId> lpt_items(const std::vector<double>& sizes,
 
 }  // namespace
 
-ScheduleResult lpt_uniform(const UniformInstance& instance) {
-  instance.validate();
-  const auto assignment = lpt_items(instance.job_size, instance.speed);
-  Schedule schedule{assignment};
-  return {schedule, makespan(instance, schedule), {}};
-}
-
 ScheduleResult lpt_with_placeholders(const UniformInstance& instance) {
   instance.validate();
   const std::size_t n = instance.num_jobs();

@@ -15,12 +15,6 @@ inline constexpr double kLptUniformFactor = 1.0 + 1.0 / std::numbers::sqrt3;
 /// 3 * (1 + 1/sqrt(3)) ~= 4.73.
 inline constexpr double kLptSetupFactor = 3.0 * kLptUniformFactor;
 
-/// Plain LPT on uniformly related machines, ignoring classes: jobs sorted by
-/// non-increasing size, each assigned to the machine where it finishes first
-/// (by processing load only). Setups are *not* anticipated — the returned
-/// makespan includes them, but no guarantee holds. Baseline for E1.
-[[nodiscard]] ScheduleResult lpt_uniform(const UniformInstance& instance);
-
 /// Lemma 2.1: per class k, jobs smaller than the setup size s_k are replaced
 /// by ceil(sum/s_k) placeholder jobs of size s_k; plain LPT schedules the
 /// modified job set; placeholders are unpacked greedily (over-packing at

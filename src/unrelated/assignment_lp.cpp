@@ -83,11 +83,10 @@ AssignmentLpLayout build_assignment_lp(const Instance& instance,
 
 ParametricAssignmentLp::ParametricAssignmentLp(
     const Instance& instance, double T_build,
-    const AssignmentLpOptions& options)
+    const lp::SimplexOptions& simplex)
     : instance_(&instance),
       T_build_(T_build),
-      session_(lp::Model(lp::Objective::kMinimize), options.simplex,
-               options.audit_interval),
+      session_(lp::Model(lp::Objective::kMinimize), simplex),
       layout_(build_assignment_lp(instance, T_build, &session_.model())) {}
 
 std::optional<FractionalAssignment> ParametricAssignmentLp::solve(double T) {
@@ -145,8 +144,8 @@ std::optional<FractionalAssignment> ParametricAssignmentLp::solve(double T) {
 }
 
 std::optional<FractionalAssignment> solve_assignment_lp(
-    const Instance& instance, double T, const AssignmentLpOptions& options) {
-  ParametricAssignmentLp lp(instance, T, options);
+    const Instance& instance, double T, const lp::SimplexOptions& simplex) {
+  ParametricAssignmentLp lp(instance, T, simplex);
   return lp.solve(T);
 }
 
@@ -167,7 +166,7 @@ double assignment_lp_floor(const Instance& instance) {
 }
 
 LpSearchResult search_assignment_lp(const Instance& instance, double precision,
-                                    const AssignmentLpOptions& options) {
+                                    const lp::SimplexOptions& simplex) {
   check(precision > 0.0, "precision must be positive");
   LpSearchResult out;
 
@@ -186,7 +185,7 @@ LpSearchResult search_assignment_lp(const Instance& instance, double precision,
   // solve runs first: it must happen anyway whenever lo is infeasible (the
   // common case), it seeds the warm-start chain for every later probe, and
   // its solution is reused as `best` at window exit without a re-solve.
-  ParametricAssignmentLp lp(instance, hi, options);
+  ParametricAssignmentLp lp(instance, hi, simplex);
   auto best = lp.solve(hi);
   check(best.has_value(), "LP infeasible at a feasible schedule's makespan");
 

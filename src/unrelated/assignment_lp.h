@@ -24,18 +24,6 @@ struct FractionalAssignment {
   Matrix<double> y;  ///< m x K
 };
 
-struct AssignmentLpOptions {
-  /// Residual-audit cadence of the numerical safety net (lp/guard.h): every
-  /// `audit_interval`-th solve of the warm-probe chain runs under the
-  /// lp::solve guard — post-solve residual audit plus the recovery
-  /// escalation ladder on suspicion. 1 audits every solve, N > 1 samples the
-  /// chain, 0 disables the guard entirely (the zero-overhead default for the
-  /// approximation pipelines, which only consume feasibility windows and
-  /// tolerate a bad probe).
-  std::size_t audit_interval = 0;
-  lp::SimplexOptions simplex = {};
-};
-
 /// Column id of a variable the relaxation does not have (a pair filtered at
 /// the build guess, an infinite setup) and row id of an empty load row.
 inline constexpr std::size_t kNoVar = SIZE_MAX;
@@ -74,8 +62,11 @@ class ParametricAssignmentLp {
  public:
   /// Builds the relaxation at guess `T_build`. Probes must satisfy
   /// T <= T_build (the variable set is the one admissible at T_build).
+  /// `simplex.guard` runs every probe under the residual audit and its
+  /// recovery ladder (lp/guard.h); off by default, since the approximation
+  /// pipelines only consume feasibility windows and tolerate a bad probe.
   ParametricAssignmentLp(const Instance& instance, double T_build,
-                         const AssignmentLpOptions& options = {});
+                         const lp::SimplexOptions& simplex = {});
 
   /// Re-parameterizes the model to T and solves, warm-starting from the
   /// basis of the previous call (feasible or not). Among feasible solutions
@@ -111,7 +102,8 @@ class ParametricAssignmentLp {
 /// Returns std::nullopt iff the LP is infeasible, i.e. no schedule of
 /// makespan <= T exists even fractionally.
 [[nodiscard]] std::optional<FractionalAssignment> solve_assignment_lp(
-    const Instance& instance, double T, const AssignmentLpOptions& options = {});
+    const Instance& instance, double T,
+    const lp::SimplexOptions& simplex = {});
 
 /// Largest T that is trivially LP-infeasible:
 /// max( max_j min_i p_ij , (Σ_j min_i p_ij) / m ). LP(T) feasible => T >= this.
@@ -126,7 +118,7 @@ class ParametricAssignmentLp {
 /// `hi` and every probe warm-starts from the previous basis; the `hi` solve
 /// runs first so it seeds the chain and doubles as the returned solution
 /// when no tighter probe succeeds. The effort counters sum every probe (the
-/// guard counters stay 0 unless AssignmentLpOptions::audit_interval > 0).
+/// guard counters stay 0 unless simplex.guard is set).
 struct LpSearchResult : EffortCounters {
   double feasible_T = 0.0;    ///< hi: LP feasible here (solution below)
   double lower_bound = 0.0;   ///< lo: OPT is >= this
@@ -134,6 +126,6 @@ struct LpSearchResult : EffortCounters {
 };
 [[nodiscard]] LpSearchResult search_assignment_lp(
     const Instance& instance, double precision = 0.05,
-    const AssignmentLpOptions& options = {});
+    const lp::SimplexOptions& simplex = {});
 
 }  // namespace setsched

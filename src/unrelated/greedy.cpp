@@ -1,7 +1,6 @@
 #include "unrelated/greedy.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -48,129 +47,6 @@ ScheduleResult greedy_min_load(const Instance& instance) {
     load[best] = best_load;
     has_class[best * kc + k] = 1;
   }
-  return {schedule, makespan(instance, schedule), {}};
-}
-
-ScheduleResult greedy_class_batch(const Instance& instance) {
-  instance.validate();
-  const std::size_t m = instance.num_machines();
-  const auto by_class = instance.jobs_by_class();
-
-  // Order classes by total cheapest work, heaviest first.
-  std::vector<double> weight(instance.num_classes(), 0.0);
-  for (ClassId k = 0; k < instance.num_classes(); ++k) {
-    for (const JobId j : by_class[k]) {
-      double mn = kInfinity;
-      for (MachineId i = 0; i < m; ++i) {
-        if (instance.eligible(i, j)) mn = std::min(mn, instance.proc(i, j));
-      }
-      weight[k] += mn;
-    }
-  }
-  std::vector<ClassId> order(instance.num_classes());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](ClassId a, ClassId b) { return weight[a] > weight[b]; });
-
-  std::vector<double> load(m, 0.0);
-  Schedule schedule = Schedule::empty(instance.num_jobs());
-  for (const ClassId k : order) {
-    if (by_class[k].empty()) continue;
-    MachineId best = kUnassigned;
-    double best_load = kInfinity;
-    for (MachineId i = 0; i < m; ++i) {
-      if (instance.setup(i, k) >= kInfinity) continue;
-      double new_load = load[i] + instance.setup(i, k);
-      bool ok = true;
-      for (const JobId j : by_class[k]) {
-        if (!instance.eligible(i, j)) {
-          ok = false;
-          break;
-        }
-        new_load += instance.proc(i, j);
-      }
-      if (ok && new_load < best_load) {
-        best_load = new_load;
-        best = i;
-      }
-    }
-    // A class may not fit on any single machine (eligibility); fall back to
-    // per-job min-load placement for its jobs.
-    if (best == kUnassigned) {
-      for (const JobId j : by_class[k]) {
-        MachineId arg = kUnassigned;
-        double arg_load = kInfinity;
-        for (MachineId i = 0; i < m; ++i) {
-          if (!instance.eligible(i, j)) continue;
-          const double cand = load[i] + instance.proc(i, j) + instance.setup(i, k);
-          if (cand < arg_load) {
-            arg_load = cand;
-            arg = i;
-          }
-        }
-        check(arg != kUnassigned, "job has no eligible machine");
-        schedule.assignment[j] = arg;
-        load[arg] = arg_load;
-      }
-      continue;
-    }
-    for (const JobId j : by_class[k]) schedule.assignment[j] = best;
-    load[best] = best_load;
-  }
-  return {schedule, makespan(instance, schedule), {}};
-}
-
-ScheduleResult cover_greedy(const Instance& instance) {
-  instance.validate();
-  const std::size_t m = instance.num_machines();
-  const std::size_t n = instance.num_jobs();
-  const std::size_t kc = instance.num_classes();
-
-  Schedule schedule = Schedule::empty(n);
-  const auto by_class = instance.jobs_by_class();
-  std::vector<char> has_class(m * kc, 0);
-  std::size_t unassigned = n;
-
-  while (unassigned > 0) {
-    double best_density = -1.0;
-    MachineId best_machine = kUnassigned;
-    ClassId best_class = 0;
-    std::vector<JobId> best_batch;
-
-    std::vector<JobId> batch;
-    for (MachineId i = 0; i < m; ++i) {
-      for (ClassId k = 0; k < kc; ++k) {
-        batch.clear();
-        double cost = has_class[i * kc + k] ? 0.0 : instance.setup(i, k);
-        if (cost >= kInfinity) continue;
-        for (const JobId j : by_class[k]) {
-          if (schedule.assignment[j] != kUnassigned) continue;
-          if (!instance.eligible(i, j)) continue;
-          batch.push_back(j);
-          cost += instance.proc(i, j);
-        }
-        if (batch.empty()) continue;
-        const double density = cost > 0.0
-                                   ? static_cast<double>(batch.size()) / cost
-                                   : std::numeric_limits<double>::max();
-        if (density > best_density) {
-          best_density = density;
-          best_machine = i;
-          best_class = k;
-          best_batch = batch;
-        }
-      }
-    }
-
-    check(best_machine != kUnassigned,
-          "cover_greedy: some job has no eligible machine");
-    for (const JobId j : best_batch) {
-      schedule.assignment[j] = best_machine;
-    }
-    has_class[best_machine * kc + best_class] = 1;
-    unassigned -= best_batch.size();
-  }
-
   return {schedule, makespan(instance, schedule), {}};
 }
 

@@ -11,16 +11,4 @@ namespace setsched {
 /// unrelated machines; standard practical baseline for E3/E4.
 [[nodiscard]] ScheduleResult greedy_min_load(const Instance& instance);
 
-/// Class-batched baseline: whole classes (sorted by non-increasing total
-/// cheapest work) are placed on the machine minimizing the resulting load.
-/// Never splits a class, so it pays exactly one setup per non-empty class.
-[[nodiscard]] ScheduleResult greedy_class_batch(const Instance& instance);
-
-/// Set-cover-flavoured density greedy: repeatedly assign, among all
-/// (machine, class) pairs, the batch of still-unassigned eligible jobs that
-/// maximizes jobs-covered per unit of added load (processing + setup if the
-/// class is new on that machine). Degenerates to the classic greedy SetCover
-/// on the Theorem 3.5 reduction instances (p in {0, inf}, unit setups).
-[[nodiscard]] ScheduleResult cover_greedy(const Instance& instance);
-
 }  // namespace setsched

@@ -92,9 +92,9 @@ RoundingResult randomized_rounding(const Instance& instance,
 
 ScheduleResult argmax_rounding(const Instance& instance,
                                double search_precision,
-                               const AssignmentLpOptions& options) {
+                               const lp::SimplexOptions& simplex) {
   const LpSearchResult lp =
-      search_assignment_lp(instance, search_precision, options);
+      search_assignment_lp(instance, search_precision, simplex);
   Schedule schedule = Schedule::empty(instance.num_jobs());
   for (JobId j = 0; j < instance.num_jobs(); ++j) {
     double best_x = -1.0;

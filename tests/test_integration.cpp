@@ -37,11 +37,9 @@ TEST_P(UnrelatedPipelineTest, AllAlgorithmsConsistent) {
   ropt.seed = GetParam() + 1;
   const RoundingResult rounding = randomized_rounding(inst, ropt);
   const ScheduleResult greedy = greedy_min_load(inst);
-  const ScheduleResult batch = greedy_class_batch(inst);
 
   // Everything is a valid schedule and no algorithm beats the optimum.
-  for (const Schedule& s :
-       {rounding.schedule, greedy.schedule, batch.schedule, opt.schedule}) {
+  for (const Schedule& s : {rounding.schedule, greedy.schedule, opt.schedule}) {
     EXPECT_FALSE(schedule_error(inst, s).has_value());
     EXPECT_GE(makespan(inst, s) + 1e-9, opt.makespan);
   }

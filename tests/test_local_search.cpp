@@ -16,7 +16,7 @@ TEST(LocalSearch, NeverWorsens) {
   p.num_machines = 4;
   p.num_classes = 4;
   const Instance inst = generate_unrelated(p, 1);
-  const ScheduleResult start = greedy_class_batch(inst);
+  const ScheduleResult start = greedy_min_load(inst);
   const LocalSearchResult r = local_search(inst, start.schedule);
   EXPECT_LE(r.makespan, start.makespan + 1e-9);
   EXPECT_FALSE(schedule_error(inst, r.schedule).has_value());
@@ -109,7 +109,7 @@ TEST(PolishedStart, NeverWorseThanSeedOrLocalSearch) {
     EXPECT_EQ(polished_start(inst).assignment, from_greedy.schedule.assignment);
     const Schedule seeds[] = {
         Schedule{std::vector<MachineId>(p.num_jobs, 0)},
-        greedy_class_batch(inst).schedule,
+        greedy_min_load(inst).schedule,
         solve_exact(inst).schedule,
     };
     for (const Schedule& start : seeds) {

@@ -29,8 +29,8 @@ TEST(FillTrigger, RefactorizesATSearchChainByFillAlone) {
   const Instance& inst = input.instance;
   double lo = std::max(assignment_lp_floor(inst), unrelated_lower_bound(inst));
   double hi = unrelated_upper_bound(inst);
-  AssignmentLpOptions options;
-  options.simplex.refactor_interval = 1'000'000;
+  lp::SimplexOptions options;
+  options.refactor_interval = 1'000'000;
   ParametricAssignmentLp chain(inst, hi, options);
   lp::SimplexOptions tableau;
   tableau.algorithm = SimplexAlgorithm::kTableau;

@@ -248,7 +248,7 @@ TEST_P(FaultDifferentialTest, GuardedInjectedSolveMatchesOracle) {
       opt.warm_start = &loose;
     }
     if (kind == FaultKind::kSkipRefactor) opt.refactor_interval = 2;
-    const Solution reference = solve_tableau(m, SimplexOptions{});
+    const Solution reference = solve_tableau(m);
     ASSERT_TRUE(reference.optimal()) << "seed " << seed;
     const Solution sol = solve(m, opt);
 
@@ -276,7 +276,7 @@ TEST(Guard, LadderRecoversAndCountsUnderHeavyInjection) {
   std::size_t recovered = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Model m = random_lp(seed);
-    const Solution reference = solve_tableau(m, SimplexOptions{});
+    const Solution reference = solve_tableau(m);
     FaultPlan plan = FaultPlan::parse("ftran-nan@0.5", seed);
     SimplexOptions opt;
     opt.guard = true;

@@ -313,14 +313,15 @@ TEST(Session, PrimalPhaseOneInfeasibleBasisIsDropped) {
 }
 
 TEST(Session, ContestedBasisIsNeverRetained) {
-  // max 9.1e11 x  s.t. 11 x <= rhs, x in [0, 1]. At rhs 20, x sits at its
-  // upper bound and the audit is clean. At rhs 1, x is basic, and the audit
-  // recomputes its reduced cost as c - 11 * (c / 11) = -1.2e-4, past the
-  // audit slack on every rung: the last rung's answer comes back contested,
-  // with a basis that must not replace the retained one.
+  // max x  s.t. 1.1 x <= rhs, x in [0, 1e12]. At rhs 3e12, x sits at its
+  // upper bound and the audit is clean. At rhs 2e11 + 2, x is basic at
+  // 181818181820, and the audit recomputes the row activity as
+  // 1.1 * x = rhs + 3.05e-5, past the absolute row slack (1e-5) on every
+  // rung: the last rung's answer comes back contested, with a basis that
+  // must not replace the retained one.
   Model m(Objective::kMaximize);
-  const auto x = m.add_variable(0, 1, 9.1e11);
-  m.add_constraint({{x, 11}}, Sense::kLessEqual, 20);
+  const auto x = m.add_variable(0, 1e12, 1);
+  m.add_constraint({{x, 1.1}}, Sense::kLessEqual, 3e12);
   SimplexOptions guarded;
   guarded.guard = true;
   Session session(std::move(m), guarded);
@@ -328,7 +329,7 @@ TEST(Session, ContestedBasisIsNeverRetained) {
   const Basis clean = session.basis();
   ASSERT_FALSE(clean.empty());
 
-  session.model().set_rhs(0, 1);
+  session.model().set_rhs(0, 200'000'000'002.0);
   const Solution& sol = session.solve();
   ASSERT_TRUE(sol.optimal());
   EXPECT_TRUE(sol.audit_contested());
@@ -338,19 +339,45 @@ TEST(Session, ContestedBasisIsNeverRetained) {
   EXPECT_TRUE(same_basis(session.basis(), clean));
 }
 
-TEST(Session, AuditCadenceGuardsEveryNthSolve) {
-  Session session(two_cover_model(), SimplexOptions{}, /*audit_interval=*/3);
-  for (std::size_t solve = 1; solve <= 8; ++solve) {
-    const Solution& sol = session.solve();
-    ASSERT_TRUE(sol.optimal());
-    const bool guarded = solve % 3 == 1;  // solves 1, 4, 7
-    EXPECT_EQ(sol.audit_verdict != AuditVerdict::kSkipped, guarded)
-        << "solve " << solve;
+TEST(Session, LargeCostOptimumAuditsCleanAndIsRetained) {
+  // max 9.1e11 x  s.t. 11 x <= rhs, x in [0, 1]. At rhs 1, x is basic, and
+  // the audit recomputes its reduced cost as c - 11 * (c / 11) = -1.2e-4:
+  // roundoff on the scale of c, within the slack once it is scaled by |c|.
+  Model m(Objective::kMaximize);
+  const auto x = m.add_variable(0, 1, 9.1e11);
+  m.add_constraint({{x, 11}}, Sense::kLessEqual, 20);
+  SimplexOptions guarded;
+  guarded.guard = true;
+  Session session(std::move(m), guarded);
+  ASSERT_EQ(session.solve().audit_verdict, AuditVerdict::kClean);
+
+  session.model().set_rhs(0, 1);
+  const Solution& sol = session.solve();
+  ASSERT_TRUE(sol.optimal());
+  EXPECT_EQ(sol.audit_verdict, AuditVerdict::kClean);
+  EXPECT_EQ(sol.audits_suspect, 0u);
+  EXPECT_EQ(sol.oracle_fallbacks, 0u);
+  ASSERT_FALSE(sol.basis.empty());
+  EXPECT_TRUE(same_basis(session.basis(), sol.basis));
+}
+
+TEST(Session, GuardedChainAuditsEverySolve) {
+  for (const bool guard : {false, true}) {
+    SimplexOptions options;
+    options.guard = guard;
+    Session session(two_cover_model(), options);
+    for (std::size_t solve = 1; solve <= 4; ++solve) {
+      session.model().set_rhs(0, 1.0 + 0.5 * static_cast<double>(solve));
+      const Solution& sol = session.solve();
+      ASSERT_TRUE(sol.optimal());
+      EXPECT_EQ(sol.audit_verdict != AuditVerdict::kSkipped, guard)
+          << "guard " << guard << " solve " << solve;
+    }
+    // A recorded infeasibility is exact knowledge: never audited.
+    EXPECT_EQ(session.record_infeasible().audit_verdict,
+              AuditVerdict::kSkipped);
+    EXPECT_EQ(session.solve().audit_verdict != AuditVerdict::kSkipped, guard);
   }
-  // A recorded infeasibility advances the cadence like a solve: solve 9 is
-  // recorded, so solve 10 is guarded.
-  EXPECT_EQ(session.record_infeasible().audit_verdict, AuditVerdict::kSkipped);
-  EXPECT_NE(session.solve().audit_verdict, AuditVerdict::kSkipped);
 }
 
 TEST(Session, CountersAreTheSumOfTheReturnedSolutions) {
@@ -572,9 +599,9 @@ namespace {
 
 using lp::SimplexAlgorithm;
 
-AssignmentLpOptions lp_options(SimplexAlgorithm algorithm) {
-  AssignmentLpOptions options;
-  options.simplex.algorithm = algorithm;
+lp::SimplexOptions lp_options(SimplexAlgorithm algorithm) {
+  lp::SimplexOptions options;
+  options.algorithm = algorithm;
   return options;
 }
 

@@ -19,7 +19,7 @@ UniformInstance two_machine_instance() {
 
 TEST(LptUniform, ProducesCompleteValidSchedule) {
   const UniformInstance u = two_machine_instance();
-  const ScheduleResult r = lpt_uniform(u);
+  const ScheduleResult r = lpt_with_placeholders(u);
   EXPECT_TRUE(r.schedule.complete());
   EXPECT_DOUBLE_EQ(r.makespan, makespan(u, r.schedule));
 }
@@ -28,7 +28,7 @@ TEST(LptUniform, BalancesIdenticalMachines) {
   // Without setups LPT on {8,6,4,2} over 2 machines gives loads 10/10.
   UniformInstance u = two_machine_instance();
   u.setup_size = {0, 0};
-  const ScheduleResult r = lpt_uniform(u);
+  const ScheduleResult r = lpt_with_placeholders(u);
   EXPECT_DOUBLE_EQ(r.makespan, 10.0);
 }
 
@@ -38,17 +38,17 @@ TEST(LptUniform, FasterMachineGetsMoreWork) {
   u.job_class = {0, 0, 0, 0};
   u.setup_size = {0};
   u.speed = {1, 3};
-  const ScheduleResult r = lpt_uniform(u);
+  const ScheduleResult r = lpt_with_placeholders(u);
   // Optimal: 3 jobs on fast (30/3=10), 1 on slow (10). LPT achieves it.
   EXPECT_DOUBLE_EQ(r.makespan, 10.0);
 }
 
 TEST(LptPlaceholders, HandlesInstanceWithoutSmallJobs) {
-  // All jobs >= setup size: behaves like plain LPT.
+  // All jobs >= setup size: behaves like plain LPT, which puts {8, 2} and
+  // {6, 4} together, each machine holding both classes: 10 + 2 setups.
   UniformInstance u = two_machine_instance();  // sizes 8,6,4,2 >= setups 1,1
   const ScheduleResult placeholder = lpt_with_placeholders(u);
-  const ScheduleResult plain = lpt_uniform(u);
-  EXPECT_DOUBLE_EQ(placeholder.makespan, plain.makespan);
+  EXPECT_DOUBLE_EQ(placeholder.makespan, 12.0);
 }
 
 TEST(LptPlaceholders, MergesSmallJobs) {

@@ -94,7 +94,6 @@ GUARANTEES = {
 # every other solver runs on every preset.
 GATED = {
     "lpt": {"uniform-tiny"},
-    "lpt-plain": {"uniform-tiny"},
     "ptas": {"uniform-tiny"},
     "restricted-2approx": {"restricted-tiny"},
     "classuniform-3approx": {"class-uniform-tiny"},
