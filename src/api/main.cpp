@@ -28,7 +28,6 @@
 #include "common/check.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "core/bounds.h"
 #include "expt/harness.h"
 #include "expt/plan.h"
 #include "expt/record.h"
@@ -164,7 +163,7 @@ int run(const CliOptions& options) {
   const ProblemInput input = options.instance_path.empty()
                                  ? generate_preset(options.preset, options.seed)
                                  : load_problem(options.instance_path);
-  const double lower_bound = unrelated_lower_bound(input.instance);
+  const double bound = lower_bound(input);
 
   std::vector<std::string> names = options.solvers;
   if (options.all) names = SolverRegistry::global().names();
@@ -179,12 +178,12 @@ int run(const CliOptions& options) {
     context.pool = nullptr;
     ThreadPool& pool = default_pool();
     pool.parallel_for(0, names.size(), [&](std::size_t s) {
-      records[s] = solve_one(names[s], input, context, lower_bound);
+      records[s] = solve_one(names[s], input, context, bound);
     });
   } else {
     context.pool = &default_pool();
     for (std::size_t s = 0; s < names.size(); ++s) {
-      records[s] = solve_one(names[s], input, context, lower_bound);
+      records[s] = solve_one(names[s], input, context, bound);
     }
   }
 
@@ -199,7 +198,7 @@ int run(const CliOptions& options) {
     std::cout << describe_source.str() << ": " << input.instance.num_jobs()
               << " jobs, " << input.instance.num_machines() << " machines, "
               << input.instance.num_classes() << " classes, lower bound "
-              << format_double(lower_bound) << "\n\n";
+              << format_double(bound) << "\n\n";
   }
 
   Table table({"solver", "status", "makespan", "ratio_lb", "setups", "optimal",

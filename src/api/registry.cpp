@@ -120,9 +120,7 @@ ScheduleResult solve_exact_entry(const ProblemInput& input,
     options.time_limit_s =
         std::max(0.0, context.time_limit_s - polish.elapsed_seconds());
   }
-  options.initial_upper_bound = unrelated_upper_bound(input.instance);
   options.simplex.fault_plan = armed_plan(context);
-  options.deadline = context.deadline;
   const ExactResult result = solve_exact(input.instance, options);
   SolverStats stats = effort_stats(result);
   stats.proven_optimal = result.proven_optimal;

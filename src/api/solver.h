@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -25,6 +24,11 @@ struct ProblemInput {
   [[nodiscard]] static ProblemInput from_uniform(UniformInstance uniform);
 };
 
+/// Best core/bounds.h lower bound on OPT for the input's form: the per-job
+/// unrelated bound, raised by the aggregate load/speed bound when the
+/// uniform form is present. The denominator of every reported ratio.
+[[nodiscard]] double lower_bound(const ProblemInput& input);
+
 /// Runtime knobs shared by all solvers; each solver reads what it needs and
 /// ignores the rest, so one context can drive the whole registry.
 struct SolverContext {
@@ -33,7 +37,8 @@ struct SolverContext {
   double epsilon = 0.5;
   /// Binary-search precision for the LP-based solvers.
   double precision = 0.05;
-  /// Wall-clock budget for the exact branch-and-bound.
+  /// Wall-clock budget of each exact solver call, its one deadline. The
+  /// other solvers run to completion.
   double time_limit_s = 10.0;
   /// Optional pool for intra-solver parallelism (colgen pricing). Null
   /// means sequential.
@@ -47,10 +52,6 @@ struct SolverContext {
   /// exact solvers' bound probes are always audited regardless. Forced on
   /// while fault_plan is armed.
   bool lp_audit = false;
-  /// Optional hard wall-clock deadline (harness watchdog): search-based
-  /// solvers abort their budget when the steady clock passes it, bounding a
-  /// whole solve call — including setup phases — to the cell's time slot.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
 /// Polymorphic facade over the algorithm zoo. Implementations are stateless:

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 
@@ -58,27 +57,16 @@ struct ExactOptions {
   /// counts as proven.
   std::size_t max_nodes = 200'000'000;  // lint: allow-knob (tests cap it)
   /// Wall-clock budget in seconds, counted from the start of the
-  /// solve_exact() call (checked coarsely, between nodes: one LP probe can
-  /// run past it).
+  /// solve_exact() call: the call's one deadline (checked coarsely, between
+  /// nodes: one LP probe can run past it). Reaching it is a budget abort:
+  /// the incumbent is returned with proven_optimal false.
   double time_limit_s = 60.0;
-  /// Optional hard wall-clock deadline (absolute, steady clock), what the
-  /// experiment harness's per-cell watchdog passes. The call's one deadline
-  /// is the earlier of this and the start plus time_limit_s. Reaching it is
-  /// a budget abort: the incumbent is returned with proven_optimal false.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Optional initial upper bound, INCLUSIVE, honored by EVERY mode: the
-  /// caller promises some schedule of makespan <= this value exists, and a
-  /// schedule whose makespan exactly equals the bound is acceptable and
-  /// will be found. (An invalid bound below OPT makes the search vacuous,
-  /// exactly as a MIP cutoff would.) 0 = none.
-  double initial_upper_bound = 0.0;
   /// Optional initial incumbent SCHEDULE (must be complete and feasible for
-  /// the instance). Both search modes adopt it as their starting incumbent
-  /// when it beats the trivial best_machine_schedule one, so (a) the cutoff
-  /// — and with it root reduced-cost fixing — starts at the schedule's
-  /// makespan, and (b) a budget abort can never return a schedule worse
-  /// than this one (a bare initial_upper_bound only tightens the cutoff;
-  /// the schedule achieving it used to be thrown away).
+  /// the instance), the one way to seed the search. Every mode adopts it as
+  /// its starting incumbent when it beats the trivial best_machine_schedule
+  /// one, so (a) the cutoff — and with it root reduced-cost fixing — starts
+  /// at the schedule's makespan, and (b) a budget abort can never return a
+  /// schedule worse than this one.
   std::optional<Schedule> initial_schedule;
   /// Prune nodes whose assignment-LP relaxation (path jobs pinned to their
   /// machines) cannot beat the current cutoff, and certify the root lower
@@ -156,11 +144,10 @@ struct ExactResult : EffortCounters {
 /// kProve: depth-first branch-and-bound. Jobs are ordered class-by-class
 /// (largest class workload first, sizes non-increasing inside a class) so
 /// setup costs are discovered early. Pruning: branch load cuts against the
-/// incumbent (and the inclusive external bound), an average-load bound,
-/// machine-equivalence symmetry breaking (sound under eligibility, since
-/// equivalent machines have identical columns), a dominance memo over
-/// (depth, load-profile, paid-setups) states, and assignment-LP infeasibility
-/// at the current cutoff.
+/// incumbent, an average-load bound, machine-equivalence symmetry breaking
+/// (sound under eligibility, since equivalent machines have identical
+/// columns), a dominance memo over (depth, load-profile, paid-setups)
+/// states, and assignment-LP infeasibility at the current cutoff.
 ///
 /// kDive: best-first beam search over the same job order with the same
 /// symmetry reductions; reports the incumbent with its certified gap.

@@ -94,18 +94,8 @@ bool symmetric_duplicate(const Instance& instance, const SearchPlan& plan,
 }
 
 /// The pruning cutoff. Ties with the incumbent are no improvement, so it
-/// sits a hair below the incumbent; the external bound is INCLUSIVE (a
-/// schedule equal to it is acceptable), so it enters with a small upward
-/// slack instead.
-double cutoff(double incumbent, const ExactOptions& opt) {
-  double prune_at = incumbent - kIncumbentPruneSlack;
-  if (opt.initial_upper_bound > 0.0) {
-    prune_at = std::min(
-        prune_at, opt.initial_upper_bound * (1.0 + kExternalBoundRelSlack) +
-                      kExternalBoundAbsSlack);
-  }
-  return prune_at;
-}
+/// sits a hair below the incumbent.
+double cutoff(double incumbent) { return incumbent - kIncumbentPruneSlack; }
 
 }  // namespace
 
@@ -113,7 +103,7 @@ Search::Search(const Instance& instance, const ExactOptions& options)
     : inst(instance),
       opt(options),
       plan(build_search_plan(instance)),
-      deadline(deadline_in(options.time_limit_s, options.deadline)),
+      deadline(deadline_in(options.time_limit_s)),
       best(best_machine_schedule(instance)),
       incumbent(makespan(instance, best)),
       lower_bound(unrelated_lower_bound(instance)) {
@@ -125,7 +115,7 @@ Search::Search(const Instance& instance, const ExactOptions& options)
               (error ? *error : std::string()));
     adopt(*opt.initial_schedule);
   }
-  prune_at = cutoff(incumbent, opt);
+  prune_at = cutoff(incumbent);
 }
 
 void Search::bound_root_lp() {
@@ -150,7 +140,7 @@ bool Search::improve(const Node& leaf) {
   if (leaf.max_load >= incumbent) return false;
   incumbent = leaf.max_load;
   best.assignment = leaf.assignment;
-  prune_at = cutoff(incumbent, opt);
+  prune_at = cutoff(incumbent);
   return true;
 }
 
@@ -159,7 +149,7 @@ void Search::adopt(const Schedule& schedule) {
   if (value >= incumbent) return;
   best = schedule;
   incumbent = value;
-  prune_at = cutoff(incumbent, opt);
+  prune_at = cutoff(incumbent);
 }
 
 void Search::append_children(const Node& node, JobId j,

@@ -114,7 +114,7 @@ struct Search {
   /// ExactOptions::initial_schedule when that is better (CheckError when it
   /// is incomplete or infeasible: an invalid external incumbent must fail
   /// loudly, not corrupt the ground truth). Lower bound: core/bounds.h's.
-  /// Deadline: time_limit_s from now, capped by ExactOptions::deadline.
+  /// Deadline: time_limit_s from now.
   Search(const Instance& instance, const ExactOptions& options);
 
   [[nodiscard]] bool incumbent_meets_lb() const {
@@ -165,8 +165,7 @@ struct Search {
   /// The one wall-clock budget of the call, checked by both loops.
   const std::chrono::steady_clock::time_point deadline;
   Schedule best;
-  /// Makespan of `best`: always a schedule we hold. The external bound only
-  /// enters the cutoff.
+  /// Makespan of `best`: always a schedule we hold.
   double incumbent;
   /// Certified lower bound on OPT.
   double lower_bound;

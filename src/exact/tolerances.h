@@ -30,14 +30,6 @@ inline constexpr double kDominanceLoadSlack = 1e-12;
 /// slack only separates genuine ties from double-rounding.
 inline constexpr double kIncumbentPruneSlack = 1e-12;
 
-/// Inclusive external-bound slack: ExactOptions::initial_upper_bound is
-/// INCLUSIVE (a schedule equal to the bound is acceptable — the PR 4
-/// headline bugfix), so the cutoff derived from it is
-/// bound * (1 + kExternalBoundRelSlack) + kExternalBoundAbsSlack: relative
-/// term for large makespans, absolute term for bounds near zero.
-inline constexpr double kExternalBoundRelSlack = 1e-9;
-inline constexpr double kExternalBoundAbsSlack = 1e-9;
-
 /// Relative certification tolerance: an incumbent within
 /// kCertRelTol * max(1, lower_bound) of the lower bound is certified optimal
 /// (and the lb-meets-incumbent early exit fires). Matches the harness's

@@ -21,7 +21,6 @@ struct Bucket {
   std::size_t ok = 0;
   std::size_t skipped = 0;
   std::size_t failed = 0;
-  std::size_t timeout = 0;
   std::vector<double> ratios;         // ok cells only
   std::vector<double> times_ms;       // ok cells only
   std::array<std::vector<double>, kCounterCount> counters;  // ok cells only
@@ -75,12 +74,6 @@ std::vector<AggregateSummary> aggregate(std::span<const RunRecord> records) {
       case RunStatus::kError:
         ++bucket.failed;
         break;
-      case RunStatus::kTimeout:
-        // Budget exhaustion, not a defect: counted apart from failed so a
-        // watchdog sweep is distinguishable from a broken solver, and its
-        // (unfinished) quality numbers stay out of the ok statistics.
-        ++bucket.timeout;
-        break;
     }
   }
 
@@ -94,7 +87,6 @@ std::vector<AggregateSummary> aggregate(std::span<const RunRecord> records) {
     s.ok = bucket.ok;
     s.skipped = bucket.skipped;
     s.failed = bucket.failed;
-    s.timeout = bucket.timeout;
     // mean/max_value are defined (0.0) on the empty all-failed bucket;
     // percentile throws on empty, so it stays behind the ok-count guard.
     s.ratio_mean = mean(bucket.ratios);
@@ -119,8 +111,8 @@ std::vector<AggregateSummary> aggregate(std::span<const RunRecord> records) {
 Table summary_table(std::span<const AggregateSummary> summaries) {
   std::vector<std::string> header = {
       "solver",     "preset",     "cells",      "ok",         "skipped",
-      "failed",     "timeout",    "proven",     "gap_mean",   "ratio_mean",
-      "ratio_max",  "time_p50_ms", "time_p95_ms"};
+      "failed",     "proven",     "gap_mean",   "ratio_mean", "ratio_max",
+      "time_p50_ms", "time_p95_ms"};
   for (const CounterInfo& c : kCounters) header.emplace_back(c.label);
   header.insert(header.end(), {"lp%", "pricing%"});
   Table table(std::move(header));
@@ -132,7 +124,6 @@ Table summary_table(std::span<const AggregateSummary> summaries) {
         .add(s.ok)
         .add(s.skipped)
         .add(s.failed)
-        .add(s.timeout)
         .add(s.proven)
         .add(s.gap_mean, 4)
         .add(s.ratio_mean)
@@ -147,13 +138,12 @@ Table summary_table(std::span<const AggregateSummary> summaries) {
 
 void write_bench_json(std::ostream& os, const ExperimentPlan& plan,
                       std::span<const AggregateSummary> summaries) {
-  std::size_t cells = 0, ok = 0, skipped = 0, failed = 0, timeout = 0;
+  std::size_t cells = 0, ok = 0, skipped = 0, failed = 0;
   for (const AggregateSummary& s : summaries) {
     cells += s.cells;
     ok += s.ok;
     skipped += s.skipped;
     failed += s.failed;
-    timeout += s.timeout;
   }
 
   os << "{\n  \"bench\": \"expt\",\n  \"schema_version\": 1,\n  \"plan\": {\n"
@@ -168,20 +158,17 @@ void write_bench_json(std::ostream& os, const ExperimentPlan& plan,
   write_double(os, plan.precision);
   os << ",\n    \"time_limit_s\": ";
   write_double(os, plan.time_limit_s);
-  os << ",\n    \"cell_timeout_s\": ";
-  write_double(os, plan.cell_timeout_s);
   os << ",\n    \"inject\": \"" << plan.inject << '"';
   os << ",\n    \"lp_audit\": " << (plan.lp_audit ? "true" : "false");
   os << "\n  },\n  \"cells\": " << cells << ",\n  \"ok\": " << ok
      << ",\n  \"skipped\": " << skipped << ",\n  \"failed\": " << failed
-     << ",\n  \"timeout\": " << timeout << ",\n  \"summaries\": [";
+     << ",\n  \"summaries\": [";
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     const AggregateSummary& s = summaries[i];
     os << (i > 0 ? "," : "") << "\n    {\"solver\": \"" << s.solver
        << "\", \"preset\": \"" << s.preset << "\", \"cells\": " << s.cells
        << ", \"ok\": " << s.ok << ", \"skipped\": " << s.skipped
-       << ", \"failed\": " << s.failed << ", \"timeout\": " << s.timeout
-       << ", \"proven\": " << s.proven
+       << ", \"failed\": " << s.failed << ", \"proven\": " << s.proven
        << ", \"certified\": " << s.certified << ", \"gap_mean\": ";
     write_double(os, s.gap_mean);
     os << ", \"ratio_mean\": ";

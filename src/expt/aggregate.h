@@ -23,8 +23,7 @@ struct AggregateSummary {
   std::size_t cells = 0;
   std::size_t ok = 0;
   std::size_t skipped = 0;
-  std::size_t failed = 0;   ///< kInvalid + kError
-  std::size_t timeout = 0;  ///< kTimeout — budget exhausted, not a failure
+  std::size_t failed = 0;  ///< kInvalid + kError
   double ratio_mean = 0.0;
   double ratio_max = 0.0;
   double time_p50_ms = 0.0;

@@ -12,7 +12,6 @@
 #include "common/annotations.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/bounds.h"
 #include "core/schedule.h"
 #include "lp/fault.h"
 #include "obs/phase.h"
@@ -57,27 +56,15 @@ RunRecord run_cell(const ExperimentPlan& plan, const CellKey& key,
   if (!plan.inject.empty()) {
     context.fault_plan = lp::FaultPlan::parse(plan.inject, record.cell_seed);
   }
-  if (plan.cell_timeout_s > 0.0) {
-    context.deadline = deadline_in(plan.cell_timeout_s);
-  }
   // Cells are the unit of parallelism; solvers must not nest into the pool
   // that is running them (same rule as setsched_cli --all). Phase accounting
   // is thread-local, so with no pool the delta across solve() is the cell's
   // complete breakdown.
   context.pool = nullptr;
 
-  const Timer timer;
-  record = validated_solve(*SolverRegistry::global().create(solver_name),
-                           point.input, context, point.lower_bound,
-                           plan.record_timing, std::move(record));
-  // Watchdog verdict comes last: the schedule was still validated (a
-  // timed-out cell is a budget statement, not a correctness one), but the
-  // row must not enter quality aggregates as kOk.
-  if (record.status == RunStatus::kOk && plan.cell_timeout_s > 0.0 &&
-      timer.elapsed_seconds() > plan.cell_timeout_s) {
-    record.status = RunStatus::kTimeout;
-  }
-  return record;
+  return validated_solve(*SolverRegistry::global().create(solver_name),
+                         point.input, context, point.lower_bound,
+                         plan.record_timing, std::move(record));
 }
 
 }  // namespace
@@ -170,13 +157,7 @@ std::vector<RunRecord> run_experiment(const ExperimentPlan& plan,
     const std::string& preset = plan.presets[p / num_seeds];
     const std::uint64_t seed = plan.seed_begin + p % num_seeds;
     GridPoint point{generate_preset(preset, seed), 0.0};
-    // Best core/bounds lower bound available for the form: the aggregate
-    // load/speed bound dominates the per-job bound on uniform instances.
-    point.lower_bound = unrelated_lower_bound(point.input.instance);
-    if (point.input.uniform.has_value()) {
-      point.lower_bound = std::max(point.lower_bound,
-                                   uniform_lower_bound(*point.input.uniform));
-    }
+    point.lower_bound = lower_bound(point.input);
     points[p].emplace(std::move(point));
   });
 

@@ -9,7 +9,7 @@
 //   setsched_expt --presets=<a,b> (--solvers=<a,b> | --all-solvers)
 //                 [--seeds=N | --seeds=A..B]
 //
-// Options: --epsilon=E --precision=P --time-limit=S --cell-timeout=S
+// Options: --epsilon=E --precision=P --time-limit=S
 //          --inject=SPEC --lp-audit
 //          --threads=N --no-timing --jsonl=PATH --csv=PATH --bench-json=PATH
 //          --trace=PATH --quiet --progress
@@ -52,7 +52,6 @@ constexpr std::pair<std::string_view, std::string_view> kPlanFlags[] = {
     {"--epsilon", "epsilon"},
     {"--precision", "precision"},
     {"--time-limit", "time_limit_s"},
-    {"--cell-timeout", "cell_timeout_s"},
     {"--inject", "inject"},
     {"--threads", "threads"},
 };
@@ -74,7 +73,6 @@ void print_usage(std::ostream& os) {
      << "       setsched_expt --presets=<a,b> (--solvers=<a,b> | --all-solvers)\n"
      << "                     [--seeds=N | --seeds=A..B]\n"
      << "options: [--epsilon=E] [--precision=P] [--time-limit=S]\n"
-     << "         [--cell-timeout=S]  (per-cell wall-clock watchdog; 0 = off)\n"
      << "         [--inject=SPEC]  (LP fault injection, e.g. all@0.01)\n"
      << "         [--lp-audit]  (audit every LP solve, not only exact probes)\n"
      << "         [--threads=N] [--no-timing]\n"

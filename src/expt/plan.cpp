@@ -40,18 +40,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// Strict whole-token parse of a finite double; the sign is left to the
-/// caller.
-double parse_double(std::string_view token, const std::string& what) {
-  double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  check(ec == std::errc{} && end == token.data() + token.size() &&
-            std::isfinite(value),
-        "bad " + what + " '" + std::string(token) + "' (want a number)");
-  return value;
-}
-
 /// The on/off switches of a plan (timing, lp_audit).
 bool parse_on_off(std::string_view value, const std::string& what) {
   check(value == "on" || value == "off",
@@ -72,7 +60,12 @@ std::uint64_t parse_u64(std::string_view token, const std::string& what) {
 }
 
 double parse_positive_double(std::string_view token, const std::string& what) {
-  const double value = parse_double(token, what);
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  check(ec == std::errc{} && end == token.data() + token.size() &&
+            std::isfinite(value),
+        "bad " + what + " '" + std::string(token) + "' (want a number)");
   check(value > 0.0,
         "bad " + what + " '" + std::string(token) + "' (want a positive number)");
   return value;
@@ -111,8 +104,6 @@ void ExperimentPlan::validate() const {
   check(epsilon > 0.0, "experiment plan epsilon must be positive");
   check(precision > 0.0, "experiment plan precision must be positive");
   check(time_limit_s > 0.0, "experiment plan time_limit_s must be positive");
-  check(cell_timeout_s >= 0.0,
-        "experiment plan cell_timeout_s must be non-negative");
   // Surface a malformed injection spec at plan time, not mid-sweep (the
   // per-cell seed is substituted later; 1 is just a validity probe).
   if (!inject.empty()) (void)lp::FaultPlan::parse(inject, 1);
@@ -184,9 +175,6 @@ void apply_plan_key(ExperimentPlan& plan, std::string_view key,
     plan.precision = parse_positive_double(value, "precision");
   } else if (key == "time_limit_s") {
     plan.time_limit_s = parse_positive_double(value, "time_limit_s");
-  } else if (key == "cell_timeout_s") {
-    // 0 turns the watchdog off; validate() rejects negative values.
-    plan.cell_timeout_s = parse_double(value, "cell_timeout_s");
   } else if (key == "inject") {
     plan.inject = std::string(value);
   } else if (key == "lp_audit") {

@@ -31,12 +31,6 @@ struct ExperimentPlan {
   /// Off zeroes time_ms in every record, making JSONL output byte-identical
   /// across runs and thread counts.
   bool record_timing = true;
-  /// Per-cell hard wall-clock watchdog in seconds (plan key `cell_timeout_s`,
-  /// CLI --cell-timeout; 0 = off). Threaded to the solvers as an absolute
-  /// deadline (SolverContext::deadline) so search loops abort cooperatively;
-  /// a cell whose wall time still exceeds the slot is recorded as
-  /// RunStatus::kTimeout and excluded from quality aggregates.
-  double cell_timeout_s = 0.0;
   /// Deterministic LP fault-injection spec (plan key `inject`, CLI --inject):
   /// `kind[,kind...]@rate` or `all@rate` with the kinds of lp/fault.h, e.g.
   /// "eta-flip,ftran-nan@0.01". Empty = no injection. Each cell derives its
@@ -102,8 +96,7 @@ struct CellKey {
 /// sweep knob: plan-file lines and setsched_expt's override flags both land
 /// here. Keys: presets, solvers ("all" expands to the full registry), seeds
 /// (`N` means 1..N, `A..B` is inclusive), epsilon, precision, time_limit_s,
-/// cell_timeout_s (0 = off), threads, timing (on/off), inject (fault spec),
-/// lp_audit (on/off). Throws CheckError on unknown keys or malformed values;
+/// threads, timing (on/off), inject (fault spec), lp_audit (on/off). Throws CheckError on unknown keys or malformed values;
 /// cross-key checks are left to validate().
 void apply_plan_key(ExperimentPlan& plan, std::string_view key,
                     std::string_view value);

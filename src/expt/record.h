@@ -16,11 +16,6 @@ enum class RunStatus {
   kSkipped,  ///< solver precondition not met for this instance
   kInvalid,  ///< solver returned an infeasible schedule or a wrong makespan
   kError,    ///< solver threw; `error` holds the message
-  /// The cell's hard wall-clock deadline (ExperimentPlan::cell_timeout_s)
-  /// passed before the solver returned a certified result. The schedule (if
-  /// any) was still validated — a timed-out cell is a budget statement, not
-  /// a correctness one — but its quality must not enter aggregates.
-  kTimeout,
 };
 
 [[nodiscard]] std::string_view run_status_name(RunStatus status);
@@ -29,7 +24,7 @@ enum class RunStatus {
 /// (solver, preset, seed), the instance shape, the measured outcome, and an
 /// echo of the solver-context knobs so a record is self-describing. The
 /// effort counters (core/counters.h) echo SolverStats. Streamed as JSONL/CSV
-/// by record_io.h and consumed by aggregate.h. The 32-key field-by-field
+/// by record_io.h and consumed by aggregate.h. The 34-key field-by-field
 /// schema is documented in docs/BENCH_SCHEMA.md.
 struct RunRecord : EffortCounters {
   std::string solver;

@@ -82,7 +82,6 @@ std::string_view run_status_name(RunStatus status) {
     case RunStatus::kSkipped: return "skipped";
     case RunStatus::kInvalid: return "invalid";
     case RunStatus::kError: return "error";
-    case RunStatus::kTimeout: return "timeout";
   }
   throw CheckError("unknown RunStatus value");
 }

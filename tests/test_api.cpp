@@ -62,6 +62,24 @@ ProblemInput small_class_uniform() {
       generate_class_uniform_processing(params, 5));
 }
 
+// lower_bound(ProblemInput) is the ratio denominator of both setsched_cli
+// and setsched_expt: on a uniform input the aggregate load/speed bound
+// (50.587 on uniform-small seed 1) dominates the per-job bound (21.70),
+// which the CLI once divided by alone.
+TEST(ProblemInputBound, UsesUniformBoundOnUniformInputs) {
+  const ProblemInput uniform = generate_preset("uniform-small", 1);
+  ASSERT_TRUE(uniform.uniform.has_value());
+  const double per_job = unrelated_lower_bound(uniform.instance);
+  const double aggregate = uniform_lower_bound(*uniform.uniform);
+  ASSERT_GT(aggregate, 2.0 * per_job);
+  EXPECT_DOUBLE_EQ(lower_bound(uniform), aggregate);
+
+  const ProblemInput unrelated = generate_preset("unrelated-small", 1);
+  ASSERT_FALSE(unrelated.uniform.has_value());
+  EXPECT_DOUBLE_EQ(lower_bound(unrelated),
+                   unrelated_lower_bound(unrelated.instance));
+}
+
 TEST(SolverRegistry, RegistersEveryBuiltinSolver) {
   const auto names = SolverRegistry::global().names();
   const char* expected[] = {

@@ -6,13 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "api/presets.h"
-#include "core/bounds.h"
 #include "core/generators.h"
 #include "core/schedule.h"
 #include "exact/branch_bound.h"
@@ -285,7 +283,6 @@ TEST(CgEffort, RmpSolvesCountAsLpSolves) {
   const ProblemInput input = generate_preset("unrelated-tiny", 1);
   ExactOptions opt;
   opt.bound = BoundMode::kAuto;
-  opt.initial_upper_bound = unrelated_upper_bound(input.instance);
   const ExactResult r = solve_exact(input.instance, opt);
   ASSERT_TRUE(r.proven_optimal);
   ASSERT_GT(r.cg_pricing_rounds, 0u);
@@ -295,7 +292,7 @@ TEST(CgEffort, RmpSolvesCountAsLpSolves) {
 }
 
 // The coarse config-LP root bisection stops at the search's budget: with
-// the deadline already past it prices nothing. Unbounded, it spends 40-56
+// no time at all it prices nothing. Unbounded, it spends 40-56
 // pricing rounds on these instances.
 TEST(CgEffort, PastDeadlineSkipsRootBisection) {
   for (const BoundMode mode : {BoundMode::kConfig, BoundMode::kAuto}) {
@@ -303,8 +300,7 @@ TEST(CgEffort, PastDeadlineSkipsRootBisection) {
       const ProblemInput input = generate_preset("unrelated-small", seed);
       ExactOptions opt;
       opt.bound = mode;
-      opt.initial_upper_bound = unrelated_upper_bound(input.instance);
-      opt.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+      opt.time_limit_s = 0.0;  // the deadline is the call's start
       const ExactResult r = solve_exact(input.instance, opt);
       EXPECT_EQ(r.cg_pricing_rounds, 0u) << "seed " << seed;
       EXPECT_EQ(schedule_error(input.instance, r.schedule), std::nullopt);
@@ -320,7 +316,6 @@ TEST(CgEffort, HugeTimeLimitStillPricesRootBisection) {
   const ProblemInput input = generate_preset("unrelated-tiny", 1);
   ExactOptions opt;
   opt.bound = BoundMode::kConfig;
-  opt.initial_upper_bound = unrelated_upper_bound(input.instance);
   opt.time_limit_s = 600.0;
   const ExactResult ample = solve_exact(input.instance, opt);
   opt.time_limit_s = 1e300;

@@ -79,24 +79,22 @@ TEST(Exact, RespectsEligibility) {
   EXPECT_EQ(r.schedule.assignment[1], 1u);
 }
 
-TEST(Exact, HonorsInitialUpperBound) {
+TEST(Exact, ProvesOptimalInitialSchedule) {
   Instance inst(1, 1, {0, 0});
   inst.set_proc(0, 0, 2);
   inst.set_proc(0, 1, 3);
   inst.set_setup(0, 0, 1);
   ExactOptions opt;
-  opt.initial_upper_bound = 6.0;  // exactly optimal; must still find it
+  opt.initial_schedule = Schedule{{0, 0}};  // exactly optimal (6)
   const ExactResult r = solve_exact(inst, opt);
   EXPECT_TRUE(r.proven_optimal);
   EXPECT_DOUBLE_EQ(r.makespan, 6.0);
 }
 
-// Regression for the unsound upper-bound cut: the external bound used to be
-// treated exclusively (`new_load >= best_ - 1e-12` with best_ tightened to
-// the bound WITHOUT a schedule), so a bound equal to OPT pruned every
-// optimal schedule and the solver returned the strictly worse greedy
-// incumbent — above its own reported bound — still flagged proven_optimal.
-TEST(Exact, BoundEqualToOptimumIsInclusive) {
+// A seed equal to OPT is the incumbent the search must keep: the cutoff sits
+// a hair below it, so no optimal schedule is re-found, and the search must
+// return the seed itself, not the strictly worse greedy incumbent.
+TEST(Exact, OptimalInitialScheduleIsKept) {
   // best_machine_schedule puts both jobs on machine 0 (4+1 < 5+1 per job)
   // for makespan 9; the optimum splits them for makespan 6.
   Instance inst(2, 1, {0, 0});
@@ -111,14 +109,15 @@ TEST(Exact, BoundEqualToOptimumIsInclusive) {
   for (const bool lp : {false, true}) {
     ExactOptions opt;
     opt.use_lp_bounds = lp;
-    opt.initial_upper_bound = 6.0;  // == OPT: inclusive, must be attained
+    opt.initial_schedule = Schedule{{0, 1}};  // == OPT: must be returned
     const ExactResult r = solve_exact(inst, opt);
     EXPECT_TRUE(r.proven_optimal) << "lp=" << lp;
     EXPECT_DOUBLE_EQ(r.makespan, 6.0) << "lp=" << lp;
     // The returned schedule must actually meet the reported makespan (the
     // old bug returned the greedy schedule with makespan 9 here).
     EXPECT_NEAR(makespan(inst, r.schedule), r.makespan, 1e-12) << "lp=" << lp;
-    EXPECT_LE(r.makespan, opt.initial_upper_bound + 1e-9) << "lp=" << lp;
+    EXPECT_LE(r.makespan, makespan(inst, *opt.initial_schedule) + 1e-9)
+        << "lp=" << lp;
   }
 }
 
@@ -514,10 +513,9 @@ TEST(ExactDive, MidSizeIncumbentCarriesCertifiedGap) {
   EXPECT_LE(r.makespan, makespan(inst, best_machine_schedule(inst)) + 1e-9);
 }
 
-// PR 5's dive silently ignored initial_upper_bound; the bound must now prune
-// (inclusively — an exclusive cut here would prune the optimum itself and
-// return the greedy makespan 9).
-TEST(ExactDive, HonorsInitialUpperBoundInclusively) {
+// The dive keeps an optimal seed as its incumbent: pruning against it must
+// not drop the seed itself and return the greedy makespan 9.
+TEST(ExactDive, ProvesOptimalInitialSchedule) {
   Instance inst(2, 1, {0, 0});
   for (JobId j = 0; j < 2; ++j) {
     inst.set_proc(0, j, 4);
@@ -527,7 +525,7 @@ TEST(ExactDive, HonorsInitialUpperBoundInclusively) {
   inst.set_setup(1, 0, 1);
   ExactOptions opt;
   opt.mode = ExactMode::kDive;
-  opt.initial_upper_bound = 6.0;  // == OPT
+  opt.initial_schedule = Schedule{{0, 1}};  // == OPT
   const ExactResult r = solve_exact(inst, opt);
   EXPECT_TRUE(r.proven_optimal);
   EXPECT_DOUBLE_EQ(r.makespan, 6.0);
@@ -646,10 +644,8 @@ TEST(ExactDive, NeverClaimsOptimalityBelowTheBound) {
   }
 }
 
-// The half of the ignored-bound bug that bit the prove mode: a bare
-// initial_upper_bound tightened the cutoff but the SCHEDULE achieving it was
-// thrown away, so a budget abort fell back to the greedy incumbent. With
-// initial_schedule the abort path must return at least that schedule.
+// A budget abort returns at least the seeded schedule: the search never
+// falls back to the greedy incumbent once it holds a better one.
 TEST(Exact, InitialScheduleSurvivesBudgetAbort) {
   UnrelatedGenParams p;
   p.num_jobs = 14;

@@ -189,6 +189,28 @@ TEST(Guard, InfeasibilityClaimFromFaultedSolveIsSuspect) {
   EXPECT_EQ(report.verdict, AuditVerdict::kSuspect);
 }
 
+TEST(Guard, FaultFreeInfeasibilityClaimCarriesNoDualsAndIsSkipped) {
+  // The revised simplex exports no dual ray with an infeasibility claim, so
+  // a fault-free claim leaves the audit nothing to check: it is `skipped`,
+  // not contested, and LpBounder::feasible prunes on it. (Exporting the ray
+  // would let the audit check it.)
+  Model m(Objective::kMinimize);
+  const auto x = m.add_variable(0, 1, 0);
+  const auto y = m.add_variable(0, 1, 0);
+  m.add_constraint({{x, 1}, {y, 1}}, Sense::kGreaterEqual, 3);
+  for (const SimplexAlgorithm algorithm :
+       {SimplexAlgorithm::kAuto, SimplexAlgorithm::kDual}) {
+    SimplexOptions opt;
+    opt.algorithm = algorithm;
+    opt.guard = true;
+    const Solution sol = solve(m, opt);
+    EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+    EXPECT_TRUE(sol.duals.empty());
+    EXPECT_EQ(sol.audit_verdict, AuditVerdict::kSkipped);
+    EXPECT_FALSE(sol.audit_contested());
+  }
+}
+
 // --- the recovery ladder under injection -----------------------------------
 
 /// Random feasible bounded LP in the style of test_lp.cpp: box variables,

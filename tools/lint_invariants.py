@@ -32,7 +32,7 @@ Five rules, each protecting an invariant the compiler cannot see:
                src/common/timer.h. Turning seconds into a deadline goes
                through deadline_in() there, which clamps a span beyond the
                clock's range to "no deadline": an unchecked cast of, say,
-               --cell-timeout=1e300 overflows the tick count into the past
+               --time-limit=1e300 overflows the tick count into the past
                and aborts the run at once. No suppression.
 
   knob         Every data member of a `struct *Options` declared in a header
@@ -266,7 +266,8 @@ class Linter:
                 self.report(
                     path, code.count("\n", 0, m.start()) + 1, "deadline",
                     f"unclamped {cast} outside common/timer.h; build "
-                    "deadlines with deadline_in()")
+                    "deadlines with deadline_in() (a cast of "
+                    "--time-limit=1e300 overflows into the past)")
 
     def check_knobs(self):
         code = "\n".join(self.knob_code)
