@@ -55,8 +55,8 @@ void ThreadPool::worker_loop(std::size_t index) {
 
 namespace {
 
-/// Fork-join rendezvous shared by the parallel_for variants: the caller
-/// blocks on done_cv until every spawned task decremented `remaining`.
+/// Fork-join rendezvous of parallel_for: the caller blocks on done_cv until
+/// every spawned task decremented `remaining`.
 struct JoinState {
   Mutex m;
   CondVar done_cv;
@@ -90,38 +90,6 @@ struct JoinState {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks =
-      std::min<std::size_t>(total, std::max<std::size_t>(1, thread_count() * 4));
-  if (chunks <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  JoinState join(chunks);
-
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    enqueue([lo, hi, &body, &join] {
-      std::exception_ptr error;
-      try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      join.finish_task(std::move(error));
-    });
-  }
-
-  join.join();
-}
-
-void ThreadPool::parallel_for_dynamic(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
   const std::size_t total = end - begin;
   const std::size_t workers = std::min(total, thread_count());

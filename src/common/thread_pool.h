@@ -14,7 +14,7 @@ namespace setsched {
 ///
 /// Design notes (per the HPC guides: explicit, structured parallelism):
 ///  * tasks are plain std::function<void()>; no futures on the hot path;
-///  * parallel_for blocks until all chunks finish (structured fork-join),
+///  * parallel_for blocks until every index ran (structured fork-join),
 ///    so callers never observe concurrent mutation after it returns;
 ///  * exceptions thrown by tasks are captured and rethrown on join;
 ///  * all queue state is GUARDED_BY(mutex_) — Clang's thread-safety
@@ -33,19 +33,14 @@ class ThreadPool {
   }
 
   /// Runs body(i) for i in [begin, end) across the pool, blocking until all
-  /// iterations finish. The first task exception (if any) is rethrown.
-  /// Iterations are distributed in contiguous chunks.
+  /// iterations finish. Scheduling is dynamic at granularity one: workers
+  /// pull the next index from a shared counter, so wildly uneven iteration
+  /// costs (a 10 ms greedy cell next to a 16 s LP cell in a sweep) still
+  /// balance. The first task exception (if any) is rethrown; a throwing
+  /// worker stops pulling further indices but the remaining workers drain
+  /// the range.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
-
-  /// Like parallel_for, but with dynamic scheduling at granularity one:
-  /// workers pull the next index from a shared counter, so wildly uneven
-  /// iteration costs (a 10 ms greedy cell next to a 16 s LP cell in a sweep)
-  /// still balance. Same blocking fork-join and exception semantics; a
-  /// throwing worker stops pulling further indices but the remaining workers
-  /// drain the range.
-  void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                            const std::function<void(std::size_t)>& body);
 
  private:
   void enqueue(std::function<void()> task);

@@ -8,15 +8,16 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "exact/dominance.h"
 #include "exact/search_util.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
 
 namespace setsched::exact {
 
-/// How many kept nodes each candidate is checked against in the per-level
-/// dominance prefilter. Keeps the prefilter O(1) per candidate. Sound at
-/// any value: a kept dominated node is redundant, never wrong.
+/// How many kept nodes per level the dominance prefilter records, hence
+/// checks each candidate against. Keeps the prefilter O(1) per candidate.
+/// Sound at any value: a kept dominated node is redundant, never wrong.
 constexpr std::size_t kDominanceScan = 64;
 
 bool dive(Search& search, double box_s) {
@@ -48,6 +49,10 @@ bool dive(Search& search, double box_s) {
   const obs::PhaseTimer dive_phase(obs::Phase::kDive);
   const obs::TraceSpan dive_span("dive", "exact");
   std::vector<Node> beam(1, Node(n, m, inst.num_classes()));
+  // Level d + 1 records the first kDominanceScan non-dominated children of
+  // level d. Each is kept or, at the width cap, ends the level, so every
+  // check runs against kept nodes only.
+  DominanceTable memo(n + 1, kDominanceScan);
 
   // Per level: the children, their completion lower bounds (max of the
   // makespan so far and the average-load bound over the remaining jobs),
@@ -111,13 +116,7 @@ bool dive(Search& search, double box_s) {
       const obs::PhaseTimer dom_timer(obs::Phase::kDominance);
       for (const std::size_t c : by_score) {
         Node& child = children[c];
-        bool redundant = false;
-        const std::size_t scan = std::min(kept.size(), kDominanceScan);
-        for (std::size_t s = 0; s < scan && !redundant; ++s) {
-          redundant =
-              dominates(kept[s].loads.data(), kept[s].class_on.data(), child);
-        }
-        if (redundant) continue;
+        if (memo.dominated_or_record(depth + 1, child)) continue;
         if (kept.size() >= level_width) {
           truncated = true;
           break;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -30,17 +32,48 @@ struct Bucket {
   std::vector<double> gaps;           // ok cells with a certificate
 };
 
-void write_double(std::ostream& os, double v) {
-  write_finite_double(os, v, "bench json summary");
+/// One column of the AggregateSummary schema.
+struct SummaryColumn {
+  std::string_view key;    ///< BENCH_expt.json key
+  std::string_view label;  ///< summary-table header; empty: JSON only
+  int precision = 3;       ///< summary-table decimals of a double
+};
+
+/// The AggregateSummary schema, declared once: `column(spec, value)` per
+/// field in wire order. The summary table and the summary objects of
+/// BENCH_expt.json are both generated from this list, so a new summary
+/// field is one line here plus its docs/BENCH_SCHEMA.md entry.
+template <class Column>
+void for_each_column(const AggregateSummary& s, Column&& column) {
+  column({"solver", "solver"}, s.solver);
+  column({"preset", "preset"}, s.preset);
+  column({"cells", "cells"}, s.cells);
+  column({"ok", "ok"}, s.ok);
+  column({"skipped", "skipped"}, s.skipped);
+  column({"failed", "failed"}, s.failed);
+  column({"proven", "proven"}, s.proven);
+  column({"certified", ""}, s.certified);
+  column({"gap_mean", "gap_mean", 4}, s.gap_mean);
+  column({"ratio_mean", "ratio_mean"}, s.ratio_mean);
+  column({"ratio_max", "ratio_max"}, s.ratio_max);
+  column({"time_p50_ms", "time_p50_ms", 2}, s.time_p50_ms);
+  column({"time_p95_ms", "time_p95_ms", 2}, s.time_p95_ms);
+  for (std::size_t c = 0; c < kCounterCount; ++c) {
+    const std::string key = std::string(kCounters[c].name) + "_mean";
+    column({key, kCounters[c].label, 1}, s.counter_mean[c]);
+  }
+  column({"lp_pct_mean", "lp%", 1}, s.lp_pct_mean);
+  column({"pricing_pct_mean", "pricing%", 1}, s.pricing_pct_mean);
 }
 
-void write_string_list(std::ostream& os, std::span<const std::string> items) {
-  os << '[';
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << items[i] << '"';
-  }
-  os << ']';
+/// `sep"key": value`, one member of a BENCH_expt.json object.
+template <class T>
+void write_member(std::ostream& os, std::string_view sep, std::string_view key,
+                  const T& value) {
+  os << sep;
+  write_json_string(os, key);
+  os << ": ";
+  write_json_value(os, value, "bench json summary");
 }
 
 }  // namespace
@@ -109,29 +142,23 @@ std::vector<AggregateSummary> aggregate(std::span<const RunRecord> records) {
 }
 
 Table summary_table(std::span<const AggregateSummary> summaries) {
-  std::vector<std::string> header = {
-      "solver",     "preset",     "cells",      "ok",         "skipped",
-      "failed",     "proven",     "gap_mean",   "ratio_mean", "ratio_max",
-      "time_p50_ms", "time_p95_ms"};
-  for (const CounterInfo& c : kCounters) header.emplace_back(c.label);
-  header.insert(header.end(), {"lp%", "pricing%"});
+  std::vector<std::string> header;
+  for_each_column(AggregateSummary{}, [&](const SummaryColumn& column,
+                                          const auto&) {
+    if (!column.label.empty()) header.emplace_back(column.label);
+  });
   Table table(std::move(header));
   for (const AggregateSummary& s : summaries) {
-    table.row()
-        .add(s.solver)
-        .add(s.preset)
-        .add(s.cells)
-        .add(s.ok)
-        .add(s.skipped)
-        .add(s.failed)
-        .add(s.proven)
-        .add(s.gap_mean, 4)
-        .add(s.ratio_mean)
-        .add(s.ratio_max)
-        .add(s.time_p50_ms, 2)
-        .add(s.time_p95_ms, 2);
-    for (const double value : s.counter_mean) table.add(value, 1);
-    table.add(s.lp_pct_mean, 1).add(s.pricing_pct_mean, 1);
+    table.row();
+    for_each_column(s, [&](const SummaryColumn& column, const auto& value) {
+      if (column.label.empty()) return;
+      if constexpr (std::is_floating_point_v<
+                        std::remove_cvref_t<decltype(value)>>) {
+        table.add(value, column.precision);
+      } else {
+        table.add(value);
+      }
+    });
   }
   return table;
 }
@@ -146,48 +173,31 @@ void write_bench_json(std::ostream& os, const ExperimentPlan& plan,
     failed += s.failed;
   }
 
-  os << "{\n  \"bench\": \"expt\",\n  \"schema_version\": 1,\n  \"plan\": {\n"
-     << "    \"presets\": ";
-  write_string_list(os, plan.presets);
-  os << ",\n    \"solvers\": ";
-  write_string_list(os, plan.solvers);
-  os << ",\n    \"seed_begin\": " << plan.seed_begin
-     << ",\n    \"seed_end\": " << plan.seed_end << ",\n    \"epsilon\": ";
-  write_double(os, plan.epsilon);
-  os << ",\n    \"precision\": ";
-  write_double(os, plan.precision);
-  os << ",\n    \"time_limit_s\": ";
-  write_double(os, plan.time_limit_s);
-  os << ",\n    \"inject\": \"" << plan.inject << '"';
-  os << ",\n    \"lp_audit\": " << (plan.lp_audit ? "true" : "false");
-  os << "\n  },\n  \"cells\": " << cells << ",\n  \"ok\": " << ok
-     << ",\n  \"skipped\": " << skipped << ",\n  \"failed\": " << failed
-     << ",\n  \"summaries\": [";
+  os << "{\n  \"bench\": \"expt\",\n  \"schema_version\": 1,\n  \"plan\": {";
+  write_member(os, "\n    ", "presets", plan.presets);
+  write_member(os, ",\n    ", "solvers", plan.solvers);
+  write_member(os, ",\n    ", "seed_begin", plan.seed_begin);
+  write_member(os, ",\n    ", "seed_end", plan.seed_end);
+  write_member(os, ",\n    ", "epsilon", plan.epsilon);
+  write_member(os, ",\n    ", "precision", plan.precision);
+  write_member(os, ",\n    ", "time_limit_s", plan.time_limit_s);
+  write_member(os, ",\n    ", "inject", plan.inject);
+  write_member(os, ",\n    ", "lp_audit", plan.lp_audit);
+  os << "\n  }";
+  write_member(os, ",\n  ", "cells", cells);
+  write_member(os, ",\n  ", "ok", ok);
+  write_member(os, ",\n  ", "skipped", skipped);
+  write_member(os, ",\n  ", "failed", failed);
+  os << ",\n  \"summaries\": [";
   for (std::size_t i = 0; i < summaries.size(); ++i) {
-    const AggregateSummary& s = summaries[i];
-    os << (i > 0 ? "," : "") << "\n    {\"solver\": \"" << s.solver
-       << "\", \"preset\": \"" << s.preset << "\", \"cells\": " << s.cells
-       << ", \"ok\": " << s.ok << ", \"skipped\": " << s.skipped
-       << ", \"failed\": " << s.failed << ", \"proven\": " << s.proven
-       << ", \"certified\": " << s.certified << ", \"gap_mean\": ";
-    write_double(os, s.gap_mean);
-    os << ", \"ratio_mean\": ";
-    write_double(os, s.ratio_mean);
-    os << ", \"ratio_max\": ";
-    write_double(os, s.ratio_max);
-    os << ", \"time_p50_ms\": ";
-    write_double(os, s.time_p50_ms);
-    os << ", \"time_p95_ms\": ";
-    write_double(os, s.time_p95_ms);
-    for (std::size_t c = 0; c < kCounterCount; ++c) {
-      os << ", \"" << kCounters[c].name << "_mean\": ";
-      write_double(os, s.counter_mean[c]);
-    }
-    os << ", \"lp_pct_mean\": ";
-    write_double(os, s.lp_pct_mean);
-    os << ", \"pricing_pct_mean\": ";
-    write_double(os, s.pricing_pct_mean);
-    os << "}";
+    os << (i > 0 ? "," : "") << "\n    {";
+    std::string_view sep;
+    for_each_column(summaries[i],
+                    [&](const SummaryColumn& column, const auto& value) {
+                      write_member(os, sep, column.key, value);
+                      sep = ", ";
+                    });
+    os << '}';
   }
   os << "\n  ]\n}\n";
 }

@@ -16,7 +16,9 @@ namespace setsched::expt {
 
 /// Per-(solver, preset) rollup of a sweep. Quality statistics (ratio) and
 /// runtime percentiles are computed over the ok cells only; empty buckets
-/// (every cell skipped or failed) report zeros.
+/// (every cell skipped or failed) report zeros. The field order of the
+/// summary table and of BENCH_expt.json is declared once, in aggregate.cpp's
+/// column list.
 struct AggregateSummary {
   std::string solver;
   std::string preset;

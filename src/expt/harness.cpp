@@ -144,7 +144,7 @@ std::vector<RunRecord> run_experiment(const ExperimentPlan& plan,
     if (pool == nullptr) {
       for (std::size_t i = 0; i < count; ++i) body(i);
     } else {
-      pool->parallel_for_dynamic(0, count, body);
+      pool->parallel_for(0, count, body);
     }
   };
 

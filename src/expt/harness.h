@@ -43,7 +43,7 @@ using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
 /// count or scheduling order. Instances are generated from (preset, seed)
 /// alone — every solver of a cell row sees the same instance — and solver
 /// seeds come from cell_seed(). Cells are sharded across the pool with
-/// work-stealing granularity of one cell (ThreadPool::parallel_for_dynamic),
+/// work-stealing granularity of one cell (ThreadPool::parallel_for),
 /// each writing its own slot of the result vector; the only
 /// thread-count-dependent field is time_ms, which plan.record_timing = false
 /// zeroes for byte-identical output.

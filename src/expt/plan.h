@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "api/solver.h"
+
 namespace setsched::expt {
 
 /// Declarative description of a sweep: the cross product
@@ -20,10 +22,10 @@ struct ExperimentPlan {
   std::uint64_t seed_begin = 1;
   std::uint64_t seed_end = 1;  ///< inclusive
 
-  // Context knobs echoed into every RunRecord (defaults mirror SolverContext).
-  double epsilon = 0.5;
-  double precision = 0.05;
-  double time_limit_s = 10.0;
+  // Context knobs echoed into every RunRecord, defaulting to SolverContext's.
+  double epsilon = SolverContext{}.epsilon;
+  double precision = SolverContext{}.precision;
+  double time_limit_s = SolverContext{}.time_limit_s;
 
   /// 0 = shared default_pool(), 1 = sequential, N = private pool of N
   /// (at most kMaxThreads).
@@ -39,7 +41,7 @@ struct ExperimentPlan {
   std::string inject;
   /// Residual audit of every LP solve of the approximation pipelines (plan
   /// key `lp_audit`, on/off). Exact bound probes audit always.
-  bool lp_audit = false;
+  bool lp_audit = SolverContext{}.lp_audit;
 
   [[nodiscard]] std::size_t num_seeds() const noexcept {
     return static_cast<std::size_t>(seed_end - seed_begin + 1);

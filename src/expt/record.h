@@ -24,8 +24,9 @@ enum class RunStatus {
 /// (solver, preset, seed), the instance shape, the measured outcome, and an
 /// echo of the solver-context knobs so a record is self-describing. The
 /// effort counters (core/counters.h) echo SolverStats. Streamed as JSONL/CSV
-/// by record_io.h and consumed by aggregate.h. The 34-key field-by-field
-/// schema is documented in docs/BENCH_SCHEMA.md.
+/// by record_io.h and consumed by aggregate.h. The 34-key wire order is
+/// declared once, in record_io.cpp's column list; the field-by-field schema
+/// is documented in docs/BENCH_SCHEMA.md.
 struct RunRecord : EffortCounters {
   std::string solver;
   std::string preset;

@@ -1,9 +1,8 @@
 #include "expt/record_io.h"
 
-#include <cstdio>
 #include <ostream>
-#include <sstream>
-#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/format.h"
@@ -14,53 +13,72 @@ namespace setsched::expt {
 
 namespace {
 
-// --- writing ---------------------------------------------------------------
-
-void write_double(std::ostream& os, double v) {
-  write_finite_double(os, v, "record_io RunRecord");
+/// The RunRecord schema, declared once: `column(key, value)` for each of the
+/// 34 JSONL keys and CSV columns, in wire order. The JSONL line, the CSV
+/// header and the CSV row are all generated from this list, so a new row
+/// field is one line here plus its docs/BENCH_SCHEMA.md entry.
+template <class Column>
+void for_each_column(const RunRecord& r, Column&& column) {
+  column("solver", r.solver);
+  column("preset", r.preset);
+  column("seed", r.seed);
+  column("cell_seed", r.cell_seed);
+  column("n", r.num_jobs);
+  column("m", r.num_machines);
+  column("classes", r.num_classes);
+  column("status", run_status_name(r.status));
+  column("makespan", r.makespan);
+  column("lower_bound", r.lower_bound);
+  column("ratio", r.ratio);
+  column("setups", r.setups);
+  column("time_ms", r.time_ms);
+  column("phase_ms", r.phase_ms);
+  for (const CounterInfo& c : kCounters) column(c.name, r.*c.field);
+  column("proven_optimal", r.proven_optimal);
+  column("gap", r.gap);
+  column("epsilon", r.epsilon);
+  column("precision", r.precision);
+  column("time_limit_s", r.time_limit_s);
+  column("error", r.error);
 }
 
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buffer;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
+constexpr std::string_view kWhat = "record_io RunRecord";
 
-/// Nested phase_ms object: non-zero phases only, in enum order, so records
-/// from solvers without phase accounting stay compact ("phase_ms":{}).
-void write_phase_object(std::ostream& os, const obs::PhaseTimes& phases) {
-  os << '{';
+/// The non-zero phases in enum order as `name<colon>ms` items joined by
+/// `sep`; names are quoted for JSON. Records from solvers without phase
+/// accounting stay compact ("phase_ms":{} and an empty CSV field).
+void write_phases(std::ostream& os, const obs::PhaseTimes& phases,
+                  bool quote_names, char sep) {
   bool first = true;
   for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
     const double v = phases.ms[i];
     if (v == 0.0) continue;
-    if (!first) os << ',';
+    if (!first) os << sep;
     first = false;
-    os << '"' << obs::phase_name(static_cast<obs::Phase>(i)) << "\":";
-    write_double(os, v);
+    const std::string_view name = obs::phase_name(static_cast<obs::Phase>(i));
+    if (quote_names) {
+      write_json_string(os, name);
+    } else {
+      os << name;
+    }
+    os << ':';
+    write_finite_double(os, v, kWhat);
   }
-  os << '}';
 }
 
-// --- CSV -------------------------------------------------------------------
+template <class T>
+void write_json_column(std::ostream& os, const T& value) {
+  if constexpr (std::is_same_v<T, obs::PhaseTimes>) {
+    os << '{';
+    write_phases(os, value, /*quote_names=*/true, ',');
+    os << '}';
+  } else {
+    write_json_value(os, value, kWhat);
+  }
+}
 
+/// RFC-4180 quoting: only fields holding a comma, quote or line break are
+/// quoted, with inner quotes doubled.
 void write_csv_field(std::ostream& os, std::string_view s) {
   if (s.find_first_of(",\"\n\r") == std::string_view::npos) {
     os << s;
@@ -72,6 +90,18 @@ void write_csv_field(std::ostream& os, std::string_view s) {
     os << c;
   }
   os << '"';
+}
+
+template <class T>
+void write_csv_column(std::ostream& os, const T& value) {
+  if constexpr (std::is_same_v<T, obs::PhaseTimes>) {
+    // "lp_solve:1.5;dive:3": no commas, so the field never needs quoting.
+    write_phases(os, value, /*quote_names=*/false, ';');
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    write_csv_field(os, value);
+  } else {
+    write_json_value(os, value, kWhat);
+  }
 }
 
 }  // namespace
@@ -87,42 +117,14 @@ std::string_view run_status_name(RunStatus status) {
 }
 
 void write_jsonl(std::ostream& os, const RunRecord& r) {
-  os << "{\"solver\":";
-  write_json_string(os, r.solver);
-  os << ",\"preset\":";
-  write_json_string(os, r.preset);
-  os << ",\"seed\":" << r.seed;
-  os << ",\"cell_seed\":" << r.cell_seed;
-  os << ",\"n\":" << r.num_jobs;
-  os << ",\"m\":" << r.num_machines;
-  os << ",\"classes\":" << r.num_classes;
-  os << ",\"status\":";
-  write_json_string(os, run_status_name(r.status));
-  os << ",\"makespan\":";
-  write_double(os, r.makespan);
-  os << ",\"lower_bound\":";
-  write_double(os, r.lower_bound);
-  os << ",\"ratio\":";
-  write_double(os, r.ratio);
-  os << ",\"setups\":" << r.setups;
-  os << ",\"time_ms\":";
-  write_double(os, r.time_ms);
-  os << ",\"phase_ms\":";
-  write_phase_object(os, r.phase_ms);
-  for (const CounterInfo& c : kCounters) {
-    os << ",\"" << c.name << "\":" << r.*c.field;
-  }
-  os << ",\"proven_optimal\":" << (r.proven_optimal ? "true" : "false");
-  os << ",\"gap\":";
-  write_double(os, r.gap);
-  os << ",\"epsilon\":";
-  write_double(os, r.epsilon);
-  os << ",\"precision\":";
-  write_double(os, r.precision);
-  os << ",\"time_limit_s\":";
-  write_double(os, r.time_limit_s);
-  os << ",\"error\":";
-  write_json_string(os, r.error);
+  char sep = '{';
+  for_each_column(r, [&](std::string_view key, const auto& value) {
+    os << sep;
+    sep = ',';
+    write_json_string(os, key);
+    os << ':';
+    write_json_column(os, value);
+  });
   os << "}\n";
 }
 
@@ -131,51 +133,19 @@ void write_jsonl(std::ostream& os, std::span<const RunRecord> records) {
 }
 
 void write_csv(std::ostream& os, std::span<const RunRecord> records) {
-  os << "solver,preset,seed,cell_seed,n,m,classes,status,makespan,"
-        "lower_bound,ratio,setups,time_ms,phase_ms,";
-  for (const CounterInfo& c : kCounters) os << c.name << ',';
-  os << "proven_optimal,gap,epsilon,precision,time_limit_s,error\n";
+  std::string_view sep;
+  for_each_column(RunRecord{}, [&](std::string_view key, const auto&) {
+    os << sep << key;
+    sep = ",";
+  });
+  os << '\n';
   for (const RunRecord& r : records) {
-    write_csv_field(os, r.solver);
-    os << ',';
-    write_csv_field(os, r.preset);
-    os << ',' << r.seed << ',' << r.cell_seed << ',' << r.num_jobs << ','
-       << r.num_machines << ',' << r.num_classes << ','
-       << run_status_name(r.status) << ',';
-    write_double(os, r.makespan);
-    os << ',';
-    write_double(os, r.lower_bound);
-    os << ',';
-    write_double(os, r.ratio);
-    os << ',' << r.setups << ',';
-    write_double(os, r.time_ms);
-    os << ',';
-    // Compact semicolon-separated breakdown ("lp_solve:1.5;dive:3") — no
-    // commas, so the field never needs CSV quoting.
-    {
-      std::ostringstream phases;
-      bool first = true;
-      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-        const double v = r.phase_ms.ms[i];
-        if (v == 0.0) continue;
-        if (!first) phases << ';';
-        first = false;
-        phases << obs::phase_name(static_cast<obs::Phase>(i)) << ':';
-        write_double(phases, v);
-      }
-      write_csv_field(os, phases.str());
-    }
-    for (const CounterInfo& c : kCounters) os << ',' << r.*c.field;
-    os << ',' << (r.proven_optimal ? "true" : "false") << ',';
-    write_double(os, r.gap);
-    os << ',';
-    write_double(os, r.epsilon);
-    os << ',';
-    write_double(os, r.precision);
-    os << ',';
-    write_double(os, r.time_limit_s);
-    os << ',';
-    write_csv_field(os, r.error);
+    sep = {};
+    for_each_column(r, [&](std::string_view, const auto& value) {
+      os << sep;
+      sep = ",";
+      write_csv_column(os, value);
+    });
     os << '\n';
   }
 }

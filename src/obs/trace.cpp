@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <charconv>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -9,6 +8,7 @@
 #include <utility>
 
 #include "common/annotations.h"
+#include "common/format.h"
 
 namespace setsched::obs {
 
@@ -115,24 +115,6 @@ void count_shed(ThreadBuffer& buffer, std::string_view name) {
     }
   }
   buffer.shed.emplace_back(name, 1);
-}
-
-// --- Chrome trace JSON -----------------------------------------------------
-
-void write_json_number(std::ostream& os, double v) {
-  char buffer[64];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v);
-  os.write(buffer, end - buffer);
-  (void)ec;
-}
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -312,12 +294,12 @@ void write_chrome_trace(std::ostream& os) {
       write_json_string(os, e.category);
     }
     os << ",\"pid\":1,\"tid\":" << e.track << ",\"ts\":";
-    write_json_number(os, e.ts_us);
+    write_shortest_double(os, e.ts_us);
     if (instant) {
       os << ",\"s\":\"t\"";  // thread-scoped instant
     } else {
       os << ",\"dur\":";
-      write_json_number(os, e.dur_us);
+      write_shortest_double(os, e.dur_us);
     }
     if (e.arg_str_name != nullptr || e.arg_num_name != nullptr) {
       os << ",\"args\":{";
@@ -330,7 +312,7 @@ void write_chrome_trace(std::ostream& os) {
         if (e.arg_str_name != nullptr) os << ',';
         write_json_string(os, e.arg_num_name);
         os << ':';
-        write_json_number(os, e.arg_num);
+        write_shortest_double(os, e.arg_num);
       }
       os << '}';
     }

@@ -38,10 +38,8 @@ Probe probe_T(const UniformInstance& original, double T, double epsilon,
                                         simplified.instance.speed.end());
   const GroupStructure groups(epsilon, vmin, T1);
 
-  RelaxedDpOptions dp_options;
-  dp_options.max_states = max_states;
   const RelaxedDpResult dp =
-      solve_relaxed_dp(simplified.instance, groups, dp_options);
+      solve_relaxed_dp(simplified.instance, groups, max_states);
   out.dp_states = dp.states;
   switch (dp.status) {
     case DpStatus::kInfeasible:

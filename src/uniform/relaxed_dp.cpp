@@ -118,8 +118,8 @@ struct Node {
 class DpSolver {
  public:
   DpSolver(const UniformInstance& inst, const GroupStructure& groups,
-           const RelaxedDpOptions& opt)
-      : inst_(inst), groups_(groups), opt_(opt) {}
+           std::size_t max_states)
+      : inst_(inst), groups_(groups), max_states_(max_states) {}
 
   RelaxedDpResult run();
 
@@ -135,7 +135,7 @@ class DpSolver {
   // --- static problem data ---
   const UniformInstance& inst_;
   GroupStructure groups_;
-  RelaxedDpOptions opt_;
+  std::size_t max_states_;
   int max_group_ = 0;  // G
   std::vector<int> machine_lower_;               // L(i)
   std::vector<std::vector<MachineId>> enter_at_; // machines entering group g
@@ -632,7 +632,7 @@ RelaxedDpResult DpSolver::run() {
       end_node_ = at;
       break;
     }
-    if (nodes_.size() > opt_.max_states) {
+    if (nodes_.size() > max_states_) {
       out.status = DpStatus::kResourceLimit;
       out.states = nodes_.size();
       return out;
@@ -654,9 +654,9 @@ RelaxedDpResult DpSolver::run() {
 
 RelaxedDpResult solve_relaxed_dp(const UniformInstance& instance,
                                  const GroupStructure& groups,
-                                 const RelaxedDpOptions& options) {
+                                 std::size_t max_states) {
   instance.validate();
-  DpSolver solver(instance, groups, options);
+  DpSolver solver(instance, groups, max_states);
   return solver.run();
 }
 

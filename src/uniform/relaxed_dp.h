@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -29,11 +30,6 @@ struct RelaxedSchedule {
   std::map<int, std::vector<JobId>> fractional_by_group;
 };
 
-struct RelaxedDpOptions {
-  /// Abort with kResourceLimit beyond this many distinct DP states.
-  std::size_t max_states = 300'000;
-};
-
 struct RelaxedDpResult {
   DpStatus status = DpStatus::kInfeasible;
   RelaxedSchedule relaxed;
@@ -50,9 +46,11 @@ struct RelaxedDpResult {
 /// so a feasible verdict comes with a concrete relaxed schedule.
 ///
 /// `instance` must be a *simplified* instance (see simplify_instance) whose
-/// sizes are dyadic rationals — all DP arithmetic is then exact.
+/// sizes are dyadic rationals — all DP arithmetic is then exact. Beyond
+/// `max_states` distinct states (PtasOptions::max_states) the DP aborts
+/// with kResourceLimit.
 [[nodiscard]] RelaxedDpResult solve_relaxed_dp(const UniformInstance& instance,
                                                const GroupStructure& groups,
-                                               const RelaxedDpOptions& options = {});
+                                               std::size_t max_states);
 
 }  // namespace setsched

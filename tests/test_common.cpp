@@ -252,9 +252,14 @@ TEST(Deadline, EarlierCapWins) {
 
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(0, 100, [&](std::size_t i) { hits[i]++; });
+  std::vector<std::atomic<int>> hits(257);
+  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // A range with a non-zero begin visits exactly [begin, end).
+  pool.parallel_for(7, 100, [&](std::size_t i) { hits[i]++; });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), i >= 7 && i < 100 ? 2 : 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
@@ -281,28 +286,6 @@ TEST(ThreadPool, ReusableAcrossCalls) {
     pool.parallel_for(0, 50, [&](std::size_t) { sum++; });
   }
   EXPECT_EQ(sum.load(), 250);
-}
-
-TEST(ThreadPool, ParallelForDynamicCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for_dynamic(0, hits.size(),
-                            [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForDynamicEmptyRangeAndException) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for_dynamic(5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-  EXPECT_THROW(
-      pool.parallel_for_dynamic(
-          0, 10,
-          [&](std::size_t i) {
-            if (i == 3) throw std::runtime_error("task failed");
-          }),
-      std::runtime_error);
 }
 
 TEST(Table, PrintsAlignedColumns) {

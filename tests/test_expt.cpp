@@ -748,6 +748,9 @@ TEST(ExptAggregate, BenchJsonContainsPlanCountsAndSummaries) {
   plan.solvers = {"greedy", "lpt"};
   plan.seed_begin = 1;
   plan.seed_end = 3;
+  // Not a valid fault spec; the report writer only echoes the string, and
+  // must escape it like every other JSON string.
+  plan.inject = "quote\" tab\t";
   const std::vector<RunRecord> records{
       bucket_record("greedy", "uniform-small", RunStatus::kOk, 1.5, 2.0),
       bucket_record("lpt", "uniform-small", RunStatus::kSkipped, 0.0, 0.0),
@@ -774,7 +777,8 @@ TEST(ExptAggregate, BenchJsonContainsPlanCountsAndSummaries) {
   // time_limit_s is the one clock.
   EXPECT_EQ(out.find("\"timeout\""), std::string::npos);
   EXPECT_EQ(out.find("timeout"), std::string::npos);
-  EXPECT_NE(out.find("\"inject\""), std::string::npos);
+  EXPECT_NE(out.find(R"("inject": "quote\" tab\t")"), std::string::npos)
+      << out;
   EXPECT_NE(out.find("\"lp_audit\": false"), std::string::npos);
   for (const CounterInfo& c : kCounters) {
     const std::string key = std::string(c.name) + "_mean\":";

@@ -101,7 +101,7 @@ TEST(PhaseLedger, WorkerReuseKeepsCellDeltasDisjoint) {
   constexpr std::size_t kCells = 8;  // 8 cells on 2 workers => heavy reuse
   std::array<PhaseTimes, kCells> deltas;
   ThreadPool pool(2);
-  pool.parallel_for_dynamic(0, kCells, [&deltas](std::size_t cell) {
+  pool.parallel_for(0, kCells, [&deltas](std::size_t cell) {
     const PhaseTimes before = phase_snapshot();
     // Direct accumulator write: deterministic, gate-independent stand-in for
     // the PhaseTimer spans a real solve would record on this worker.
@@ -206,7 +206,7 @@ TEST(ObsTrace, ConcurrentSpansSurviveMergeIntact) {
 
   ThreadPool pool(kWorkers);
   start_trace();
-  pool.parallel_for_dynamic(0, kTasks, [&](std::size_t task) {
+  pool.parallel_for(0, kTasks, [&](std::size_t task) {
     for (std::size_t s = 0; s < kSpansPerTask; ++s) {
       TraceSpan span("work", "test");
       span.set_arg("id", static_cast<double>(task * kSpansPerTask + s));
@@ -312,6 +312,42 @@ TEST(ObsTrace, ChromeJsonIsWellFormedAndCarriesMetadata) {
             std::count(out.begin(), out.end(), '}'));
   EXPECT_EQ(std::count(out.begin(), out.end(), '['),
             std::count(out.begin(), out.end(), ']'));
+}
+
+// Track names, interned span names and string args are arbitrary text: a
+// tab, newline or other control byte must reach the trace as a JSON escape,
+// never raw (a raw one makes the whole file invalid JSON).
+TEST(ObsTrace, ControlCharactersInNamesAreEscaped) {
+  const GateGuard guard;
+  start_trace();
+  set_thread_track_name("track\tone\nend");
+  {
+    TraceSpan span(intern("span\tname\x01"), "solve");
+    span.set_arg("preset", intern("line\nbreak"));
+  }
+  stop_trace();
+  std::ostringstream os;
+  write_chrome_trace(os);
+  const std::string out = os.str();
+  set_thread_track_name("main");
+
+  EXPECT_NE(out.find(R"("name":"track\tone\nend")"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find(R"("name":"span\tname\u0001")"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find(R"("preset":"line\nbreak")"), std::string::npos)
+      << out;
+  // The writer's own line breaks separate events; no other control byte
+  // may appear, and every line break starts an event or closes the array.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(out[i]);
+    if (c >= 0x20) continue;
+    ASSERT_EQ(c, '\n') << "raw control byte at " << i;
+    if (i + 1 < out.size()) {
+      EXPECT_TRUE(out[i + 1] == '{' || out[i + 1] == ']')
+          << "raw line break inside a value at " << i;
+    }
+  }
 }
 
 #endif  // SETSCHED_OBS_DISABLED

@@ -40,7 +40,8 @@ TEST(RelaxedDp, FeasibleAtGenerousT) {
   const double vmin = *std::min_element(s.instance.speed.begin(),
                                         s.instance.speed.end());
   const GroupStructure groups(eps, vmin, T);
-  const RelaxedDpResult dp = solve_relaxed_dp(s.instance, groups);
+  const RelaxedDpResult dp =
+      solve_relaxed_dp(s.instance, groups, PtasOptions{}.max_states);
   EXPECT_EQ(dp.status, DpStatus::kFeasible);
 }
 
@@ -52,7 +53,8 @@ TEST(RelaxedDp, InfeasibleBelowLowerBound) {
   const double vmin = *std::min_element(s.instance.speed.begin(),
                                         s.instance.speed.end());
   const GroupStructure groups(eps, vmin, T);
-  const RelaxedDpResult dp = solve_relaxed_dp(s.instance, groups);
+  const RelaxedDpResult dp =
+      solve_relaxed_dp(s.instance, groups, PtasOptions{}.max_states);
   EXPECT_EQ(dp.status, DpStatus::kInfeasible);
 }
 
@@ -64,7 +66,8 @@ TEST(RelaxedDp, FeasibleVerdictYieldsValidRelaxedSchedule) {
   const double vmin = *std::min_element(s.instance.speed.begin(),
                                         s.instance.speed.end());
   const GroupStructure groups(eps, vmin, T);
-  const RelaxedDpResult dp = solve_relaxed_dp(s.instance, groups);
+  const RelaxedDpResult dp =
+      solve_relaxed_dp(s.instance, groups, PtasOptions{}.max_states);
   ASSERT_EQ(dp.status, DpStatus::kFeasible);
 
   // Every job is either integrally assigned or recorded as fractional.
@@ -96,7 +99,8 @@ TEST(RelaxedDp, ReconstructionPlacesAllJobs) {
   const double vmin = *std::min_element(s.instance.speed.begin(),
                                         s.instance.speed.end());
   const GroupStructure groups(eps, vmin, T);
-  const RelaxedDpResult dp = solve_relaxed_dp(s.instance, groups);
+  const RelaxedDpResult dp =
+      solve_relaxed_dp(s.instance, groups, PtasOptions{}.max_states);
   ASSERT_EQ(dp.status, DpStatus::kFeasible);
   const Schedule rec = reconstruct_schedule(s.instance, groups, dp.relaxed);
   EXPECT_TRUE(rec.complete());

@@ -30,7 +30,7 @@ TEST(ThreadPool, ConcurrentDefaultPoolFirstUse) {
   racers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     racers.emplace_back([&total] {
-      default_pool().parallel_for_dynamic(0, 64, [&total](std::size_t) {
+      default_pool().parallel_for(0, 64, [&total](std::size_t) {
         total.fetch_add(1, std::memory_order_relaxed);
       });
     });
@@ -43,7 +43,7 @@ TEST(ThreadPool, ExceptionRethrownAndRangeDrained) {
   ThreadPool pool(4);
   std::atomic<std::size_t> completed{0};
   const auto run = [&] {
-    pool.parallel_for_dynamic(0, 100, [&completed](std::size_t i) {
+    pool.parallel_for(0, 100, [&completed](std::size_t i) {
       if (i == 3) throw std::runtime_error("cell 3 failed");
       completed.fetch_add(1, std::memory_order_relaxed);
     });
@@ -54,25 +54,15 @@ TEST(ThreadPool, ExceptionRethrownAndRangeDrained) {
   EXPECT_EQ(completed.load(), 99u);
 }
 
-TEST(ThreadPool, ParallelForExceptionRethrown) {
-  ThreadPool pool(3);
-  const auto run = [&] {
-    pool.parallel_for(0, 64, [](std::size_t i) {
-      if (i == 17) throw std::invalid_argument("chunk member threw");
-    });
-  };
-  EXPECT_THROW(run(), std::invalid_argument);
-}
-
 TEST(ThreadPool, OnlyFirstExceptionPropagates) {
   ThreadPool pool(4);
   // Every index throws; exactly one exception must come back (the fork-join
   // keeps the first and swallows the rest) and it must be one of ours.
   try {
-    pool.parallel_for_dynamic(0, 32, [](std::size_t) {
+    pool.parallel_for(0, 32, [](std::size_t) {
       throw std::runtime_error("boom");
     });
-    FAIL() << "expected parallel_for_dynamic to rethrow";
+    FAIL() << "expected parallel_for to rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
   }
@@ -89,7 +79,7 @@ TEST(ThreadPool, DestructionDrainsQueuedTasks) {
   std::optional<ThreadPool> pool;
   pool.emplace(2);
   std::thread caller([&] {
-    pool->parallel_for_dynamic(0, 16, [&](std::size_t) {
+    pool->parallel_for(0, 16, [&](std::size_t) {
       first_task_running.store(true, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       executed.fetch_add(1, std::memory_order_relaxed);
@@ -113,7 +103,7 @@ TEST(ThreadPool, ConcurrentCallersShareOneQueue) {
   callers.reserve(kCallers);
   for (std::size_t t = 0; t < kCallers; ++t) {
     callers.emplace_back([&pool, &counts, t] {
-      pool.parallel_for_dynamic(0, kRange, [&counts, t](std::size_t) {
+      pool.parallel_for(0, kRange, [&counts, t](std::size_t) {
         counts[t].fetch_add(1, std::memory_order_relaxed);
       });
     });
